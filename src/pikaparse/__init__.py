@@ -58,7 +58,6 @@ from .tree import (
     ASTNode,
     ParseTreeNode,
     extract_parse_tree,
-    flatten_repetitions,
     node_from_match,
     to_ast,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "ensure_no_left_recursion",
     "extract_parse_tree",
     "find_error_spans",
-    "flatten_repetitions",
     "match_clause",
     "next_match_after",
     "node_from_match",

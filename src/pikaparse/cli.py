@@ -5,7 +5,7 @@
     pikaparse bench --count 40 -o results.csv
 
 Exit codes: 0 success, 1 input did not fully parse, 2 bad usage or a bad
-grammar.
+grammar, 3 internal error (the tool crashed).
 
 All tree serializers build output iteratively: parse trees of deeply nested
 inputs (a long left-nested sum, say) exceed any recursive serializer's
@@ -302,6 +302,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -182,7 +182,7 @@ class MemoTable:
         self.text = text
         n = len(grammar.all_clauses)
         self._tables = [dict() for _ in range(n)]
-        self._positions = [[] for _ in range(n)]
+        self._positions_cache = {}
         self._col = None
         self._la_depth = 0
         self._la_limit = n + 16
@@ -213,9 +213,19 @@ class MemoTable:
         return None
 
     def match_positions(self, clause):
-        """Positions with a stored match for clause, descending.  Shared
-        list; treat as read-only."""
-        return self._positions[clause.clause_idx]
+        """Positions with a stored match for clause, descending.
+
+        The fill stores right to left and an improvement replaces a value
+        without re-inserting its key, so each per-clause dict's key order
+        already is this list.  It is built on first request and cached,
+        which is sound because queries come only after the fill.  Shared
+        list; treat as read-only.
+        """
+        i = clause.clause_idx
+        positions = self._positions_cache.get(i)
+        if positions is None:
+            positions = self._positions_cache[i] = list(self._tables[i])
+        return positions
 
     def all_stored(self):
         for tbl in self._tables:
@@ -259,8 +269,6 @@ class MemoTable:
                 (type(clause) is First and new.alt_idx < old.alt_idx)
                 or new.len > old.len
             ):
-                if old is None:
-                    self._positions[clause.clause_idx].append(pos)
                 tbl[pos] = new
                 updated = True
         for parent in clause.seed_parent_clauses:

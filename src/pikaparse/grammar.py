@@ -159,7 +159,7 @@ def rewrite_one_or_more(rule: Rule, fresh_name) -> list[Rule]:
     (X <- (Y X) / ()).  A repetition anywhere else gets a hidden helper rule
     of the same shape.  Chained this way, a run of k repeats adds one memo
     row per start position instead of the k(k+1)/2 rows a greedy repetition
-    stores; tree.flatten_repetitions later restores the flat list shape.
+    stores; tree extraction walks each chain back into one node per loop.
 
     fresh_name(base) must return an unused rule name.  Returns the rewritten
     rule followed by any helper rules created for it.

@@ -6,8 +6,8 @@ input not covered by any match of the rules of interest are the syntax
 error regions, and parsing effectively resumes at the next recorded match
 after each error.
 
-Per-clause match positions are recorded in descending order during the
-right-to-left fill, so next_match_after is a binary search, not a scan.
+The right-to-left fill stores each clause's matches in descending position
+order, so next_match_after is a binary search, not a scan.
 """
 from __future__ import annotations
 
@@ -58,10 +58,9 @@ def find_error_spans(table: MemoTable, rule_names=None) -> list[ErrorSpan]:
         return []
     intervals = []
     for clause in _clauses_of_interest(table, rule_names):
-        tbl_positions = table.match_positions(clause)
-        for pos in tbl_positions:
+        for pos in table.match_positions(clause):
             m = table.stored(clause, pos)
-            if m is not None and m.len > 0:
+            if m.len > 0:
                 intervals.append((pos, pos + m.len))
     if not intervals:
         return [ErrorSpan(0, n)]
@@ -78,6 +77,19 @@ def find_error_spans(table: MemoTable, rule_names=None) -> list[ErrorSpan]:
     return spans
 
 
+def _first_match_from(table: MemoTable, clause, pos: int, min_len: int):
+    """Earliest stored match of clause at or after pos at least min_len
+    long, or None."""
+    positions = table.match_positions(clause)
+    # positions is descending; entries >= pos form a prefix.
+    j = bisect_right(positions, -pos, key=lambda p: -p)
+    for i in range(j - 1, -1, -1):
+        m = table.stored(clause, positions[i])
+        if m.len >= min_len:
+            return m
+    return None
+
+
 def next_match_after(table: MemoTable, rule_name: str, pos: int, min_len: int = 1):
     """Earliest stored match of rule_name starting at or after pos.
 
@@ -85,14 +97,7 @@ def next_match_after(table: MemoTable, rule_name: str, pos: int, min_len: int = 
     None.  min_len filters out degenerate matches (zero-length by default).
     """
     clause = table.grammar.rule_clause(rule_name)
-    positions = table.match_positions(clause)
-    # positions is descending; entries >= pos form a prefix.
-    j = bisect_right(positions, -pos, key=lambda p: -p)
-    for i in range(j - 1, -1, -1):
-        m = table.stored(clause, positions[i])
-        if m is not None and m.len >= min_len:
-            return m
-    return None
+    return _first_match_from(table, clause, pos, min_len)
 
 
 def covering_matches(table: MemoTable, rule_names=None, min_len: int = 1):
@@ -110,14 +115,11 @@ def covering_matches(table: MemoTable, rule_names=None, min_len: int = 1):
     while cursor < n:
         best = None
         for clause in clauses:
-            positions = table.match_positions(clause)
-            j = bisect_right(positions, -cursor, key=lambda p: -p)
-            for i in range(j - 1, -1, -1):
-                m = table.stored(clause, positions[i])
-                if m is not None and m.len >= min_len:
-                    if best is None or (m.pos, -m.len) < (best.pos, -best.len):
-                        best = m
-                    break
+            m = _first_match_from(table, clause, cursor, min_len)
+            if m is not None and (
+                best is None or (m.pos, -m.len) < (best.pos, -best.len)
+            ):
+                best = m
         if best is None:
             break
         out.append(best)

@@ -1,11 +1,12 @@
 """Parse trees and ASTs extracted from a filled memo table.
 
-Extraction never recurses: repetition chains make tree depth proportional to
-input length, so every walk here uses an explicit stack.
+Extraction never recurses: repetition chains and left-recursive operator runs
+make match depth proportional to input length, so every walk here uses an
+explicit stack or loop.
 
-flatten_repetitions undoes the right-recursive repetition rewrite in the
-tree: a chain of rewrite-flagged nodes collapses into one node whose
-children are the repeated items in input order.
+Extraction also undoes the right-recursive repetition rewrite: a chain of
+rewrite-flagged matches becomes one node whose children are the repeated
+items in input order, so a repetition reads as one node per loop.
 
 to_ast keeps only labeled nodes.  An unlabeled node dissolves and its
 labeled descendants attach to the nearest labeled ancestor.
@@ -92,7 +93,10 @@ def _edge_label(match: Match, i: int):
 
 
 def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
-    """Build the parse tree for one match, iteratively."""
+    """Build the parse tree for one match, iteratively.
+
+    A repetition chain becomes a single node holding the repeated items.
+    """
 
     def mk(m, label):
         label = label if label is not None else grammar.clause_label(m.clause)
@@ -104,14 +108,18 @@ def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
     stack = [(match, root)]
     while stack:
         m, node = stack.pop()
-        for i, sm in enumerate(m.sub_matches):
-            child = mk(sm, _edge_label(m, i))
+        if _is_chain(m.clause):
+            kids = _chain_items(m)
+        else:
+            kids = [(sm, _edge_label(m, i)) for i, sm in enumerate(m.sub_matches)]
+        for sm, label in kids:
+            child = mk(sm, label)
             node.children.append(child)
             stack.append((sm, child))
     return root
 
 
-def extract_parse_tree(table: MemoTable, flatten: bool = True):
+def extract_parse_tree(table: MemoTable):
     """Parse tree of the start rule's best match at position 0, or None.
 
     The match need not span the whole input; check table.matched_whole()
@@ -120,64 +128,38 @@ def extract_parse_tree(table: MemoTable, flatten: bool = True):
     m = table.start_match()
     if m is None:
         return None
-    root = node_from_match(m, table.grammar, table.text)
-    if flatten:
-        root = flatten_repetitions(root)
-    return root
+    return node_from_match(m, table.grammar, table.text)
 
 
 def _is_chain(clause) -> bool:
     return clause.repeat_body or clause.repeat_tail
 
 
-def _chain_items(start: ParseTreeNode):
-    """Walk a repetition chain, returning the item nodes in input order.
+def _chain_items(start: Match):
+    """Walk a repetition chain, returning (item, label) pairs in input order.
 
     Chains alternate body (item, rest) pairs and continue-or-stop tails; a
-    zero-length or childless tail ends the chain.
+    zero-length or childless tail ends the chain.  Each item keeps the edge
+    label its body gives it.
     """
     items = []
     cur = start
     while True:
         cl = cur.clause
         if cl.repeat_tail:
-            if cur.len == 0 or not cur.children:
+            if cur.len == 0 or not cur.sub_matches:
                 break
-            cur = cur.children[0]
+            cur = cur.sub_matches[0]
         elif cl.repeat_body:
-            if not cur.children:
+            if not cur.sub_matches:
                 break
-            items.append(cur.children[0])
-            if len(cur.children) < 2:
+            items.append((cur.sub_matches[0], _edge_label(cur, 0)))
+            if len(cur.sub_matches) < 2:
                 break
-            cur = cur.children[1]
+            cur = cur.sub_matches[1]
         else:
             break
     return items
-
-
-def flatten_repetitions(root: ParseTreeNode) -> ParseTreeNode:
-    """Collapse rewrite chains back into flat repetition nodes.
-
-    Returns a new tree; the input tree is left untouched.
-    """
-
-    def expand(old):
-        new = ParseTreeNode(
-            old.clause, old.name, old.label, old.pos, old.len, old.source
-        )
-        if _is_chain(old.clause):
-            return new, _chain_items(old)
-        return new, old.children
-
-    new_root, kids = expand(root)
-    stack = [(k, new_root) for k in reversed(kids)]
-    while stack:
-        old, parent = stack.pop()
-        new, kids = expand(old)
-        parent.children.append(new)
-        stack.extend((k, new) for k in reversed(kids))
-    return new_root
 
 
 def to_ast(root: ParseTreeNode):

@@ -141,6 +141,17 @@ def test_bad_grammar_is_usage_error(tmp_path, capsys):
     assert "grammar error" in capsys.readouterr().err
 
 
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    # A crash must not look like "input did not parse" (1) or bad usage (2).
+    def boom(grammar, text):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr("pikaparse.cli.parse", boom)
+    rc = main(["parse", "-t", "1+2"])
+    assert rc == 3
+    assert "internal error: RuntimeError: engine fault" in capsys.readouterr().err
+
+
 def test_unknown_format_rejected():
     with pytest.raises(SystemExit):
         main(["parse", "-t", "a", "-f", "yaml"])

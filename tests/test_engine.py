@@ -276,6 +276,8 @@ def test_match_positions_are_descending():
     for c in g.all_clauses:
         ps = t.match_positions(c)
         assert list(ps) == sorted(ps, reverse=True)
+        stored = [p for p in range(len(t.text), -1, -1) if t.stored(c, p) is not None]
+        assert list(ps) == stored
 
 
 def test_lookup_outside_any_match_is_none():

@@ -57,33 +57,23 @@ def test_flatten_collapses_chains():
     assert [c.text for c in lhs.children] == ["a", "b"]
 
 
-def test_raw_tree_keeps_chain_nesting():
-    g = compile_grammar(ASSIGN)
-    t = parse(g, "a=1;b=2;")
-    raw = extract_parse_tree(t, flatten=False)
-    flat = extract_parse_tree(t, flatten=True)
-
-    def depth(n):
-        best, stack = 1, [(n, 1)]
-        while stack:
-            x, d = stack.pop()
-            best = max(best, d)
-            stack.extend((c, d + 1) for c in x.children)
-        return best
-
-    assert depth(raw) > depth(flat)
-    assert len(flat.children) == 2
-
-
 def test_flatten_matches_greedy_repetition_spans():
     # With and without the repetition rewrite, the flattened tree has the
     # same labels and spans everywhere; only internal node names differ.
-    chained = compile_grammar(ASSIGN)
-    greedy = compile_grammar(ASSIGN, rewrite_repetitions=False)
-    for text in ["a=1;", "ab=12;c=3;", "x=9;y=8;z=7;"]:
-        a = parse_tree(chained, text)
-        b = parse_tree(greedy, text)
-        assert span_shape(a) == span_shape(b), text
+    # The greedy grammar keeps no chains, so it is an independent reference.
+    items = "L <- (items:W ',')+; W <- [a-z]+;"
+    cases = [
+        (ASSIGN, ["a=1;", "ab=12;c=3;", "x=9;y=8;z=7;"]),
+        (items, ["ab,", "ab,c,", "".join("w%s," % ("x" * (i % 3)) for i in range(40))]),
+    ]
+    for text_grammar, texts in cases:
+        chained = compile_grammar(text_grammar)
+        greedy = compile_grammar(text_grammar, rewrite_repetitions=False)
+        for text in texts:
+            a = parse_tree(chained, text)
+            b = parse_tree(greedy, text)
+            assert a.len == len(text), text
+            assert span_shape(a) == span_shape(b), text
 
 
 def test_flatten_deep_chain_iteratively():
@@ -93,17 +83,6 @@ def test_flatten_deep_chain_iteratively():
     root = extract_parse_tree(t)
     assert len(root.children) == 3000
     assert all(c.text == "a" for c in root.children)
-
-
-def test_flatten_leaves_input_tree_untouched():
-    g = compile_grammar(ASSIGN)
-    t = parse(g, "a=1;")
-    raw = extract_parse_tree(t, flatten=False)
-    from pikaparse.tree import flatten_repetitions
-
-    before = span_shape(raw)
-    flatten_repetitions(raw)
-    assert span_shape(raw) == before
 
 
 # === edge labels ===
