@@ -376,7 +376,6 @@ class Rule:
         "clause",
         "precedence",
         "associativity",
-        "ast_label",
         "hidden",
         "alias",
         "precedence_group",
@@ -388,7 +387,6 @@ class Rule:
         clause: Clause,
         precedence=None,
         associativity=None,
-        ast_label=None,
         hidden=False,
         alias=False,
         precedence_group=None,
@@ -399,7 +397,6 @@ class Rule:
         self.clause = clause
         self.precedence = precedence
         self.associativity = associativity
-        self.ast_label = ast_label
         self.hidden = hidden
         self.alias = alias
         self.precedence_group = precedence_group

@@ -228,7 +228,6 @@ def _add_grammar_opts(sp):
     sp.add_argument("-g", "--grammar", help="grammar file (default: built-in expression grammar)")
     sp.add_argument("-s", "--start", help="start rule (default: first rule)")
     sp.add_argument(
-        "--no-oneormore-rewrite",
         "--no-repetition-rewrite",
         dest="no_repetition_rewrite",
         action="store_true",

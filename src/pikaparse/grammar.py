@@ -18,6 +18,7 @@ and returns a Grammar ready for the matching engine:
 from __future__ import annotations
 
 import warnings
+from operator import attrgetter
 
 from .clauses import (
     Clause,
@@ -37,17 +38,23 @@ from .clauses import (
 
 
 class Grammar:
-    """An assembled grammar: rules plus the deduplicated, ordered clause list."""
+    """An assembled grammar: rules plus the deduplicated, ordered clause list.
+
+    names maps id(clause) to the name of the rule owning that clause.  The
+    first visible rule owning a clause wins; synthetic helpers and aliases
+    only name clauses nothing else claims.  Every rule clause ends up named,
+    which is what lets display_clause terminate on the cyclic graphs
+    assembly produces.
+    """
 
     def __init__(self, rules, all_clauses, start_rule):
         self.rules = rules
         self.all_clauses = all_clauses
         self.start_rule = start_rule
-        self.rule_map = {}
-        for r in rules:
-            self.rule_map[r.name] = r
-        self._names = None
-        self._labels = None
+        self.rule_map = {r.name: r for r in rules}
+        self.names = {}
+        for r in sorted(rules, key=lambda r: 1 if r.hidden else 2 if r.alias else 0):
+            self.names.setdefault(id(r.clause), r.name)
         self._node_names = {}
 
     def rule(self, name: str) -> Rule:
@@ -63,36 +70,13 @@ class Grammar:
     def start_clause(self) -> Clause:
         return self.rule_clause(self.start_rule)
 
-    def _naming(self):
-        # First visible rule owning a clause wins; synthetic helpers and
-        # aliases only name clauses nothing else claims.  Every rule clause
-        # ends up named, which is what lets display_clause terminate on the
-        # cyclic graphs assembly produces.
-        if self._names is None:
-            names, labels = {}, {}
-            for tier in (
-                lambda r: not r.alias and not r.hidden,
-                lambda r: r.hidden,
-                lambda r: r.alias,
-            ):
-                for r in self.rules:
-                    if tier(r) and id(r.clause) not in names:
-                        names[id(r.clause)] = r.name
-                        labels[id(r.clause)] = r.ast_label
-            self._names = names
-            self._labels = labels
-        return self._names, self._labels
-
     def clause_name(self, clause: Clause):
         """Rule name for a clause that is some rule's body, else None."""
-        return self._naming()[0].get(id(clause))
-
-    def clause_label(self, clause: Clause):
-        return self._naming()[1].get(id(clause))
+        return self.names.get(id(clause))
 
     def display_clause(self, clause: Clause) -> str:
         """Canonical text with subrule bodies rendered as their names."""
-        return clause.display(self._naming()[0], -1)
+        return clause.display(self.names, -1)
 
     def node_name(self, clause: Clause) -> str:
         got = self._node_names.get(id(clause))
@@ -282,92 +266,91 @@ def _resolve_refs(rules):
 
 
 # ---------------------------------------------------------------------------
+# graph walks
+
+def depth_first(roots, subs_of=attrgetter("sub_clauses"), on_back_edge=None):
+    """Iterative depth-first walk from each root in order; returns the
+    postorder, each clause once.
+
+    subs_of(clause) gives the edges to follow.  on_back_edge(path, sub) is
+    called for every edge that closes a cycle, that is, an edge to a clause
+    on the current path; path runs from the root to the edge's source.
+    """
+    order = []
+    done = set()
+    for root in roots:
+        if root in done:
+            continue
+        path = [root]
+        on_path = {root}
+        stack = [iter(subs_of(root))]
+        while stack:
+            for sub in stack[-1]:
+                if sub in on_path:
+                    if on_back_edge is not None:
+                        on_back_edge(path, sub)
+                elif sub not in done:
+                    path.append(sub)
+                    on_path.add(sub)
+                    stack.append(iter(subs_of(sub)))
+                    break
+            else:
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
+                order.append(node)
+                stack.pop()
+    return order
+
+
+def same_position_subs(clause):
+    """Subclauses tried at the position where clause itself starts: every
+    First alternative, the OneOrMore or NotFollowedBy operand, and each Seq
+    element up to and including the first that cannot match zero
+    characters."""
+    if isinstance(clause, Seq):
+        subs = []
+        for s in clause.sub_clauses:
+            subs.append(s)
+            if not s.can_match_zero_chars:
+                break
+        return subs
+    if isinstance(clause, (First, OneOrMore, NotFollowedBy)):
+        return clause.sub_clauses
+    return ()
+
+
+# ---------------------------------------------------------------------------
 # topological ordering (bottom-up clause index assignment)
-
-def _postorder(root, visited, out):
-    if root in visited:
-        return
-    visited.add(root)
-    stack = [(root, iter(root.sub_clauses))]
-    while stack:
-        node, it = stack[-1]
-        pushed = False
-        for sub in it:
-            if sub not in visited:
-                visited.add(sub)
-                stack.append((sub, iter(sub.sub_clauses)))
-                pushed = True
-                break
-        if not pushed:
-            out.append(node)
-            stack.pop()
-
-
-def _find_cycle_heads(root, discovered, finished, heads):
-    # Iterative DFS; an edge back to a clause on the current path marks that
-    # clause as a cycle head.  discovered/finished are shared across calls so
-    # repeated roots cost nothing.
-    if root in discovered or root in finished:
-        return
-    discovered.add(root)
-    stack = [(root, iter(root.sub_clauses))]
-    while stack:
-        node, it = stack[-1]
-        pushed = False
-        for sub in it:
-            if sub in discovered:
-                heads[sub] = True
-            elif sub not in finished:
-                discovered.add(sub)
-                stack.append((sub, iter(sub.sub_clauses)))
-                pushed = True
-                break
-        if not pushed:
-            discovered.discard(node)
-            finished.add(node)
-            stack.pop()
-
 
 def topo_sort_clauses(rules, lowest_precedence_clauses=()):
     """Order all reachable clauses bottom-up and assign clause_idx.
 
     DFS roots, in order: rule clauses nothing else references, the lowest
-    precedence level of each shorthand hierarchy, then cycle heads found by a
-    cycle-detection pass.  Rule declaration order keeps the result
-    deterministic.  Terminals are then stably moved to the lowest indexes so
-    the per-position seeding step can treat them as one block.
+    precedence level of each shorthand hierarchy, then cycle heads: the
+    targets of back edges found by one depth_first pass from the
+    unreferenced rule clauses and then every rule clause, in first-found
+    order.  Rule declaration order keeps the result deterministic.
+    Terminals are then stably moved to the lowest indexes so the
+    per-position seeding step can treat them as one block.
     """
-    every = []
-    seen = set()
-    for r in rules:
-        _postorder(r.clause, seen, every)
     referenced = set()
-    for c in every:
+    for c in depth_first(r.clause for r in rules):
         referenced.update(c.sub_clauses)
-
-    top_level = []
-    for r in rules:
-        if r.clause not in referenced and r.clause not in top_level:
-            top_level.append(r.clause)
+    top_level = list(dict.fromkeys(
+        r.clause for r in rules if r.clause not in referenced
+    ))
 
     heads = {}
-    discovered, finished = set(), set()
-    for c in top_level:
-        _find_cycle_heads(c, discovered, finished, heads)
+    depth_first(
+        top_level + [r.clause for r in rules],
+        on_back_edge=lambda path, sub: heads.setdefault(sub, True),
+    )
+
+    ordered = depth_first(top_level + list(lowest_precedence_clauses) + list(heads))
+    reached = set(ordered)
     for r in rules:
-        _find_cycle_heads(r.clause, discovered, finished, heads)
-
-    roots = list(top_level)
-    roots.extend(lowest_precedence_clauses)
-    roots.extend(heads)
-
-    ordered = []
-    visited = set()
-    for root in roots:
-        _postorder(root, visited, ordered)
-
-    for r in rules:
-        if r.clause not in visited:
+        if r.clause not in reached:
             raise GrammarError(
                 "rule %r is unreachable from every ordering root" % r.name
             )
@@ -420,28 +403,17 @@ def compute_seed_parents(all_clauses):
     """Record, per clause, the parents to reschedule when it matches.
 
     A parent belongs in a child's seed list when the child's match can begin
-    at the position the parent's match would: every First alternative, the
-    OneOrMore body, and each Seq element up to and including the first that
-    cannot match zero characters.  NotFollowedBy is evaluated on demand and
-    seeds nothing.
+    at the position the parent's match would, which is what
+    same_position_subs lists.  Each parent appears once per child.
+    NotFollowedBy is evaluated on demand and seeds nothing, although its
+    operand is tried at its own position.
     """
     for c in all_clauses:
         c.seed_parent_clauses = []
     for parent in all_clauses:
-        if isinstance(parent, Seq):
-            added = set()
-            for sub in parent.sub_clauses:
-                if sub not in added:
-                    added.add(sub)
-                    sub.seed_parent_clauses.append(parent)
-                if not sub.can_match_zero_chars:
-                    break
-        elif isinstance(parent, (First, OneOrMore)):
-            added = set()
-            for sub in parent.sub_clauses:
-                if sub not in added:
-                    added.add(sub)
-                    sub.seed_parent_clauses.append(parent)
+        if not isinstance(parent, NotFollowedBy):
+            for sub in dict.fromkeys(same_position_subs(parent)):
+                sub.seed_parent_clauses.append(parent)
 
 
 # ---------------------------------------------------------------------------
@@ -484,11 +456,19 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
 
     rules must be flat: any precedence shorthand has to be expanded first
     (metagrammar.rewrite_precedence_hierarchy does that).  start_rule
-    defaults to the first declared rule.
+    defaults to the first declared rule.  Assembly rewrites the given rules
+    and annotates their clause objects in place, so neither can be passed
+    to a second assembly.
     """
     rules = list(rules)
     if not rules:
         raise GrammarError("a grammar needs at least one rule")
+    for c in depth_first(r.clause for r in rules):
+        if c.clause_idx != -1:
+            raise GrammarError(
+                "clause %r already belongs to an assembled grammar; build "
+                "new clause objects for each grammar" % c
+            )
     for r in rules:
         if r.precedence is not None and r.precedence_group is None:
             raise GrammarError(

@@ -19,7 +19,8 @@ Bodies combine, loosest to tightest binding:
     Name          reference to another rule
     ( ... )       grouping
 
-Comments run from # to end of line.
+Comments run from # to end of line.  Groups and operators nest at most
+MAX_NESTING (100) levels deep.
 
 Rules sharing a name with bracketed levels form one precedence hierarchy:
 each level becomes its own rule (base name + level), references to the base
@@ -81,11 +82,22 @@ _ESCAPES = {
 }
 
 
+# Deepest operator nesting a rule body may use: groups, prefix operators and
+# suffix operators each count one level.  The parser and the assembly passes
+# recurse once or more per level, so past this a grammar text is a syntax
+# error rather than a RecursionError.
+MAX_NESTING = 100
+
+_SUFFIXES = {"+": OneOrMore, "*": ZeroOrMore, "?": Optional}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.n = len(text)
         self.i = 0
+        self.depth = 0  # groups and prefix operators open at self.i
+        self.deepest = 0  # deepest level reached in the operand being parsed
 
     # -- low level ---------------------------------------------------------
 
@@ -123,6 +135,11 @@ class _Parser:
             self.i += len(s)
             return True
         return False
+
+    def nest(self, levels, at):
+        if levels > MAX_NESTING:
+            self.error("nesting deeper than %d levels" % MAX_NESTING, at=at)
+        self.deepest = max(self.deepest, levels)
 
     def expect(self, s, what=None):
         if not self.eat(s):
@@ -248,33 +265,32 @@ class _Parser:
         return clause, None
 
     def prefixed(self):
-        if self.eat("!"):
-            self.ws()
-            sub = self.prefixed()
-            if sub is None:
-                self.error("expected a clause after '!'")
-            return NotFollowedBy((sub,))
-        if self.eat("&"):
-            self.ws()
-            sub = self.prefixed()
-            if sub is None:
-                self.error("expected a clause after '&'")
-            return FollowedBy((sub,))
+        for op, kind in (("!", NotFollowedBy), ("&", FollowedBy)):
+            if self.at(op):
+                self.depth += 1
+                self.nest(self.depth, self.i)
+                self.i += 1
+                self.ws()
+                sub = self.prefixed()
+                if sub is None:
+                    self.error("expected a clause after %r" % op)
+                self.depth -= 1
+                return kind((sub,))
         return self.suffixed()
 
     def suffixed(self):
+        outer = self.deepest
+        self.deepest = self.depth
         c = self.atom()
-        if c is None:
-            return None
-        while True:
-            if self.eat("+"):
-                c = OneOrMore((c,))
-            elif self.eat("*"):
-                c = ZeroOrMore((c,))
-            elif self.eat("?"):
-                c = Optional((c,))
-            else:
-                return c
+        while c is not None:
+            kind = _SUFFIXES.get(self.text[self.i : self.i + 1])
+            if kind is None:
+                break
+            self.nest(self.deepest + 1, self.i)
+            self.i += 1
+            c = kind((c,))
+        self.deepest = max(outer, self.deepest)
+        return c
 
     def atom(self):
         if self.at("("):
@@ -283,7 +299,10 @@ class _Parser:
             self.ws()
             if self.eat(")"):
                 return Nothing()
+            self.depth += 1
+            self.nest(self.depth, start)
             inner = self.choice()
+            self.depth -= 1
             self.ws()
             if not self.eat(")"):
                 self.error("expected ')' to close the group opened here", at=start)
@@ -528,7 +547,7 @@ def render_grammar(grammar: Grammar) -> str:
     bookkeeping (helper-rule flags) is not spelled in the text, so clause
     graphs are not guaranteed identical object-for-object.
     """
-    names = grammar._naming()[0]
+    names = grammar.names
     lines = []
     for r in grammar.rules:
         owner = names.get(id(r.clause))

@@ -17,69 +17,32 @@ import sys
 import threading
 from typing import NamedTuple
 
-from .clauses import First, NotFollowedBy, OneOrMore, Seq
-from .engine import Match, match_clause
-from .grammar import Grammar
+from .clauses import First
+from .engine import match_clause
+from .grammar import Grammar, depth_first, same_position_subs
 
 
 class LeftRecursionError(ValueError):
     """Raised when the reference parser meets a left-recursive grammar."""
 
 
-def _same_position_subs(clause):
-    """Subclauses evaluation can reach without consuming any input."""
-    kind = type(clause)
-    if kind is Seq:
-        out = []
-        for s in clause.sub_clauses:
-            out.append(s)
-            if not s.can_match_zero_chars:
-                break
-        return out
-    if kind is First:
-        return list(clause.sub_clauses)
-    if kind is OneOrMore or kind is NotFollowedBy:
-        return list(clause.sub_clauses)
-    return []
-
-
 def ensure_no_left_recursion(grammar: Grammar, start_clause=None):
     """Raise LeftRecursionError if evaluation from the start clause could
     revisit a clause at the same input position."""
     root = start_clause if start_clause is not None else grammar.start_clause
-    on_path = set()
-    finished = set()
-    stack = [(root, iter(_same_position_subs(root)))]
-    on_path.add(root)
-    path = [root]
-    while stack:
-        node, it = stack[-1]
-        pushed = False
-        for sub in it:
-            if sub in on_path:
-                i = path.index(sub)
-                cycle = path[i:]
-                name = next(
-                    (grammar.clause_name(c) for c in cycle
-                     if grammar.clause_name(c) is not None),
-                    None,
-                )
-                where = "rule %r" % name if name else "clause %r" % sub
-                raise LeftRecursionError(
-                    "grammar is left recursive through %s; the top-down "
-                    "reference parser cannot evaluate it" % where
-                )
-            if sub not in finished:
-                on_path.add(sub)
-                path.append(sub)
-                stack.append((sub, iter(_same_position_subs(sub))))
-                pushed = True
-                break
-        if not pushed:
-            on_path.discard(node)
-            path.pop()
-            finished.add(node)
-            stack.pop()
+
+    def fail(path, sub):
+        cycle = path[path.index(sub):]
+        name = next(
+            (n for n in map(grammar.clause_name, cycle) if n is not None), None
+        )
+        where = "rule %r" % name if name else "clause %r" % sub
+        raise LeftRecursionError(
+            "grammar is left recursive through %s; the top-down "
+            "reference parser cannot evaluate it" % where
+        )
+
+    depth_first([root], same_position_subs, fail)
 
 
 class OracleResult(NamedTuple):

@@ -99,7 +99,6 @@ def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
     """
 
     def mk(m, label):
-        label = label if label is not None else grammar.clause_label(m.clause)
         return ParseTreeNode(
             m.clause, grammar.node_name(m.clause), label, m.pos, m.len, source
         )

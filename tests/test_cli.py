@@ -120,9 +120,12 @@ def test_recover_rule_selection(tmp_path, capsys):
 
 
 def test_no_oneormore_rewrite_flag_and_alias(capsys):
-    assert main(["parse", "-t", "12", "--no-oneormore-rewrite"]) == 0
-    capsys.readouterr()
+    # --no-repetition-rewrite is the one spelling; the old alias is gone.
     assert main(["parse", "-t", "12", "--no-repetition-rewrite"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["parse", "-t", "12", "--no-oneormore-rewrite"])
+    assert info.value.code == 2
 
 
 # === error paths ===
@@ -131,6 +134,15 @@ def test_missing_grammar_file_is_usage_error(capsys):
     rc = main(["parse", "-g", "/nonexistent/g.peg", "-t", "a"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_deeply_nested_grammar_is_usage_error(tmp_path, capsys):
+    gpath = tmp_path / "deep.peg"
+    gpath.write_text("A <- " + "(" * 1000 + "'a'" + ")" * 1000 + ";")
+    rc = main(["parse", "-g", str(gpath), "-t", "a"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "grammar error: line 1, column 106: nesting deeper than 100" in err
 
 
 def test_bad_grammar_is_usage_error(tmp_path, capsys):

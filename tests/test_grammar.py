@@ -19,7 +19,8 @@ from pikaparse.clauses import (
     Seq,
     ZeroOrMore,
 )
-from pikaparse.grammar import assemble_grammar, desugar
+from pikaparse.engine import parse
+from pikaparse.grammar import assemble_grammar, depth_first, desugar
 from pikaparse.metagrammar import compile_grammar
 
 from helpers import ARITH_CLIMB, ARITH_LEFTREC
@@ -335,6 +336,43 @@ def test_repetition_tails_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile_grammar("A <- 'a'* 'b';")
+
+
+# === depth-first walk ===
+
+def test_depth_first_postorder_and_back_edges():
+    leaf = Char("x")
+    inner = Seq((leaf, Char("y")))
+    outer = First((inner, leaf))
+    # Close a cycle outer -> inner -> outer by hand.
+    inner.sub_clauses = (leaf, outer)
+    back = []
+    order = depth_first(
+        [outer, inner], on_back_edge=lambda path, sub: back.append((list(path), sub))
+    )
+    assert order == [leaf, inner, outer]
+    assert back == [([outer, inner], outer)]
+
+
+# === one grammar per clause object ===
+
+def test_shared_clause_object_is_rejected_and_first_grammar_still_works():
+    a = CharSet.of("a")
+    g1 = assemble_grammar([Rule("A", Seq((OneOrMore((a,)), Char("b"))))])
+    assert parse(g1, "aab").matched_whole()
+    with pytest.raises(GrammarError, match="already belongs to an assembled grammar"):
+        assemble_grammar([Rule("B", Seq((Char("x"), Char("w"), a)))])
+    # Renumbering the shared clause would break the first grammar.
+    assert parse(g1, "aab").matched_whole()
+
+
+def test_reassembling_a_rule_list_is_rejected():
+    rules = [Rule("Word", OneOrMore((CharSet.of("abcdefghijklmnopqrstuvwxyz"),)))]
+    g = assemble_grammar(rules)
+    # Without the check, desugaring recurses forever through the cyclic chain.
+    with pytest.raises(GrammarError, match="already belongs"):
+        assemble_grammar(rules)
+    assert parse(g, "hello").matched_whole()
 
 
 # === naming ===

@@ -1,5 +1,8 @@
 """Grammar text parsing, precedence shorthand expansion, and rendering."""
 
+import random
+import warnings
+
 import pytest
 
 from pikaparse.clauses import (
@@ -8,6 +11,7 @@ from pikaparse.clauses import (
     First,
     FollowedBy,
     GrammarError,
+    GrammarWarning,
     Nothing,
     NotFollowedBy,
     OneOrMore,
@@ -246,6 +250,57 @@ def test_empty_grammar_rejected():
 def test_error_column_accuracy():
     e = err("Ab <- [z-a];")
     assert (e.line, e.col) == (1, 7)
+
+
+# === nesting limit ===
+
+DEEP = 1000
+
+
+@pytest.mark.parametrize("text,col", [
+    ("A <- " + "(" * DEEP + "'a'" + ")" * DEEP + ";", 106),
+    ("A <- " + "!" * DEEP + "'a';", 106),
+    ("A <- " + "('a' " * DEEP + ")?" * DEEP + ";", 506),
+    ("A <- 'a'" + "+" * DEEP + ";", 109),
+])
+def test_deep_nesting_is_a_syntax_error(text, col):
+    with pytest.raises(GrammarSyntaxError, match="nesting deeper than 100") as info:
+        compile_grammar(text)
+    assert (info.value.line, info.value.col) == (1, col)
+
+
+def test_nesting_at_the_limit_compiles_and_parses():
+    g = compile_grammar("A <- " + "(" * 100 + "'a'" + ")" * 100 + ";")
+    assert parse(g, "a").matched_whole()
+    # 100 negations cancel out: the body means &'b' 'b'.
+    g = compile_grammar("A <- " + "!" * 100 + "'b' 'b';")
+    assert parse(g, "b").matched_whole()
+    assert not parse(g, "a").matched_whole()
+
+
+_SOUP = [
+    "A", "B", "E", "x:", "<-", "<-", ";", ";", "/", "(", ")", "()", "!", "&",
+    "+", "*", "?", "'a'", "'bc'", "''", "[a-c]", "[^]", "[1]", "[0,L]",
+    "[2,R]", "# c\n", " ", "\n",
+]
+
+
+def test_random_grammar_text_compiles_or_raises_grammar_error():
+    rng = random.Random(11)
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            # Rule-shaped: a name, an arrow, a random body, a semicolon.
+            body = [rng.choice(_SOUP) for _ in range(rng.randint(1, 12))]
+            tokens = [rng.choice("ABE"), "<-"] + body + [";"]
+        else:
+            tokens = [rng.choice(_SOUP) for _ in range(rng.randint(1, 20))]
+        text = " ".join(tokens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GrammarWarning)
+            try:
+                compile_grammar(text)
+            except GrammarError:
+                pass
 
 
 # === precedence shorthand ===

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pikaparse import compile_grammar, parse
+from pikaparse import NotFollowedBy, compile_grammar, parse
 from pikaparse.engine import Match
 from pikaparse.oracle import (
     LeftRecursionError,
@@ -43,6 +43,14 @@ def test_hidden_left_recursion_through_nullable_prefix():
     g = compile_grammar("S <- 'x'? S 'y' / 'z';")
     with pytest.raises(LeftRecursionError):
         ensure_no_left_recursion(g)
+    # A lookahead evaluates its operand at its own position too, although
+    # the bottom-up engine never seeds the lookahead from its operand.
+    g = compile_grammar("A <- !A 'x' / 'y';")
+    with pytest.raises(LeftRecursionError):
+        ensure_no_left_recursion(g)
+    lookahead = g.rule_clause("A").sub_clauses[0].sub_clauses[0]
+    assert isinstance(lookahead, NotFollowedBy)
+    assert lookahead not in g.rule_clause("A").seed_parent_clauses
 
 
 def test_right_recursion_is_fine():
