@@ -32,7 +32,7 @@ from .clauses import (
     Str,
     ZeroOrMore,
 )
-from .engine import LookaheadDepthError, Match, MemoTable, match_clause, parse
+from .engine import Match, MemoTable, match_clause, parse
 from .grammar import Grammar, assemble_grammar
 from .metagrammar import (
     GrammarSyntaxError,
@@ -77,7 +77,6 @@ __all__ = [
     "GrammarSyntaxError",
     "GrammarWarning",
     "LeftRecursionError",
-    "LookaheadDepthError",
     "Match",
     "MemoTable",
     "Nothing",

@@ -5,7 +5,8 @@ graph) of clauses.  Clause kinds split into three groups:
 
 * core operators: Seq, First, OneOrMore, NotFollowedBy
 * terminals: Char, CharSet, Str, Nothing
-* surface sugar, removed by desugaring: FollowedBy, Optional, ZeroOrMore
+* surface sugar, lowered onto core clauses by assembly: FollowedBy, Optional,
+  ZeroOrMore
 
 RuleRef is a placeholder leaf naming another rule; grammar assembly replaces
 every RuleRef with a direct object reference, so none survive preprocessing.
@@ -38,9 +39,6 @@ _PREC_SUFFIX = 3
 _PREC_ATOM = 4
 
 _CHAR_ESCAPES = {"\n": "\\n", "\r": "\\r", "\t": "\\t", "\\": "\\\\"}
-
-# Clauses currently being rendered, so display terminates on clause cycles.
-_ACTIVE_DISPLAYS = set()
 
 
 def _escape_char(ch: str, also: str) -> str:
@@ -88,7 +86,11 @@ class Clause:
     min_arity = 0
     max_arity = 0
     is_terminal = False
-    display_prec = _PREC_ATOM
+    # How a composite kind renders: (its own precedence, text before its
+    # operands, text between them, text after them, precedence context of
+    # each operand).  None marks a leaf, which renders as _leaf_text() and
+    # binds tightest.
+    display_form = None
 
     def __init__(self, sub_clauses=(), labels=None):
         subs = tuple(sub_clauses)
@@ -118,7 +120,8 @@ class Clause:
         return "%d..%d" % (cls.min_arity, cls.max_arity)
 
     def payload(self):
-        """Kind-specific structural identity beyond subclauses."""
+        """Kind-specific structural identity beyond subclauses.  For a leaf
+        kind it is also the constructor's arguments."""
         return ()
 
     def display(self, names=None, ctx=_PREC_FIRST):
@@ -127,36 +130,55 @@ class Clause:
         names maps id(clause) to a rule name; rendering stops at named
         boundaries, which also keeps the cyclic graphs assembly produces
         printable.  A cycle hit without a name renders as "..." instead of
-        recursing forever.
+        recursing forever.  ctx -1 renders this clause's own body even when
+        it is named.  Iterative, so any clause depth renders.
         """
-        if names:
-            nm = names.get(id(self))
-            if nm is not None and ctx != -1:
-                return nm
-        if id(self) in _ACTIVE_DISPLAYS:
-            return "..."
-        _ACTIVE_DISPLAYS.add(id(self))
-        try:
-            body = self._display_body(names)
-        finally:
-            _ACTIVE_DISPLAYS.discard(id(self))
-        if self.display_prec < ctx:
-            return "(" + body + ")"
-        return body
-
-    def _sub_display(self, i, ctx, names):
-        sub = self.sub_clauses[i]
-        label = self.sub_clause_labels[i]
-        if label is None:
-            return sub.display(names, ctx)
-        # A labeled operand binds at prefix level.
-        text = label + ":" + sub.display(names, _PREC_PREFIX)
-        if ctx > _PREC_PREFIX:
-            return "(" + text + ")"
-        return text
-
-    def _display_body(self, names):
-        raise NotImplementedError
+        out = []
+        on_path = set()
+        # Items: text to emit, a (clause, ctx) to render, or the id of a
+        # clause whose operands are all rendered.
+        stack = [(self, ctx)]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            if type(item) is int:
+                on_path.discard(item)
+                continue
+            c, ctx = item
+            if names and ctx != -1:
+                nm = names.get(id(c))
+                if nm is not None:
+                    out.append(nm)
+                    continue
+            form = c.display_form
+            if form is None:
+                out.append(c._leaf_text())
+                continue
+            if id(c) in on_path:
+                out.append("...")
+                continue
+            prec, prefix, sep, suffix, sub_ctx = form
+            if prec < ctx:
+                prefix, suffix = "(" + prefix, suffix + ")"
+            out.append(prefix)
+            on_path.add(id(c))
+            # The rest goes on the stack last part first.
+            stack += [id(c), suffix]
+            labels = c.sub_clause_labels
+            for i in range(len(labels) - 1, -1, -1):
+                label = labels[i]
+                if label is None:
+                    stack.append((c.sub_clauses[i], sub_ctx))
+                elif sub_ctx > _PREC_PREFIX:
+                    # A labeled operand binds at prefix level.
+                    stack += [")", (c.sub_clauses[i], _PREC_PREFIX), "(" + label + ":"]
+                else:
+                    stack += [(c.sub_clauses[i], _PREC_PREFIX), label + ":"]
+                if i:
+                    stack.append(sep)
+        return "".join(out)
 
     def __repr__(self):
         return self.display()
@@ -166,52 +188,34 @@ class Seq(Clause):
     __slots__ = ()
     min_arity = 2
     max_arity = None
-    display_prec = _PREC_SEQ
+    display_form = (_PREC_SEQ, "", " ", "", _PREC_PREFIX)
 
     def payload(self):
         return (self.repeat_body,)
-
-    def _display_body(self, names):
-        return " ".join(
-            self._sub_display(i, _PREC_PREFIX, names)
-            for i in range(len(self.sub_clauses))
-        )
 
 
 class First(Clause):
     __slots__ = ()
     min_arity = 2
     max_arity = None
-    display_prec = _PREC_FIRST
+    display_form = (_PREC_FIRST, "", " / ", "", _PREC_SEQ)
 
     def payload(self):
         return (self.repeat_tail,)
-
-    def _display_body(self, names):
-        return " / ".join(
-            self._sub_display(i, _PREC_SEQ, names)
-            for i in range(len(self.sub_clauses))
-        )
 
 
 class OneOrMore(Clause):
     __slots__ = ()
     min_arity = 1
     max_arity = 1
-    display_prec = _PREC_SUFFIX
-
-    def _display_body(self, names):
-        return self._sub_display(0, _PREC_ATOM, names) + "+"
+    display_form = (_PREC_SUFFIX, "", "", "+", _PREC_ATOM)
 
 
 class NotFollowedBy(Clause):
     __slots__ = ()
     min_arity = 1
     max_arity = 1
-    display_prec = _PREC_PREFIX
-
-    def _display_body(self, names):
-        return "!" + self._sub_display(0, _PREC_PREFIX, names)
+    display_form = (_PREC_PREFIX, "!", "", "", _PREC_PREFIX)
 
 
 class FollowedBy(Clause):
@@ -220,10 +224,7 @@ class FollowedBy(Clause):
     __slots__ = ()
     min_arity = 1
     max_arity = 1
-    display_prec = _PREC_PREFIX
-
-    def _display_body(self, names):
-        return "&" + self._sub_display(0, _PREC_PREFIX, names)
+    display_form = (_PREC_PREFIX, "&", "", "", _PREC_PREFIX)
 
 
 class Optional(Clause):
@@ -232,10 +233,7 @@ class Optional(Clause):
     __slots__ = ()
     min_arity = 1
     max_arity = 1
-    display_prec = _PREC_SUFFIX
-
-    def _display_body(self, names):
-        return self._sub_display(0, _PREC_ATOM, names) + "?"
+    display_form = (_PREC_SUFFIX, "", "", "?", _PREC_ATOM)
 
 
 class ZeroOrMore(Clause):
@@ -244,10 +242,7 @@ class ZeroOrMore(Clause):
     __slots__ = ()
     min_arity = 1
     max_arity = 1
-    display_prec = _PREC_SUFFIX
-
-    def _display_body(self, names):
-        return self._sub_display(0, _PREC_ATOM, names) + "*"
+    display_form = (_PREC_SUFFIX, "", "", "*", _PREC_ATOM)
 
 
 class Terminal(Clause):
@@ -260,7 +255,7 @@ class Nothing(Terminal):
 
     __slots__ = ()
 
-    def _display_body(self, names):
+    def _leaf_text(self):
         return "()"
 
 
@@ -276,7 +271,7 @@ class Char(Terminal):
     def payload(self):
         return (self.char,)
 
-    def _display_body(self, names):
+    def _leaf_text(self):
         return "'" + escape_literal(self.char) + "'"
 
 
@@ -318,7 +313,7 @@ class CharSet(Terminal):
         hit = any(lo <= cp <= hi for lo, hi in self.ranges)
         return hit != self.negated
 
-    def _display_body(self, names):
+    def _leaf_text(self):
         parts = []
         for lo, hi in self.ranges:
             if lo == hi:
@@ -342,7 +337,7 @@ class Str(Terminal):
     def payload(self):
         return (self.string,)
 
-    def _display_body(self, names):
+    def _leaf_text(self):
         return "'" + escape_literal(self.string) + "'"
 
 
@@ -358,7 +353,7 @@ class RuleRef(Clause):
     def payload(self):
         return (self.rule_name,)
 
-    def _display_body(self, names):
+    def _leaf_text(self):
         return self.rule_name
 
 

@@ -35,11 +35,6 @@ from .clauses import (
 from .grammar import Grammar
 
 
-class LookaheadDepthError(RuntimeError):
-    """Raised when negative lookahead evaluation recurses through a cycle of
-    lookahead clauses instead of bottoming out."""
-
-
 class Match:
     """A clause match spanning [pos, pos+len).
 
@@ -184,8 +179,6 @@ class MemoTable:
         self._tables = [dict() for _ in range(n)]
         self._positions_cache = {}
         self._col = None
-        self._la_depth = 0
-        self._la_limit = n + 16
         self.watermark_violations = 0
 
     # -- queries ----------------------------------------------------------
@@ -246,17 +239,16 @@ class MemoTable:
     # -- filling ----------------------------------------------------------
 
     def _lookahead(self, clause, pos):
-        self._la_depth += 1
-        try:
-            if self._la_depth > self._la_limit:
-                raise LookaheadDepthError(
-                    "negative lookahead recursed %d levels; the grammar's "
-                    "lookahead clauses form a cycle" % self._la_depth
-                )
-            hit = self.lookup(clause.sub_clauses[0], pos)
-        finally:
-            self._la_depth -= 1
-        if hit is None:
+        # The fill never stores a NotFollowedBy match, so a chain of directly
+        # nested ones is walked here, each level flipping the answer, and
+        # only the innermost operand is looked up.  Assembly rejects chains
+        # that loop.
+        on_miss = True  # the chain matches when its innermost operand misses
+        sub = clause.sub_clauses[0]
+        while type(sub) is NotFollowedBy:
+            on_miss = not on_miss
+            sub = sub.sub_clauses[0]
+        if (self.lookup(sub, pos) is None) == on_miss:
             return Match(clause, pos, 0)
         return None
 

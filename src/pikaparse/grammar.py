@@ -1,22 +1,24 @@
-"""Grammar assembly: desugaring, repetition rewriting, interning, topological
-ordering, nullability and seed-parent analysis.
+"""Grammar assembly: lowering, topological ordering, nullability and
+seed-parent analysis.
 
 `assemble_grammar` runs the whole pipeline over a flat rule list (precedence
 shorthand must already be expanded, see metagrammar.rewrite_precedence_hierarchy)
 and returns a Grammar ready for the matching engine:
 
-1. desugar surface kinds (FollowedBy, Optional, ZeroOrMore)
-2. rewrite each repetition into a right-recursive chain (on by default)
-3. intern structurally identical clauses to single objects
-4. replace every RuleRef with a direct reference to the target rule's clause
-5. topologically order clauses bottom-up and assign clause_idx
-6. compute can_match_zero_chars (fixed point over cycles)
-7. validate (empty-match placement, nullable repetition bodies) and warn on
-   dead First alternatives
-8. compute seed parent clauses
+1. lower the rules into new clause objects in one bottom-up walk: surface
+   kinds (FollowedBy, Optional, ZeroOrMore) become core clauses, each
+   repetition becomes a right-recursive chain (on by default), structurally
+   identical clauses are interned to single objects, and every RuleRef is
+   replaced with the target rule's clause
+2. topologically order clauses bottom-up and assign clause_idx
+3. compute can_match_zero_chars (fixed point over cycles)
+4. validate (empty-match placement, nullable repetition bodies, lookahead
+   cycles) and warn on dead First alternatives
+5. compute seed parent clauses
 """
 from __future__ import annotations
 
+import copy
 import warnings
 from operator import attrgetter
 
@@ -93,146 +95,144 @@ class Grammar:
         )
 
 
-def _rebuild(clause: Clause, subs, labels) -> Clause:
-    new = type(clause)(subs, labels)
-    new.repeat_body = clause.repeat_body
-    new.repeat_tail = clause.repeat_tail
-    return new
-
-
 # ---------------------------------------------------------------------------
-# desugaring
+# lowering: sugar, repetition chains, interning and reference resolution
 
-def desugar(clause: Clause) -> Clause:
-    """Rewrite surface sugar into core clauses, recursively.
+# Deepest clause nesting a rule body may have.  Lowering recurses once per
+# level, so this keeps it inside the interpreter's recursion limit.  A text
+# grammar within metagrammar.MAX_NESTING nests at most 201 levels, 203 once
+# precedence shorthand wraps a level's body and a self-reference.
+MAX_CLAUSE_DEPTH = 256
 
-    X? -> (X / ()),  X* -> (X+ / ()),  &X -> !!X.  Edge labels survive on the
-    rewritten edge.
+_EMPTY = Nothing()
+
+
+def _repetition(clause):
+    """(operand, operand label, star labels, levels) when clause repeats.
+
+    X+ has star labels None.  A star, that is X*, X+? or a written (X+ / ()),
+    has the labels of the choice it lowers to, (X+ / ()).  levels is how
+    deep the operand sits below clause.
     """
-    subs = tuple(desugar(s) for s in clause.sub_clauses)
-    labels = clause.sub_clause_labels
-    if isinstance(clause, Optional):
-        return First((subs[0], Nothing()), (labels[0], None))
+    if isinstance(clause, OneOrMore):
+        return clause.sub_clauses[0], clause.sub_clause_labels[0], None, 1
     if isinstance(clause, ZeroOrMore):
-        return First((OneOrMore(subs, labels), Nothing()))
-    if isinstance(clause, FollowedBy):
-        return NotFollowedBy((NotFollowedBy(subs, labels),))
-    if subs == clause.sub_clauses:
-        return clause
-    return _rebuild(clause, subs, labels)
-
-
-# ---------------------------------------------------------------------------
-# repetition rewrite
-
-def _is_star(clause: Clause) -> bool:
-    # The shape X* desugars to: (X+ / ())
-    return (
+        return clause.sub_clauses[0], clause.sub_clause_labels[0], (None, None), 1
+    if isinstance(clause, Optional):
+        rep, outer = clause.sub_clauses[0], (clause.sub_clause_labels[0], None)
+    elif (
         isinstance(clause, First)
         and len(clause.sub_clauses) == 2
-        and isinstance(clause.sub_clauses[0], OneOrMore)
         and isinstance(clause.sub_clauses[1], Nothing)
-    )
-
-
-def rewrite_one_or_more(rule: Rule, fresh_name) -> list[Rule]:
-    """Replace every repetition with a right-recursive chain.
-
-    A repetition that is a rule's whole body reuses the rule itself for the
-    chain: (X <- Y+) becomes (X <- Y (X / ())), and (X <- Y*) becomes
-    (X <- (Y X) / ()).  A repetition anywhere else gets a hidden helper rule
-    of the same shape.  Chained this way, a run of k repeats adds one memo
-    row per start position instead of the k(k+1)/2 rows a greedy repetition
-    stores; tree extraction walks each chain back into one node per loop.
-
-    fresh_name(base) must return an unused rule name.  Returns the rewritten
-    rule followed by any helper rules created for it.
-    """
-    helpers = []
-
-    def plus_chain(sub, label, name):
-        tail = First((RuleRef(name), Nothing()))
-        tail.repeat_tail = True
-        body = Seq((sub, tail), (label, None))
-        body.repeat_body = True
-        return body
-
-    def star_chain(sub, label, first_labels, name):
-        body = Seq((sub, RuleRef(name)), (label, None))
-        body.repeat_body = True
-        outer = First((body, Nothing()), first_labels)
-        outer.repeat_tail = True
-        return outer
-
-    def helper_for(build):
-        name = fresh_name(rule.name)
-        r = Rule(name, Nothing(), hidden=True)
-        r.clause = build(name)
-        helpers.append(r)
-        return RuleRef(name)
-
-    def walk(clause):
-        if _is_star(clause):
-            rep = clause.sub_clauses[0]
-            sub = walk(rep.sub_clauses[0])
-            label = rep.sub_clause_labels[0]
-            outer_labels = clause.sub_clause_labels
-            return helper_for(lambda n: star_chain(sub, label, outer_labels, n))
-        if isinstance(clause, OneOrMore):
-            sub = walk(clause.sub_clauses[0])
-            label = clause.sub_clause_labels[0]
-            return helper_for(lambda n: plus_chain(sub, label, n))
-        subs = tuple(walk(s) for s in clause.sub_clauses)
-        if subs == clause.sub_clauses:
-            return clause
-        return _rebuild(clause, subs, clause.sub_clause_labels)
-
-    body = rule.clause
-    if _is_star(body):
-        rep = body.sub_clauses[0]
-        rule.clause = star_chain(
-            walk(rep.sub_clauses[0]),
-            rep.sub_clause_labels[0],
-            body.sub_clause_labels,
-            rule.name,
-        )
-    elif isinstance(body, OneOrMore):
-        rule.clause = plus_chain(
-            walk(body.sub_clauses[0]), body.sub_clause_labels[0], rule.name
-        )
+    ):
+        rep, outer = clause.sub_clauses[0], clause.sub_clause_labels
     else:
-        rule.clause = walk(body)
-    return [rule] + helpers
+        return None
+    if not isinstance(rep, OneOrMore):
+        return None
+    return rep.sub_clauses[0], rep.sub_clause_labels[0], outer, 2
 
 
-# ---------------------------------------------------------------------------
-# interning and reference resolution
+def _lower_rules(rules, names, rewrite_repetitions):
+    """Lower rules onto the core clause set, in new objects.
 
-def _intern_rules(rules):
+    One bottom-up walk per rule body rewrites X? to (X / ()), X* to
+    (X+ / ()) and &X to !!X.  With rewrite_repetitions, each repetition
+    becomes a right-recursive chain instead: X+ becomes X (T / ()) and X*
+    becomes (X T) / (), where T is the rule itself when the repetition is
+    its whole body and otherwise a new hidden helper rule named from
+    names.  A run of k repeats then adds one memo row per start position
+    instead of the k(k+1)/2 a greedy repetition stores; tree extraction
+    walks each chain back into one node per loop.
+
+    Every clause is interned as it is built, keyed on its kind, payload,
+    edge labels and interned subclauses, so structurally identical clauses
+    are one object.  Rule references are then replaced by the clauses they
+    name.  Returns the new rules, each followed by its helpers; the given
+    rules and clauses are left as they are.  names holds the rule names in
+    use; helper names are added to it.
+    """
     canon = {}
+    counters = {}
+    helpers = []  # chain rules made while lowering the current rule
 
-    def visit(clause):
-        subs = tuple(visit(s) for s in clause.sub_clauses)
-        key = (
-            type(clause).__name__,
-            clause.payload(),
-            clause.sub_clause_labels,
-            tuple(id(s) for s in subs),
+    def make(kind, subs, labels, repeat_body=False, repeat_tail=False):
+        payload = (
+            (repeat_body,) if kind is Seq else (repeat_tail,) if kind is First else ()
         )
-        hit = canon.get(key)
-        if hit is not None:
-            return hit
-        if subs != clause.sub_clauses:
-            clause.sub_clauses = subs
-        canon[key] = clause
-        return clause
+        key = (kind, payload, labels, tuple(map(id, subs)))
+        c = canon.get(key)
+        if c is None:
+            c = canon[key] = kind(subs, labels)
+            c.repeat_body = repeat_body
+            c.repeat_tail = repeat_tail
+        return c
 
+    def leaf(clause):
+        payload = clause.payload()
+        key = (type(clause), payload, (), ())
+        c = canon.get(key)
+        if c is None:
+            c = canon[key] = type(clause)(*payload)
+        return c
+
+    def chain(sub, label, star_labels, name):
+        ref = leaf(RuleRef(name))
+        if star_labels is None:
+            tail = make(First, (ref, leaf(_EMPTY)), (None, None), repeat_tail=True)
+            return make(Seq, (sub, tail), (label, None), repeat_body=True)
+        body = make(Seq, (sub, ref), (label, None), repeat_body=True)
+        return make(First, (body, leaf(_EMPTY)), star_labels, repeat_tail=True)
+
+    def fresh_name(base):
+        while True:
+            n = counters.get(base, 0) + 1
+            counters[base] = n
+            cand = "%s~%d" % (base, n)
+            if cand not in names:
+                names.add(cand)
+                return cand
+
+    def lower(clause, depth, rule_name, whole=False):
+        # whole: clause is the rule's entire body, so a repetition there
+        # chains through the rule itself.
+        if depth > MAX_CLAUSE_DEPTH:
+            raise GrammarError(
+                "rule %r nests clauses more than %d levels deep"
+                % (rule_name, MAX_CLAUSE_DEPTH)
+            )
+        if not clause.sub_clauses:
+            return leaf(clause)
+        rep = _repetition(clause) if rewrite_repetitions else None
+        if rep is not None:
+            operand, label, star_labels, levels = rep
+            sub = lower(operand, depth + levels, rule_name)
+            if whole:
+                return chain(sub, label, star_labels, rule_name)
+            name = fresh_name(rule_name)
+            helpers.append(Rule(name, chain(sub, label, star_labels, name), hidden=True))
+            return leaf(RuleRef(name))
+        subs = []
+        for s in clause.sub_clauses:
+            subs.append(lower(s, depth + 1, rule_name))
+        labels = clause.sub_clause_labels
+        if isinstance(clause, Optional):
+            return make(First, (subs[0], leaf(_EMPTY)), (labels[0], None))
+        if isinstance(clause, ZeroOrMore):
+            return make(First, (make(OneOrMore, subs, labels), leaf(_EMPTY)), (None, None))
+        if isinstance(clause, FollowedBy):
+            return make(NotFollowedBy, (make(NotFollowedBy, subs, labels),), (None,))
+        return make(type(clause), subs, labels, clause.repeat_body, clause.repeat_tail)
+
+    out = []
     for r in rules:
-        r.clause = visit(r.clause)
+        lowered = copy.copy(r)
+        lowered.clause = lower(r.clause, 1, r.name, whole=True)
+        out.append(lowered)
+        out += helpers
+        helpers.clear()
 
-
-def _resolve_refs(rules):
-    by_name = {r.name: r for r in rules}
+    by_name = {r.name: r for r in out}
 
     def target(name):
         seen = []
@@ -247,22 +247,16 @@ def _resolve_refs(rules):
             seen.append(name)
             name = r.clause.rule_name
 
-    for r in rules:
+    for r in out:
         if isinstance(r.clause, RuleRef):
             r.clause = target(r.clause.rule_name)
-    visited = set()
-    stack = [r.clause for r in rules]
-    while stack:
-        c = stack.pop()
-        if c in visited:
-            continue
-        visited.add(c)
+    for c in canon.values():
         if any(isinstance(s, RuleRef) for s in c.sub_clauses):
             c.sub_clauses = tuple(
                 target(s.rule_name) if isinstance(s, RuleRef) else s
                 for s in c.sub_clauses
             )
-        stack.extend(c.sub_clauses)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +413,7 @@ def compute_seed_parents(all_clauses):
 # ---------------------------------------------------------------------------
 # validation
 
-def _validate(all_clauses):
+def _validate(rules, all_clauses):
     for c in all_clauses:
         if isinstance(c, (Seq, First)) and isinstance(c.sub_clauses[0], Nothing):
             raise GrammarError(
@@ -447,6 +441,21 @@ def _validate(all_clauses):
                     )
                     break
 
+    # Lookahead is evaluated on demand, down a chain of directly nested
+    # NotFollowedBy clauses; a chain that loops would never reach the input.
+    def lookahead_cycle(path, sub):
+        cycle = path[path.index(sub):]
+        raise GrammarError(
+            "the lookaheads of rule %r form a cycle, so none of them ever "
+            "tests the input" % next(r.name for r in rules if r.clause in cycle)
+        )
+
+    depth_first(
+        [c for c in all_clauses if isinstance(c, NotFollowedBy)],
+        lambda c: c.sub_clauses if isinstance(c.sub_clauses[0], NotFollowedBy) else (),
+        lookahead_cycle,
+    )
+
 
 # ---------------------------------------------------------------------------
 # assembly
@@ -456,19 +465,13 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
 
     rules must be flat: any precedence shorthand has to be expanded first
     (metagrammar.rewrite_precedence_hierarchy does that).  start_rule
-    defaults to the first declared rule.  Assembly rewrites the given rules
-    and annotates their clause objects in place, so neither can be passed
-    to a second assembly.
+    defaults to the first declared rule.  Assembly builds its own rules and
+    clauses and leaves the given ones unchanged, so they can be assembled
+    again, alone or as parts of other grammars.
     """
     rules = list(rules)
     if not rules:
         raise GrammarError("a grammar needs at least one rule")
-    for c in depth_first(r.clause for r in rules):
-        if c.clause_idx != -1:
-            raise GrammarError(
-                "clause %r already belongs to an assembled grammar; build "
-                "new clause objects for each grammar" % c
-            )
     for r in rules:
         if r.precedence is not None and r.precedence_group is None:
             raise GrammarError(
@@ -486,28 +489,7 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
     elif start_rule not in names:
         raise GrammarError("start rule %r is not defined" % start_rule)
 
-    for r in rules:
-        r.clause = desugar(r.clause)
-
-    if rewrite_repetitions:
-        counters = {}
-
-        def fresh_name(base):
-            while True:
-                n = counters.get(base, 0) + 1
-                counters[base] = n
-                cand = "%s~%d" % (base, n)
-                if cand not in names:
-                    names.add(cand)
-                    return cand
-
-        expanded = []
-        for r in rules:
-            expanded.extend(rewrite_one_or_more(r, fresh_name))
-        rules = expanded
-
-    _intern_rules(rules)
-    _resolve_refs(rules)
+    rules = _lower_rules(rules, names, rewrite_repetitions)
 
     lowest = []
     seen_groups = set()
@@ -523,7 +505,7 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
 
     all_clauses = topo_sort_clauses(rules, lowest)
     compute_can_match_zero_chars(all_clauses)
-    _validate(all_clauses)
+    _validate(rules, all_clauses)
     compute_seed_parents(all_clauses)
 
     return Grammar(rules, all_clauses, start_rule)

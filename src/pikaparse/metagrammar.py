@@ -83,9 +83,9 @@ _ESCAPES = {
 
 
 # Deepest operator nesting a rule body may use: groups, prefix operators and
-# suffix operators each count one level.  The parser and the assembly passes
-# recurse once or more per level, so past this a grammar text is a syntax
-# error rather than a RecursionError.
+# suffix operators each count one level.  The parser recurses several frames
+# per level, so past this a grammar text is a syntax error rather than a
+# RecursionError.  It also keeps texts inside grammar.MAX_CLAUSE_DEPTH.
 MAX_NESTING = 100
 
 _SUFFIXES = {"+": OneOrMore, "*": ZeroOrMore, "?": Optional}

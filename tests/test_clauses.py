@@ -169,6 +169,8 @@ def test_suffix_on_composite_parenthesizes():
 def test_labeled_subclause_display():
     s = Seq((Char("a"), Char("b")), labels=("x", None))
     assert repr(s) == "x:'a' 'b'"
+    assert repr(OneOrMore((Char("a"),), labels=("x",))) == "(x:'a')+"
+    assert repr(NotFollowedBy((Char("a"),), labels=("x",))) == "!x:'a'"
 
 
 def test_ruleref_displays_as_name():
@@ -190,6 +192,17 @@ def test_display_terminates_on_unnamed_cycle():
     a.sub_clauses = (loop, Char("x"))
     text = repr(loop)
     assert "..." in text
+
+
+def test_display_of_a_deep_clause_tree():
+    # 1,000 levels of (x:... () / 'b'), built in code: display does not
+    # recurse, so any depth renders.
+    clause, text = Char("a"), "'a'"
+    for level in range(1000):
+        clause = First((Seq((clause, Nothing()), ("x", None)), Char("b")))
+        text = "x:%s () / 'b'" % (text if level == 0 else "(" + text + ")")
+    assert repr(clause) == text
+    assert repr(NotFollowedBy((clause,))) == "!(" + text + ")"
 
 
 def test_rule_repr_mentions_precedence():

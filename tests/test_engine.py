@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from pikaparse.clauses import First, Nothing, OneOrMore, Seq
-from pikaparse.engine import LookaheadDepthError, Match, parse
+from pikaparse.clauses import First, GrammarError, Nothing, OneOrMore, Seq
+from pikaparse.engine import Match, parse
 from pikaparse.metagrammar import compile_grammar
 
 from helpers import ARITH_LEFTREC, compile_leftrec
@@ -228,18 +228,27 @@ def test_double_negation_is_positive_lookahead():
     assert parse(g, "acb").start_match() is None
 
 
-def test_lookahead_cycle_raises_depth_error():
-    g = compile_grammar("A <- !A;")
-    t = parse(g, "x")
-    with pytest.raises(LookaheadDepthError):
-        t.start_match()
+def test_lookahead_cycle_is_a_grammar_error():
+    with pytest.raises(GrammarError, match="lookaheads of rule 'A' form a cycle"):
+        compile_grammar("A <- !A;")
 
 
-def test_mutual_lookahead_cycle_raises_depth_error():
-    g = compile_grammar("A <- !B; B <- !A;")
-    t = parse(g, "x")
-    with pytest.raises(LookaheadDepthError):
-        t.start_match()
+def test_mutual_lookahead_cycle_is_a_grammar_error():
+    for text in ("A <- !B; B <- !A;", "A <- !!A;", "S <- 'q' X; X <- !Y; Y <- &X;"):
+        with pytest.raises(GrammarError, match="form a cycle"):
+            compile_grammar(text)
+
+
+def test_long_lookahead_chain_across_rules():
+    # Each rule is one lookahead deep, but the chain runs through all of
+    # them; an even number of negations tests 'x' positively.
+    n = 3000
+    text = "S <- A0 [a-z];\n" + "".join(
+        "A%d <- !A%d;\n" % (i, i + 1) for i in range(n)
+    ) + "A%d <- 'x';\n" % n
+    g = compile_grammar(text)
+    assert parse(g, "x").matched_whole()
+    assert not parse(g, "y").matched_whole()
 
 
 # === the full expression grammar ===

@@ -1,5 +1,7 @@
-"""Grammar assembly pipeline: desugaring, repetition rewriting, interning,
-reference resolution, ordering, nullability, seed parents, validation."""
+"""Grammar assembly pipeline: lowering (sugar, repetition chains, interning,
+reference resolution), ordering, nullability, seed parents, validation."""
+
+import random
 
 import pytest
 
@@ -20,16 +22,22 @@ from pikaparse.clauses import (
     ZeroOrMore,
 )
 from pikaparse.engine import parse
-from pikaparse.grammar import assemble_grammar, depth_first, desugar
-from pikaparse.metagrammar import compile_grammar
+from pikaparse.grammar import MAX_CLAUSE_DEPTH, assemble_grammar, depth_first
+from pikaparse.metagrammar import compile_grammar, render_grammar
 
+import gram_gen
 from helpers import ARITH_CLIMB, ARITH_LEFTREC
 
 
-# === desugaring ===
+# === lowering of surface sugar ===
+
+def lowered(clause):
+    g = assemble_grammar([Rule("A", clause)], rewrite_repetitions=False)
+    return g.rule_clause("A")
+
 
 def test_desugar_optional():
-    out = desugar(Optional((Char("a"),), labels=("x",)))
+    out = lowered(Optional((Char("a"),), labels=("x",)))
     assert isinstance(out, First)
     assert isinstance(out.sub_clauses[0], Char)
     assert isinstance(out.sub_clauses[1], Nothing)
@@ -37,7 +45,7 @@ def test_desugar_optional():
 
 
 def test_desugar_zero_or_more():
-    out = desugar(ZeroOrMore((Char("a"),), labels=("x",)))
+    out = lowered(ZeroOrMore((Char("a"),), labels=("x",)))
     assert isinstance(out, First)
     rep = out.sub_clauses[0]
     assert isinstance(rep, OneOrMore)
@@ -46,14 +54,14 @@ def test_desugar_zero_or_more():
 
 
 def test_desugar_followed_by():
-    out = desugar(FollowedBy((Char("a"),)))
+    out = lowered(FollowedBy((Char("a"),)))
     assert isinstance(out, NotFollowedBy)
     assert isinstance(out.sub_clauses[0], NotFollowedBy)
     assert isinstance(out.sub_clauses[0].sub_clauses[0], Char)
 
 
 def test_desugar_recurses_into_composites():
-    out = desugar(Seq((Optional((Char("a"),)), Char("b"))))
+    out = lowered(Seq((Optional((Char("a"),)), Char("b"))))
     assert isinstance(out, Seq)
     assert isinstance(out.sub_clauses[0], First)
 
@@ -94,6 +102,16 @@ def test_repetition_operand_label_moves_to_chain_edge():
     g = compile_grammar("A <- item:'a'+;")
     body = g.rule_clause("A")
     assert body.sub_clause_labels[0] == "item"
+
+
+def test_every_star_spelling_becomes_the_same_chain():
+    # X+? and a written (X+ / ()) are X* after sugar is lowered.
+    for body in ("'a'+?", "('a'+ / ())"):
+        for rule in ("A <- %s;", "A <- 'b' %s 'c';"):
+            g = compile_grammar(rule % body)
+            star = compile_grammar(rule % "'a'*")
+            assert render_grammar(g) == render_grammar(star)
+            assert len(g.all_clauses) == len(star.all_clauses)
 
 
 def test_rewrite_off_keeps_greedy_repetition():
@@ -354,25 +372,82 @@ def test_depth_first_postorder_and_back_edges():
     assert back == [([outer, inner], outer)]
 
 
-# === one grammar per clause object ===
+# === assembly leaves its input unchanged ===
 
-def test_shared_clause_object_is_rejected_and_first_grammar_still_works():
+def assert_untouched(rules, reprs):
+    assert [repr(r) for r in rules] == reprs
+    assert all(c.clause_idx == -1 for c in depth_first(r.clause for r in rules))
+
+
+def test_shared_clause_object_serves_two_grammars():
     a = CharSet.of("a")
-    g1 = assemble_grammar([Rule("A", Seq((OneOrMore((a,)), Char("b"))))])
+    first = [Rule("A", Seq((OneOrMore((a,)), Char("b"))))]
+    second = [Rule("B", Seq((Char("x"), Char("w"), a)))]
+    before = [repr(r) for r in first + second]
+    g1 = assemble_grammar(first)
+    g2 = assemble_grammar(second)
     assert parse(g1, "aab").matched_whole()
-    with pytest.raises(GrammarError, match="already belongs to an assembled grammar"):
-        assemble_grammar([Rule("B", Seq((Char("x"), Char("w"), a)))])
-    # Renumbering the shared clause would break the first grammar.
-    assert parse(g1, "aab").matched_whole()
+    assert parse(g2, "xwa").matched_whole()
+    assert_untouched(first + second, before)
 
 
-def test_reassembling_a_rule_list_is_rejected():
+def test_reassembling_a_rule_list_gives_an_equal_grammar():
     rules = [Rule("Word", OneOrMore((CharSet.of("abcdefghijklmnopqrstuvwxyz"),)))]
-    g = assemble_grammar(rules)
-    # Without the check, desugaring recurses forever through the cyclic chain.
-    with pytest.raises(GrammarError, match="already belongs"):
-        assemble_grammar(rules)
-    assert parse(g, "hello").matched_whole()
+    before = [repr(r) for r in rules]
+    g1 = assemble_grammar(rules)
+    g2 = assemble_grammar(rules)
+    assert render_grammar(g1) == render_grammar(g2)
+    assert len(g1.all_clauses) == len(g2.all_clauses)
+    assert parse(g1, "hello").matched_whole()
+    assert parse(g2, "hello").matched_whole()
+    assert_untouched(rules, before)
+
+
+def test_failed_assembly_reports_the_same_error_again():
+    # A <- 'a' ('b'?)+;  the repetition body can match zero characters.
+    rules = [Rule("A", Seq((Char("a"), OneOrMore((Optional((Char("b"),)),)))))]
+    for _ in range(2):
+        with pytest.raises(GrammarError, match="zero characters"):
+            assemble_grammar(rules)
+
+
+def test_random_rule_lists_assemble_twice_into_equal_grammars():
+    rng = random.Random(7)
+    for i in range(300):
+        rules, _ = gram_gen.random_rules(rng)
+        before = [repr(r) for r in rules]
+        rewrite = i % 2 == 0
+        g1 = assemble_grammar(rules, rewrite_repetitions=rewrite)
+        g2 = assemble_grammar(rules, rewrite_repetitions=rewrite)
+        assert render_grammar(g1) == render_grammar(g2)
+        assert len(g1.all_clauses) == len(g2.all_clauses)
+        assert_untouched(rules, before)
+
+
+# === clause depth ===
+
+def not_chain(levels, leaf):
+    c = leaf
+    for _ in range(levels):
+        c = NotFollowedBy((c,))
+    return c
+
+
+def test_clause_tree_too_deep_is_a_grammar_error():
+    deep = not_chain(1500, Char("x"))
+    with pytest.raises(
+        GrammarError, match="rule 'Deep' nests clauses more than %d" % MAX_CLAUSE_DEPTH
+    ):
+        assemble_grammar([Rule("Deep", Seq((deep, Char("y"))))])
+
+
+def test_clause_tree_at_the_depth_limit_compiles():
+    # The sequence, its lookaheads and the character they test fill the
+    # limit exactly.  An odd count of lookaheads negates, an even one tests.
+    levels = MAX_CLAUSE_DEPTH - 2
+    g = assemble_grammar([Rule("Deep", Seq((not_chain(levels, Char("x")), CharSet.of("xy"))))])
+    assert parse(g, "x").matched_whole() == (levels % 2 == 0)
+    assert parse(g, "y").matched_whole() == (levels % 2 == 1)
 
 
 # === naming ===
