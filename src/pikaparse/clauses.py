@@ -79,8 +79,6 @@ class Clause:
         "can_match_zero_chars",
         "seed_parent_clauses",
         "zero_idx",
-        "repeat_body",
-        "repeat_tail",
     )
 
     min_arity = 0
@@ -108,8 +106,6 @@ class Clause:
         self.can_match_zero_chars = False
         self.seed_parent_clauses = []
         self.zero_idx = 0
-        self.repeat_body = False
-        self.repeat_tail = False
 
     @classmethod
     def _arity_text(cls):
@@ -190,9 +186,6 @@ class Seq(Clause):
     max_arity = None
     display_form = (_PREC_SEQ, "", " ", "", _PREC_PREFIX)
 
-    def payload(self):
-        return (self.repeat_body,)
-
 
 class First(Clause):
     __slots__ = ()
@@ -200,15 +193,22 @@ class First(Clause):
     max_arity = None
     display_form = (_PREC_FIRST, "", " / ", "", _PREC_SEQ)
 
-    def payload(self):
-        return (self.repeat_tail,)
-
 
 class OneOrMore(Clause):
-    __slots__ = ()
+    """X+.  Assembly sets chained unless told to keep repetitions greedy.
+    A chained repetition matches the way the paper's does, right-
+    recursively: one X, then its own match where that X ends.  A greedy one
+    holds every repeat as a child, so a run of k repeats stores k(k+1)/2
+    children over its start positions."""
+
+    __slots__ = ("chained",)
     min_arity = 1
     max_arity = 1
     display_form = (_PREC_SUFFIX, "", "", "+", _PREC_ATOM)
+
+    def __init__(self, sub_clauses=(), labels=None):
+        super().__init__(sub_clauses, labels)
+        self.chained = False
 
 
 class NotFollowedBy(Clause):
@@ -363,15 +363,14 @@ CORE_KINDS = (Seq, First, OneOrMore, NotFollowedBy, Char, CharSet, Str, Nothing)
 
 class Rule:
     """A named rule.  precedence/associativity only appear on rules declared
-    with the bracket shorthand; hidden marks synthetic repetition helpers;
-    alias marks the base-name rule generated for a precedence group."""
+    with the bracket shorthand; alias marks the base-name rule generated for
+    a precedence group."""
 
     __slots__ = (
         "name",
         "clause",
         "precedence",
         "associativity",
-        "hidden",
         "alias",
         "precedence_group",
     )
@@ -382,7 +381,6 @@ class Rule:
         clause: Clause,
         precedence=None,
         associativity=None,
-        hidden=False,
         alias=False,
         precedence_group=None,
     ):
@@ -392,7 +390,6 @@ class Rule:
         self.clause = clause
         self.precedence = precedence
         self.associativity = associativity
-        self.hidden = hidden
         self.alias = alias
         self.precedence_group = precedence_group
 

@@ -231,7 +231,8 @@ def _add_grammar_opts(sp):
         "--no-repetition-rewrite",
         dest="no_repetition_rewrite",
         action="store_true",
-        help="keep greedy repetitions instead of rewriting them to right-recursive chains",
+        help="match X+ greedily, holding every repeat, instead of right-recursively "
+        "(trees are the same; the memo grows quadratically with run length)",
     )
 
 

@@ -40,8 +40,10 @@ class Match:
 
     sub_matches holds the child matches in input order: every element for a
     sequence, the single chosen alternative for an ordered choice (alt_idx
-    records which), one element per repeat for a greedy repetition, and
-    nothing for terminals, lookaheads, and synthesized zero-length matches.
+    records which), one element per repeat for a greedy repetition, the
+    first repeat and then the match of the rest (if any) for a chained one,
+    and nothing for terminals, lookaheads, and synthesized zero-length
+    matches.
     """
 
     __slots__ = ("clause", "pos", "len", "sub_matches", "alt_idx")
@@ -89,27 +91,42 @@ def _match_first(clause, pos, text, lookup):
 
 
 def _match_one_or_more(clause, pos, text, lookup):
-    # Greedy: consume every repeat up front and keep the repeats as direct
-    # children.  The right-recursive rewrite avoids this kind's quadratic
-    # memo growth; this stays for the unrewritten mode.
     sub = clause.sub_clauses[0]
-    subs = []
-    cur = pos
-    while True:
+    m = lookup(sub, pos)
+    if m is None:
+        return None
+    if clause.chained:
+        # Right-recursive, as in the paper: the first repeat, then this
+        # clause's match where it ends.  That lookup lies right of pos, so
+        # the right-to-left fill has already made it final.
+        rest = lookup(clause, pos + m.len)
+        if rest is None:
+            return Match(clause, pos, m.len, (m,))
+        return Match(clause, pos, m.len + rest.len, (m, rest))
+    # Greedy: consume every repeat up front and keep the repeats as direct
+    # children.
+    subs = [m]
+    cur = pos + m.len
+    while m.len:
         m = lookup(sub, cur)
         if m is None:
             break
         subs.append(m)
         cur += m.len
-        if m.len == 0:
-            break
-    if not subs:
-        return None
     return Match(clause, pos, cur - pos, tuple(subs))
 
 
 def _match_not_followed_by(clause, pos, text, lookup):
-    if lookup(clause.sub_clauses[0], pos) is None:
+    # A chain of directly nested NotFollowedBy clauses is walked here, each
+    # level flipping the answer, and only the innermost operand is looked
+    # up, so no level recurses into the next.  Assembly rejects chains that
+    # loop.
+    on_miss = True  # the chain matches when its innermost operand misses
+    sub = clause.sub_clauses[0]
+    while type(sub) is NotFollowedBy:
+        on_miss = not on_miss
+        sub = sub.sub_clauses[0]
+    if (lookup(sub, pos) is None) == on_miss:
         return Match(clause, pos, 0)
     return None
 
@@ -200,7 +217,7 @@ class MemoTable:
         if m is not None:
             return m
         if type(clause) is NotFollowedBy:
-            return self._lookahead(clause, pos)
+            return _match_not_followed_by(clause, pos, self.text, self.lookup)
         if clause.can_match_zero_chars:
             return Match(clause, pos, 0, (), clause.zero_idx)
         return None
@@ -237,20 +254,6 @@ class MemoTable:
         return m is not None and m.len == len(self.text)
 
     # -- filling ----------------------------------------------------------
-
-    def _lookahead(self, clause, pos):
-        # The fill never stores a NotFollowedBy match, so a chain of directly
-        # nested ones is walked here, each level flipping the answer, and
-        # only the innermost operand is looked up.  Assembly rejects chains
-        # that loop.
-        on_miss = True  # the chain matches when its innermost operand misses
-        sub = clause.sub_clauses[0]
-        while type(sub) is NotFollowedBy:
-            on_miss = not on_miss
-            sub = sub.sub_clauses[0]
-        if (self.lookup(sub, pos) is None) == on_miss:
-            return Match(clause, pos, 0)
-        return None
 
     def _add(self, clause, pos, new, heap, in_heap, courtesy):
         updated = False

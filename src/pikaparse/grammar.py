@@ -7,9 +7,9 @@ and returns a Grammar ready for the matching engine:
 
 1. lower the rules into new clause objects in one bottom-up walk: surface
    kinds (FollowedBy, Optional, ZeroOrMore) become core clauses, each
-   repetition becomes a right-recursive chain (on by default), structurally
-   identical clauses are interned to single objects, and every RuleRef is
-   replaced with the target rule's clause
+   OneOrMore is marked chained so it matches right-recursively (on by
+   default), structurally identical clauses are interned to single
+   objects, and every RuleRef is replaced with the target rule's clause
 2. topologically order clauses bottom-up and assign clause_idx
 3. compute can_match_zero_chars (fixed point over cycles)
 4. validate (empty-match placement, nullable repetition bodies, lookahead
@@ -43,10 +43,10 @@ class Grammar:
     """An assembled grammar: rules plus the deduplicated, ordered clause list.
 
     names maps id(clause) to the name of the rule owning that clause.  The
-    first visible rule owning a clause wins; synthetic helpers and aliases
-    only name clauses nothing else claims.  Every rule clause ends up named,
-    which is what lets display_clause terminate on the cyclic graphs
-    assembly produces.
+    first declared rule owning a clause wins; precedence aliases only name
+    clauses nothing else claims.  Every rule clause ends up named, which is
+    what lets display_clause terminate on the cyclic graphs assembly
+    produces.
     """
 
     def __init__(self, rules, all_clauses, start_rule):
@@ -55,7 +55,7 @@ class Grammar:
         self.start_rule = start_rule
         self.rule_map = {r.name: r for r in rules}
         self.names = {}
-        for r in sorted(rules, key=lambda r: 1 if r.hidden else 2 if r.alias else 0):
+        for r in sorted(rules, key=attrgetter("alias")):
             self.names.setdefault(id(r.clause), r.name)
         self._node_names = {}
 
@@ -96,7 +96,7 @@ class Grammar:
 
 
 # ---------------------------------------------------------------------------
-# lowering: sugar, repetition chains, interning and reference resolution
+# lowering: sugar, chained repetitions, interning and reference resolution
 
 # Deepest clause nesting a rule body may have.  Lowering recurses once per
 # level, so this keeps it inside the interpreter's recursion limit.  A text
@@ -107,95 +107,41 @@ MAX_CLAUSE_DEPTH = 256
 _EMPTY = Nothing()
 
 
-def _repetition(clause):
-    """(operand, operand label, star labels, levels) when clause repeats.
-
-    X+ has star labels None.  A star, that is X*, X+? or a written (X+ / ()),
-    has the labels of the choice it lowers to, (X+ / ()).  levels is how
-    deep the operand sits below clause.
-    """
-    if isinstance(clause, OneOrMore):
-        return clause.sub_clauses[0], clause.sub_clause_labels[0], None, 1
-    if isinstance(clause, ZeroOrMore):
-        return clause.sub_clauses[0], clause.sub_clause_labels[0], (None, None), 1
-    if isinstance(clause, Optional):
-        rep, outer = clause.sub_clauses[0], (clause.sub_clause_labels[0], None)
-    elif (
-        isinstance(clause, First)
-        and len(clause.sub_clauses) == 2
-        and isinstance(clause.sub_clauses[1], Nothing)
-    ):
-        rep, outer = clause.sub_clauses[0], clause.sub_clause_labels
-    else:
-        return None
-    if not isinstance(rep, OneOrMore):
-        return None
-    return rep.sub_clauses[0], rep.sub_clause_labels[0], outer, 2
-
-
-def _lower_rules(rules, names, rewrite_repetitions):
+def _lower_rules(rules, rewrite_repetitions):
     """Lower rules onto the core clause set, in new objects.
 
     One bottom-up walk per rule body rewrites X? to (X / ()), X* to
-    (X+ / ()) and &X to !!X.  With rewrite_repetitions, each repetition
-    becomes a right-recursive chain instead: X+ becomes X (T / ()) and X*
-    becomes (X T) / (), where T is the rule itself when the repetition is
-    its whole body and otherwise a new hidden helper rule named from
-    names.  A run of k repeats then adds one memo row per start position
-    instead of the k(k+1)/2 a greedy repetition stores; tree extraction
-    walks each chain back into one node per loop.
+    (X+ / ()) and &X to !!X.  Every X+ is marked chained when
+    rewrite_repetitions is set, so it matches right-recursively and a run
+    of k repeats adds one memo entry per start position instead of the
+    k(k+1)/2 children a greedy repetition stores.
 
-    Every clause is interned as it is built, keyed on its kind, payload,
-    edge labels and interned subclauses, so structurally identical clauses
-    are one object.  Rule references are then replaced by the clauses they
-    name.  Returns the new rules, each followed by its helpers; the given
-    rules and clauses are left as they are.  names holds the rule names in
-    use; helper names are added to it.
+    Every clause is interned as it is built, a leaf keyed on its kind and
+    payload and a composite on its kind, edge labels and interned
+    subclauses, so structurally identical clauses are one object.  Rule references are then replaced by the clauses they
+    name.  Returns the new rules; the given rules and clauses are left as
+    they are.
     """
     canon = {}
-    counters = {}
-    helpers = []  # chain rules made while lowering the current rule
 
-    def make(kind, subs, labels, repeat_body=False, repeat_tail=False):
-        payload = (
-            (repeat_body,) if kind is Seq else (repeat_tail,) if kind is First else ()
-        )
-        key = (kind, payload, labels, tuple(map(id, subs)))
+    def make(kind, subs, labels):
+        key = (kind, labels, tuple(map(id, subs)))
         c = canon.get(key)
         if c is None:
             c = canon[key] = kind(subs, labels)
-            c.repeat_body = repeat_body
-            c.repeat_tail = repeat_tail
+            if kind is OneOrMore:
+                c.chained = rewrite_repetitions
         return c
 
     def leaf(clause):
         payload = clause.payload()
-        key = (type(clause), payload, (), ())
+        key = (type(clause), payload)
         c = canon.get(key)
         if c is None:
             c = canon[key] = type(clause)(*payload)
         return c
 
-    def chain(sub, label, star_labels, name):
-        ref = leaf(RuleRef(name))
-        if star_labels is None:
-            tail = make(First, (ref, leaf(_EMPTY)), (None, None), repeat_tail=True)
-            return make(Seq, (sub, tail), (label, None), repeat_body=True)
-        body = make(Seq, (sub, ref), (label, None), repeat_body=True)
-        return make(First, (body, leaf(_EMPTY)), star_labels, repeat_tail=True)
-
-    def fresh_name(base):
-        while True:
-            n = counters.get(base, 0) + 1
-            counters[base] = n
-            cand = "%s~%d" % (base, n)
-            if cand not in names:
-                names.add(cand)
-                return cand
-
-    def lower(clause, depth, rule_name, whole=False):
-        # whole: clause is the rule's entire body, so a repetition there
-        # chains through the rule itself.
+    def lower(clause, depth, rule_name):
         if depth > MAX_CLAUSE_DEPTH:
             raise GrammarError(
                 "rule %r nests clauses more than %d levels deep"
@@ -203,15 +149,6 @@ def _lower_rules(rules, names, rewrite_repetitions):
             )
         if not clause.sub_clauses:
             return leaf(clause)
-        rep = _repetition(clause) if rewrite_repetitions else None
-        if rep is not None:
-            operand, label, star_labels, levels = rep
-            sub = lower(operand, depth + levels, rule_name)
-            if whole:
-                return chain(sub, label, star_labels, rule_name)
-            name = fresh_name(rule_name)
-            helpers.append(Rule(name, chain(sub, label, star_labels, name), hidden=True))
-            return leaf(RuleRef(name))
         subs = []
         for s in clause.sub_clauses:
             subs.append(lower(s, depth + 1, rule_name))
@@ -222,15 +159,13 @@ def _lower_rules(rules, names, rewrite_repetitions):
             return make(First, (make(OneOrMore, subs, labels), leaf(_EMPTY)), (None, None))
         if isinstance(clause, FollowedBy):
             return make(NotFollowedBy, (make(NotFollowedBy, subs, labels),), (None,))
-        return make(type(clause), subs, labels, clause.repeat_body, clause.repeat_tail)
+        return make(type(clause), subs, labels)
 
     out = []
     for r in rules:
         lowered = copy.copy(r)
-        lowered.clause = lower(r.clause, 1, r.name, whole=True)
+        lowered.clause = lower(r.clause, 1, r.name)
         out.append(lowered)
-        out += helpers
-        helpers.clear()
 
     by_name = {r.name: r for r in out}
 
@@ -420,17 +355,12 @@ def _validate(rules, all_clauses):
                 "the empty-match clause () cannot come first in %r; matching "
                 "would never be triggered through it" % c
             )
-        body = None
-        if isinstance(c, OneOrMore):
-            body = c.sub_clauses[0]
-        elif isinstance(c, Seq) and c.repeat_body:
-            body = c.sub_clauses[0]
-        if body is not None and body.can_match_zero_chars:
+        if isinstance(c, OneOrMore) and c.sub_clauses[0].can_match_zero_chars:
             raise GrammarError(
                 "repetition body %r can match zero characters, so the "
-                "repetition count is unbounded" % body
+                "repetition count is unbounded" % c.sub_clauses[0]
             )
-        if isinstance(c, First) and not c.repeat_tail:
+        if isinstance(c, First):
             for i, s in enumerate(c.sub_clauses[:-1]):
                 if s.can_match_zero_chars:
                     warnings.warn(
@@ -465,9 +395,12 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
 
     rules must be flat: any precedence shorthand has to be expanded first
     (metagrammar.rewrite_precedence_hierarchy does that).  start_rule
-    defaults to the first declared rule.  Assembly builds its own rules and
-    clauses and leaves the given ones unchanged, so they can be assembled
-    again, alone or as parts of other grammars.
+    defaults to the first declared rule.  rewrite_repetitions makes every
+    X+ match right-recursively; without it X+ matches greedily.  Trees and
+    answers are the same either way, only the memo table differs.
+    Assembly builds its own rules and clauses and leaves the given ones
+    unchanged, so they can be assembled again, alone or as parts of other
+    grammars.
     """
     rules = list(rules)
     if not rules:
@@ -489,7 +422,7 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
     elif start_rule not in names:
         raise GrammarError("start rule %r is not defined" % start_rule)
 
-    rules = _lower_rules(rules, names, rewrite_repetitions)
+    rules = _lower_rules(rules, rewrite_repetitions)
 
     lowest = []
     seen_groups = set()

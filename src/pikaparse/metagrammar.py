@@ -403,35 +403,47 @@ def parse_rules(text: str) -> list[Rule]:
 # ---------------------------------------------------------------------------
 # precedence shorthand
 
-def _count_self_refs(clause: Clause, base: str) -> int:
-    count = 0
-    stack = [clause]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, RuleRef) and c.rule_name == base:
-            count += 1
-        stack.extend(reversed(c.sub_clauses))
-    return count
-
-
 def _replace_self_refs(clause: Clause, base: str, decide):
-    """Rebuild clause with the k-th (preorder) reference to base replaced by
-    decide(k)."""
-    counter = [0]
+    """Rebuild clause with the k-th (preorder) of its n references to base
+    replaced by decide(k, n); returns (n, the new clause).
 
-    def walk(c):
+    Iterative, so a clause of any depth gets as far as assembly's depth
+    check.  One walk lists the clauses in postorder, which keeps the
+    references in preorder; folding that list on a stack then rebuilds
+    every clause whose operands changed.  A clause built in code that
+    contains itself is a GrammarError, not an endless walk.
+    """
+    post = []
+    on_path = set()
+    stack = [(clause, False)]
+    while stack:
+        c, leaving = stack.pop()
+        if leaving:
+            on_path.discard(c)
+            post.append(c)
+            continue
+        if c in on_path:
+            raise GrammarError("clause %r contains itself" % c)
+        on_path.add(c)
+        stack.append((c, True))
+        stack.extend((s, False) for s in reversed(c.sub_clauses))
+    n = sum(isinstance(c, RuleRef) and c.rule_name == base for c in post)
+    built = []
+    k = 0
+    for c in post:
+        arity = len(c.sub_clauses)
         if isinstance(c, RuleRef) and c.rule_name == base:
-            k = counter[0]
-            counter[0] += 1
-            return decide(k)
-        subs = tuple(walk(s) for s in c.sub_clauses)
-        if subs == c.sub_clauses:
-            return c
-        # Surface clauses carry no rewrite flags yet, so a plain rebuild
-        # preserves everything that matters.
-        return type(c)(subs, c.sub_clause_labels)
-
-    return walk(clause)
+            built.append(decide(k, n))
+            k += 1
+        elif arity:
+            subs = tuple(built[-arity:])
+            del built[-arity:]
+            built.append(
+                c if subs == c.sub_clauses else type(c)(subs, c.sub_clause_labels)
+            )
+        else:
+            built.append(c)
+    return n, built[0]
 
 
 def rewrite_precedence_hierarchy(rules) -> list[Rule]:
@@ -492,16 +504,8 @@ def rewrite_precedence_hierarchy(rules) -> list[Rule]:
             curr = "%s%d" % (base, m.precedence)
             nxt = "%s%d" % (base, levels[(i + 1) % n])
             highest = i == n - 1
-            refs = _count_self_refs(m.clause, base)
-            if m.associativity is not None and refs < 2:
-                raise GrammarError(
-                    "rule %s[%d,%s] declares associativity but has %d "
-                    "reference%s to %r; associativity needs at least two"
-                    % (base, m.precedence, m.associativity, refs,
-                       "" if refs == 1 else "s", base)
-                )
 
-            def decide(k, refs=refs, m=m, curr=curr, nxt=nxt, highest=highest):
+            def decide(k, refs, m=m, curr=curr, nxt=nxt, highest=highest):
                 if refs >= 2 and m.associativity == "L":
                     return RuleRef(curr if k == 0 else nxt)
                 if refs >= 2 and m.associativity == "R":
@@ -515,7 +519,14 @@ def rewrite_precedence_hierarchy(rules) -> list[Rule]:
                     return RuleRef(nxt)
                 return First((RuleRef(curr), RuleRef(nxt)))
 
-            body = _replace_self_refs(m.clause, base, decide)
+            refs, body = _replace_self_refs(m.clause, base, decide)
+            if m.associativity is not None and refs < 2:
+                raise GrammarError(
+                    "rule %s[%d,%s] declares associativity but has %d "
+                    "reference%s to %r; associativity needs at least two"
+                    % (base, m.precedence, m.associativity, refs,
+                       "" if refs == 1 else "s", base)
+                )
             if not highest:
                 body = First((body, RuleRef(nxt)))
             out.append(
@@ -543,9 +554,10 @@ def compile_grammar(text: str, start_rule=None, rewrite_repetitions=True) -> Gra
 def render_grammar(grammar: Grammar) -> str:
     """Canonical text of an assembled grammar, one rule per line.
 
-    Reparsing the result gives a grammar matching the same inputs; rewrite
-    bookkeeping (helper-rule flags) is not spelled in the text, so clause
-    graphs are not guaranteed identical object-for-object.
+    Reparsing the result gives a grammar matching the same inputs.  The
+    text spells the lowered core clauses, so sugar shows up in its lowered
+    form (X* as (X+ / ())); whether repetitions are chained is not spelled,
+    so both assembly modes render the same text.
     """
     names = grammar.names
     lines = []

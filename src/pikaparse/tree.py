@@ -1,12 +1,12 @@
 """Parse trees and ASTs extracted from a filled memo table.
 
-Extraction never recurses: repetition chains and left-recursive operator runs
-make match depth proportional to input length, so every walk here uses an
-explicit stack or loop.
+Extraction never recurses: chained repetitions and left-recursive operator
+runs make match depth proportional to input length, so every walk here uses
+an explicit stack or loop.
 
-Extraction also undoes the right-recursive repetition rewrite: a chain of
-rewrite-flagged matches becomes one node whose children are the repeated
-items in input order, so a repetition reads as one node per loop.
+A repetition becomes one node whose children are its repeats in input
+order, whether its match holds them flat (greedy) or nested (chained), so
+trees do not depend on how the grammar was assembled.
 
 to_ast keeps only labeled nodes.  An unlabeled node dissolves and its
 labeled descendants attach to the nearest labeled ancestor.
@@ -82,20 +82,22 @@ class ASTNode:
         )
 
 
-def _edge_label(match: Match, i: int):
-    labels = match.clause.sub_clause_labels
-    kind = type(match.clause)
-    if kind is First:
-        return labels[match.alt_idx]
-    if kind is OneOrMore:
-        return labels[0]
-    return labels[i]
+def _repeats(m: Match):
+    """The repeat matches of a OneOrMore match, in input order.  A chained
+    match holds its first repeat and then the match of the rest."""
+    if not m.clause.chained:
+        return m.sub_matches
+    items = [m.sub_matches[0]]
+    while len(m.sub_matches) == 2:
+        m = m.sub_matches[1]
+        items.append(m.sub_matches[0])
+    return items
 
 
 def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
     """Build the parse tree for one match, iteratively.
 
-    A repetition chain becomes a single node holding the repeated items.
+    A repetition becomes a single node holding its repeats.
     """
 
     def mk(m, label):
@@ -107,10 +109,14 @@ def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
     stack = [(match, root)]
     while stack:
         m, node = stack.pop()
-        if _is_chain(m.clause):
-            kids = _chain_items(m)
+        labels = m.clause.sub_clause_labels
+        kind = type(m.clause)
+        if kind is OneOrMore:
+            kids = [(sm, labels[0]) for sm in _repeats(m)]
+        elif kind is First:
+            kids = [(sm, labels[m.alt_idx]) for sm in m.sub_matches]
         else:
-            kids = [(sm, _edge_label(m, i)) for i, sm in enumerate(m.sub_matches)]
+            kids = zip(m.sub_matches, labels)
         for sm, label in kids:
             child = mk(sm, label)
             node.children.append(child)
@@ -128,37 +134,6 @@ def extract_parse_tree(table: MemoTable):
     if m is None:
         return None
     return node_from_match(m, table.grammar, table.text)
-
-
-def _is_chain(clause) -> bool:
-    return clause.repeat_body or clause.repeat_tail
-
-
-def _chain_items(start: Match):
-    """Walk a repetition chain, returning (item, label) pairs in input order.
-
-    Chains alternate body (item, rest) pairs and continue-or-stop tails; a
-    zero-length or childless tail ends the chain.  Each item keeps the edge
-    label its body gives it.
-    """
-    items = []
-    cur = start
-    while True:
-        cl = cur.clause
-        if cl.repeat_tail:
-            if cur.len == 0 or not cur.sub_matches:
-                break
-            cur = cur.sub_matches[0]
-        elif cl.repeat_body:
-            if not cur.sub_matches:
-                break
-            items.append((cur.sub_matches[0], _edge_label(cur, 0)))
-            if len(cur.sub_matches) < 2:
-                break
-            cur = cur.sub_matches[1]
-        else:
-            break
-    return items
 
 
 def to_ast(root: ParseTreeNode):

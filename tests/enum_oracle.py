@@ -11,7 +11,7 @@ Works span-by-span, so directly handles the left-recursive shapes the
 engine supports.  Negative lookahead is judged against the converged
 derivability table and rechecked to a fixed point; grammars where a
 lookahead depends on its own result are out of scope (the iteration cap
-raises).  Meant for compiled grammars with repetition rewriting off and
+raises).  Meant for compiled grammars, in either repetition mode, and
 inputs of at most a dozen characters.
 """
 
@@ -25,6 +25,7 @@ from pikaparse.clauses import (
     Seq,
     Str,
 )
+from pikaparse.tree import _repeats
 
 MAX_TREES = 20000
 
@@ -205,6 +206,9 @@ def norm_match(m):
     cid = m.clause.clause_idx
     if isinstance(m.clause, First):
         return ("f", cid, m.pos, m.pos + m.len, m.alt_idx, norm_match(m.sub_matches[0]))
-    if isinstance(m.clause, (Seq, OneOrMore)):
+    if isinstance(m.clause, OneOrMore):
+        # all_trees lists a repetition's repeats flat, as a greedy match does.
+        return ("n", cid, m.pos, m.pos + m.len, tuple(norm_match(s) for s in _repeats(m)))
+    if isinstance(m.clause, Seq):
         return ("n", cid, m.pos, m.pos + m.len, tuple(norm_match(s) for s in m.sub_matches))
     return ("t", cid, m.pos, m.pos + m.len)

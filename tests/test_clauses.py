@@ -120,11 +120,13 @@ def test_payloads_distinguish_kinds():
     assert CharSet.of("a").payload() != CharSet.of("a", negated=True).payload()
 
 
-def test_seq_payload_tracks_repetition_role():
-    plain = Seq((Char("a"), Char("b")))
-    marked = Seq((Char("a"), Char("b")))
-    marked.repeat_body = True
-    assert plain.payload() != marked.payload()
+def test_composites_have_no_payload_and_repeat_greedily():
+    # Composite identity is kind, labels and subclauses alone.  Whether a
+    # repetition is chained is assembly's choice, so it starts greedy.
+    rep = OneOrMore((Char("a"),))
+    assert not rep.chained
+    for c in (Seq((Char("a"), Char("b"))), First((Char("a"), Char("b"))), rep):
+        assert c.payload() == ()
 
 
 # === display ===

@@ -8,6 +8,7 @@ import pytest
 from pikaparse.clauses import First, GrammarError, Nothing, OneOrMore, Seq
 from pikaparse.engine import Match, parse
 from pikaparse.metagrammar import compile_grammar
+from pikaparse.oracle import packrat_parse, same_shape
 
 from helpers import ARITH_LEFTREC, compile_leftrec
 
@@ -197,8 +198,12 @@ def test_chained_repetition_stores_linear_matches():
     assert t.matched_whole()
     chain = g.rule_clause("A")
     assert [t.stored(chain, p).len for p in range(5)] == [5, 4, 3, 2, 1]
-    assert t.stored_count == 15  # terminal, chain link, tail choice per column
-    assert all(len(m.sub_matches) <= 2 for m in t.all_stored())
+    assert t.stored_count == 10  # one terminal and one link per column
+    for p in range(5):
+        # Each link holds its letter and the link where that letter ends.
+        m = t.stored(chain, p)
+        assert m.sub_matches[0] is t.stored(chain.sub_clauses[0], p)
+        assert m.sub_matches[1:] == ((t.stored(chain, p + 1),) if p < 4 else ())
 
 
 def test_star_chain_accepts_empty():
@@ -249,6 +254,11 @@ def test_long_lookahead_chain_across_rules():
     g = compile_grammar(text)
     assert parse(g, "x").matched_whole()
     assert not parse(g, "y").matched_whole()
+    # The reference parser walks the chain through the same matcher.
+    for s in ("x", "y"):
+        top = packrat_parse(g, s).match
+        assert same_shape(parse(g, s).start_match(), top)
+        assert (top is not None) == (s == "x")
 
 
 # === the full expression grammar ===

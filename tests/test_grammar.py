@@ -1,5 +1,6 @@
-"""Grammar assembly pipeline: lowering (sugar, repetition chains, interning,
-reference resolution), ordering, nullability, seed parents, validation."""
+"""Grammar assembly pipeline: lowering (sugar, chained repetitions,
+interning, reference resolution), ordering, nullability, seed parents,
+validation."""
 
 import random
 
@@ -22,6 +23,7 @@ from pikaparse.clauses import (
     ZeroOrMore,
 )
 from pikaparse.engine import parse
+from pikaparse.tree import extract_parse_tree
 from pikaparse.grammar import MAX_CLAUSE_DEPTH, assemble_grammar, depth_first
 from pikaparse.metagrammar import compile_grammar, render_grammar
 
@@ -66,36 +68,38 @@ def test_desugar_recurses_into_composites():
     assert isinstance(out.sub_clauses[0], First)
 
 
-# === repetition rewriting ===
+# === chained repetitions ===
 
 def test_plus_as_rule_body_becomes_self_chain():
+    # X+ stays one clause.  Chained, its match is one X and then its own
+    # match where that X ends.
     g = compile_grammar("A <- 'a'+;")
     body = g.rule_clause("A")
-    assert isinstance(body, Seq) and body.repeat_body
+    assert isinstance(body, OneOrMore) and body.chained
     assert isinstance(body.sub_clauses[0], Char)
-    tail = body.sub_clauses[1]
-    assert isinstance(tail, First) and tail.repeat_tail
-    assert tail.sub_clauses[0] is body
-    assert isinstance(tail.sub_clauses[1], Nothing)
+    assert [r.name for r in g.rules] == ["A"]
+    m = parse(g, "aaa").start_match()
+    first, rest = m.sub_matches
+    assert isinstance(first.clause, Char) and (first.pos, first.len) == (0, 1)
+    assert rest.clause is body and (rest.pos, rest.len) == (1, 2)
 
 
 def test_star_as_rule_body_becomes_self_chain():
     g = compile_grammar("A <- 'a'*;")
     outer = g.rule_clause("A")
-    assert isinstance(outer, First) and outer.repeat_tail
-    body = outer.sub_clauses[0]
-    assert isinstance(body, Seq) and body.repeat_body
-    assert body.sub_clauses[1] is outer
-    assert isinstance(outer.sub_clauses[1], Nothing)
+    assert isinstance(outer, First)
+    body, empty = outer.sub_clauses
+    assert isinstance(body, OneOrMore) and body.chained
+    assert isinstance(body.sub_clauses[0], Char)
+    assert isinstance(empty, Nothing)
+    assert [r.name for r in g.rules] == ["A"]
 
 
-def test_nested_repetition_gets_hidden_helper_rule():
+def test_nested_repetition_stays_in_place():
     g = compile_grammar("C <- 'x' 'y'+;")
-    helper = g.rule("C~1")
-    assert helper.hidden
+    assert [r.name for r in g.rules] == ["C"]
     site = g.rule_clause("C").sub_clauses[1]
-    assert site is helper.clause
-    assert isinstance(site, Seq) and site.repeat_body
+    assert isinstance(site, OneOrMore) and site.chained
 
 
 def test_repetition_operand_label_moves_to_chain_edge():
@@ -105,7 +109,8 @@ def test_repetition_operand_label_moves_to_chain_edge():
 
 
 def test_every_star_spelling_becomes_the_same_chain():
-    # X+? and a written (X+ / ()) are X* after sugar is lowered.
+    # X+? and a written (X+ / ()) are X*, that is (X+ / ()), after sugar is
+    # lowered.
     for body in ("'a'+?", "('a'+ / ())"):
         for rule in ("A <- %s;", "A <- 'b' %s 'c';"):
             g = compile_grammar(rule % body)
@@ -116,14 +121,17 @@ def test_every_star_spelling_becomes_the_same_chain():
 
 def test_rewrite_off_keeps_greedy_repetition():
     g = compile_grammar("A <- 'a'+;", rewrite_repetitions=False)
-    assert isinstance(g.rule_clause("A"), OneOrMore)
+    rep = g.rule_clause("A")
+    assert isinstance(rep, OneOrMore) and not rep.chained
     assert len(g.rules) == 1
 
 
 def test_helper_names_avoid_collisions():
-    g = compile_grammar("A <- 'x' 'y'+; 'A~1' <- 'z';".replace("'A~1'", "A~1"))
-    names = {r.name for r in g.rules}
-    assert "A~2" in names and "A~1" in names
+    # Assembly adds no rules, so a name of the form rule~n is the user's.
+    g = compile_grammar("A <- 'x' 'y'+ A~1; A~1 <- 'z';")
+    assert [r.name for r in g.rules] == ["A", "A~1"]
+    root = extract_parse_tree(parse(g, "xyyz"))
+    assert [c.name for c in root.children] == ["'x'", "'y'+", "A~1"]
 
 
 # === interning ===
@@ -206,16 +214,16 @@ def test_empty_rule_list_is_an_error():
 # === topological order ===
 
 def test_climb_grammar_clause_inventory():
-    # Hand count: terminals '(' ')' '-' '*' '/' '+' [0-9] [a-z] and the
-    # shared empty match = 9; two helper chains (Seq + tail First each) = 4;
-    # plus per level: E4 seq, E3 inner and outer choice, E2 seq + choice,
-    # E1 operator choice + seq + choice, E0 likewise = 11.  Total 24.
-    g = compile_grammar(ARITH_CLIMB, start_rule="E0")
-    assert len(g.all_clauses) == 24
-    g2 = compile_grammar(ARITH_CLIMB, start_rule="E0", rewrite_repetitions=False)
-    # Without the rewrite each helper pair is one greedy repetition and the
-    # empty match disappears: 24 - 4 - 1 + 2 = 21.
-    assert len(g2.all_clauses) == 21
+    # Hand count: terminals '(' ')' '-' '*' '/' '+' [0-9] [a-z] = 8; the
+    # repetitions [0-9]+ and [a-z]+ = 2; plus per level: E4 seq, E3 inner
+    # and outer choice, E2 seq + choice, E1 operator choice + seq + choice,
+    # E0 likewise = 11.  Total 21 in both modes: chaining a repetition adds
+    # no clause.
+    for rewrite in (True, False):
+        g = compile_grammar(ARITH_CLIMB, start_rule="E0", rewrite_repetitions=rewrite)
+        assert len(g.all_clauses) == 21
+        reps = [c for c in g.all_clauses if isinstance(c, OneOrMore)]
+        assert [c.chained for c in reps] == [rewrite, rewrite]
 
 
 def test_terminals_occupy_lowest_indexes():
@@ -245,16 +253,11 @@ def test_subclauses_sort_below_parents_outside_cycles():
         for s in c.sub_clauses
         if s.clause_idx > c.clause_idx
     }
-    # Exactly the three cycle-closing edges point upward: the two repetition
-    # tails referring back to their chain bodies, and the edge re-entering
-    # the parenthesization cycle at its head, which is E4 because E4 is the
-    # first declared rule on that cycle.
-    expected = {
-        (id(g.rule_clause("E3~1")), id(g.rule_clause("E3~1").sub_clauses[1])),
-        (id(g.rule_clause("E3~2")), id(g.rule_clause("E3~2").sub_clauses[1])),
-        (id(g.rule_clause("E4")), id(g.rule_clause("E3"))),
-    }
-    assert upward == expected
+    # Exactly one edge points upward: the one re-entering the
+    # parenthesization cycle at its head, which is E4 because E4 is the
+    # first declared rule on that cycle.  A chained repetition reads its
+    # own match only to the right, through no edge, so it closes no cycle.
+    assert upward == {(id(g.rule_clause("E4")), id(g.rule_clause("E3")))}
 
 
 # === nullability ===
@@ -458,9 +461,11 @@ def test_rule_clauses_get_their_rule_names():
         assert g.clause_name(g.rule_clause(name)) == name
 
 
-def test_hidden_helpers_are_named_too():
+def test_nested_repetition_is_named_by_its_text():
     g = compile_grammar("C <- 'x' 'y'+;")
-    assert g.clause_name(g.rule_clause("C~1")) == "C~1"
+    site = g.rule_clause("C").sub_clauses[1]
+    assert g.clause_name(site) is None
+    assert g.node_name(site) == "'y'+"
 
 
 def test_anonymous_clauses_have_no_name():
@@ -478,7 +483,7 @@ def test_first_declared_rule_claims_shared_clause():
 def test_display_clause_uses_names():
     g = compile_grammar(ARITH_CLIMB, start_rule="E0")
     assert g.display_clause(g.rule_clause("E4")) == "'(' E0 ')'"
-    assert g.display_clause(g.rule_clause("E3")) == "(E3~1 / E3~2) / E4"
+    assert g.display_clause(g.rule_clause("E3")) == "([0-9]+ / [a-z]+) / E4"
 
 
 def test_node_name_falls_back_to_display():

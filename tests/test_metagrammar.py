@@ -16,12 +16,14 @@ from pikaparse.clauses import (
     NotFollowedBy,
     OneOrMore,
     Optional,
+    Rule,
     RuleRef,
     Seq,
     Str,
     ZeroOrMore,
 )
 from pikaparse.engine import parse
+from pikaparse.grammar import MAX_CLAUSE_DEPTH, assemble_grammar
 from pikaparse.metagrammar import (
     GrammarSyntaxError,
     compile_grammar,
@@ -356,6 +358,29 @@ def test_right_associative_expansion():
     assert p1.sub_clauses[2].rule_name == "P1"
 
 
+def test_deep_precedence_rule_reaches_the_depth_check():
+    # Built in code past what grammar text allows.  Expanding the shorthand
+    # does not recurse, so assembly's depth limit is what reports it.
+    deep = RuleRef("E")
+    for _ in range(1500):
+        deep = NotFollowedBy((deep,))
+    rules = rewrite_precedence_hierarchy([
+        Rule("E", Seq((deep, Char("x"))), precedence=0),
+        Rule("E", Char("y"), precedence=1),
+    ])
+    with pytest.raises(
+        GrammarError, match="rule 'E0' nests clauses more than %d" % MAX_CLAUSE_DEPTH
+    ):
+        assemble_grammar(rules)
+
+
+def test_precedence_rule_containing_itself_is_a_grammar_error():
+    loop = Seq((RuleRef("E"), Char("x")))
+    loop.sub_clauses = (First((loop, RuleRef("E"))), Char("x"))
+    with pytest.raises(GrammarError, match="contains itself"):
+        rewrite_precedence_hierarchy([Rule("E", loop, precedence=0)])
+
+
 def test_single_level_group():
     g = compile_grammar("E[0] <- 'e' E / 'x';")
     assert g.start_rule == "E"
@@ -368,9 +393,7 @@ def test_single_level_group():
 EXPECTED_RENDER = """\
 E <- E0;
 E4 <- '(' E0 ')';
-E3 <- (E3~1 / E3~2) / E4;
-E3~1 <- [0-9] (E3~1 / ());
-E3~2 <- [a-z] (E3~2 / ());
+E3 <- ([0-9]+ / [a-z]+) / E4;
 E2 <- '-' (E2 / E3) / E3;
 E1 <- E1 ('*' / '/') E2 / E2;
 E0 <- E0 ('+' / '-') E1 / E1;
@@ -378,8 +401,10 @@ E0 <- E0 ('+' / '-') E1 / E1;
 
 
 def test_render_of_expanded_shorthand():
-    g = compile_grammar(ARITH_SHORTHAND)
-    assert render_grammar(g) == EXPECTED_RENDER
+    # Both assembly modes build the same clauses, so they render alike.
+    for rewrite in (True, False):
+        g = compile_grammar(ARITH_SHORTHAND, rewrite_repetitions=rewrite)
+        assert render_grammar(g) == EXPECTED_RENDER
 
 
 def test_render_without_rewrite_keeps_greedy_repetitions():

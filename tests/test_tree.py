@@ -1,14 +1,27 @@
 """Parse-tree extraction, repetition flattening, and AST projection."""
 
-from pikaparse import compile_grammar, extract_parse_tree, parse, to_ast
+import random
+import warnings
+
+from pikaparse import (
+    CharSet,
+    OneOrMore,
+    Rule,
+    assemble_grammar,
+    compile_grammar,
+    extract_parse_tree,
+    parse,
+    to_ast,
+)
 from pikaparse.tree import ASTNode, ParseTreeNode, node_from_match
 
+import gram_gen
 from helpers import ASSIGN, compile_leftrec, parse_tree
 
 
-def span_shape(node):
-    return (node.label, node.pos, node.len,
-            tuple(span_shape(c) for c in node.children))
+def tree_shape(node):
+    return (node.name, node.label, node.pos, node.len,
+            tuple(tree_shape(c) for c in node.children))
 
 
 # === node basics ===
@@ -58,13 +71,15 @@ def test_flatten_collapses_chains():
 
 
 def test_flatten_matches_greedy_repetition_spans():
-    # With and without the repetition rewrite, the flattened tree has the
-    # same labels and spans everywhere; only internal node names differ.
-    # The greedy grammar keeps no chains, so it is an independent reference.
+    # With and without chained repetitions, the tree is the same: names,
+    # labels and spans everywhere.  Greedy matches hold their repeats flat,
+    # so the greedy grammar is an independent reference.
     items = "L <- (items:W ',')+; W <- [a-z]+;"
+    whole_star = "L <- W*; W <- [a-z]+ ' '?;"
     cases = [
         (ASSIGN, ["a=1;", "ab=12;c=3;", "x=9;y=8;z=7;"]),
         (items, ["ab,", "ab,c,", "".join("w%s," % ("x" * (i % 3)) for i in range(40))]),
+        (whole_star, ["", "ab", "ab cd e ", "a " * 30]),
     ]
     for text_grammar, texts in cases:
         chained = compile_grammar(text_grammar)
@@ -73,7 +88,25 @@ def test_flatten_matches_greedy_repetition_spans():
             a = parse_tree(chained, text)
             b = parse_tree(greedy, text)
             assert a.len == len(text), text
-            assert span_shape(a) == span_shape(b), text
+            assert tree_shape(a) == tree_shape(b), text
+
+    rng = random.Random(7)
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for _ in range(300):
+            rules, alphabet = gram_gen.random_rules(rng)
+            chained = assemble_grammar(rules)
+            greedy = assemble_grammar(rules, rewrite_repetitions=False)
+            for _ in range(3):
+                text = gram_gen.sample_input(rng, greedy, alphabet)
+                a = parse_tree(chained, text)
+                b = parse_tree(greedy, text)
+                assert (a is None) == (b is None), text
+                if a is not None:
+                    assert tree_shape(a) == tree_shape(b), text
+                    compared += 1
+    assert compared > 300
 
 
 def test_flatten_deep_chain_iteratively():
@@ -131,6 +164,14 @@ def test_repetition_label_lands_on_collapsed_node():
         node = node.children[0]
     assert node.label == "word" and node.text == "abc"
     assert [c.text for c in node.children] == ["a", "b", "c"]
+    # A label on the repetition's own operand edge (built in code) lands on
+    # every repeat, in both modes.
+    rule = Rule("W", OneOrMore((CharSet.of("abc"),), ("ch",)))
+    for rewrite in (True, False):
+        g = assemble_grammar([rule], rewrite_repetitions=rewrite)
+        root = parse_tree(g, "abc")
+        assert [(c.label, c.text) for c in root.children] == [
+            ("ch", "a"), ("ch", "b"), ("ch", "c")]
 
 
 # === AST projection ===
