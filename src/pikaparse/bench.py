@@ -1,8 +1,11 @@
-"""Benchmark support: expression corpus generation, timing, scaling fits.
+"""Scaling-check support: expression corpus, best-of-k timing, log-log fits.
 
 The corpus generator produces arithmetic expressions for EXPRESSION_GRAMMAR
 with sizes ramping across the sample count, so a log-log regression of
-parse time against input length has a wide, evenly spread x-range.
+parse time against input length has a wide, evenly spread x-range.  The
+acceptance tests use this to check that parse time grows linearly;
+perfbench/run.py is the benchmark proper.  EXPRESSION_GRAMMAR is also the
+CLI's default grammar.
 """
 from __future__ import annotations
 
@@ -16,7 +19,6 @@ from typing import NamedTuple
 from .engine import parse
 from .grammar import Grammar
 from .metagrammar import compile_grammar
-from .oracle import packrat_parse
 
 EXPRESSION_GRAMMAR = """\
 E[4] <- '(' E ')';
@@ -26,11 +28,8 @@ E[1,L] <- E ('*' / '/') E;
 E[0,L] <- E ('+' / '-') E;
 """
 
-CSV_HEADER = "engine,input_id,input_length,parse_nanos,memo_entries"
-
 
 class BenchRecord(NamedTuple):
-    engine: str
     input_id: int
     input_length: int
     parse_nanos: int
@@ -43,10 +42,8 @@ class RegressionFit(NamedTuple):
     r_squared: float
 
 
-def expression_grammar(rewrite_repetitions: bool = True) -> Grammar:
-    return compile_grammar(
-        EXPRESSION_GRAMMAR, rewrite_repetitions=rewrite_repetitions
-    )
+def expression_grammar() -> Grammar:
+    return compile_grammar(EXPRESSION_GRAMMAR)
 
 
 # ---------------------------------------------------------------------------
@@ -89,75 +86,29 @@ def gen_expressions(count: int, max_depth: int = 12, seed: int = 0) -> list[str]
 # ---------------------------------------------------------------------------
 # timing
 
-def _time_bottomup(grammar, text, repeats):
-    best = None
-    entries = 0
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        table = parse(grammar, text)
-        dt = time.perf_counter_ns() - t0
-        if best is None or dt < best:
-            best = dt
-        entries = table.stored_count
-    return best, entries
-
-
-def _time_topdown(grammar, text, repeats):
-    best = None
-    entries = 0
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        result = packrat_parse(grammar, text, check_left_recursion=False)
-        dt = time.perf_counter_ns() - t0
-        if best is None or dt < best:
-            best = dt
-        entries = len(result.memo)
-    return best, entries
-
-
-_ENGINES = {"bottomup": _time_bottomup, "topdown": _time_topdown}
-
-
-def run_bench(
-    grammar: Grammar,
-    inputs,
-    engines=("bottomup",),
-    repeats: int = 3,
-) -> list[BenchRecord]:
-    """Parse every input with every engine, keeping the best of repeats.
+def run_bench(grammar: Grammar, inputs, repeats: int = 3) -> list[BenchRecord]:
+    """Parse every input, keeping the best of repeats (at least one).
 
     Garbage collection pauses for the duration so one unlucky collection
     does not distort a sample.
     """
-    for e in engines:
-        if e not in _ENGINES:
-            raise ValueError(
-                "unknown engine %r (choose from %s)"
-                % (e, ", ".join(sorted(_ENGINES)))
-            )
     records = []
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for input_id, text in enumerate(inputs):
-            for engine in engines:
-                nanos, entries = _ENGINES[engine](grammar, text, repeats)
-                records.append(
-                    BenchRecord(engine, input_id, len(text), nanos, entries)
-                )
+            nanos = []
+            for _ in range(repeats):
+                t0 = time.perf_counter_ns()
+                table = parse(grammar, text)
+                nanos.append(time.perf_counter_ns() - t0)
+            records.append(
+                BenchRecord(input_id, len(text), min(nanos), table.stored_count)
+            )
     finally:
         if was_enabled:
             gc.enable()
     return records
-
-
-def write_csv(records, fh) -> None:
-    fh.write(CSV_HEADER + "\n")
-    for r in records:
-        fh.write(
-            "%s,%d,%d,%d,%d\n"
-            % (r.engine, r.input_id, r.input_length, r.parse_nanos, r.memo_entries)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +129,10 @@ def fit_loglog(xs, ys) -> RegressionFit:
     return RegressionFit(slope, intercept, r * r)
 
 
-def fit_records(records, engine: str = "bottomup") -> RegressionFit:
-    """Scaling fit of parse time against input length for one engine."""
-    xs = [r.input_length for r in records if r.engine == engine and r.input_length > 1]
-    ys = [r.parse_nanos for r in records if r.engine == engine and r.input_length > 1]
-    return fit_loglog(xs, ys)
+def fit_records(records) -> RegressionFit:
+    """Scaling fit of parse time against input length, leaving out inputs
+    of length 0 and 1."""
+    kept = [r for r in records if r.input_length > 1]
+    return fit_loglog(
+        [r.input_length for r in kept], [r.parse_nanos for r in kept]
+    )

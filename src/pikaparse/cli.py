@@ -1,8 +1,10 @@
 """Command line interface.
 
     pikaparse parse -g grammar.peg input.txt
-    pikaparse gen --count 50 --max-depth 10
-    pikaparse bench --count 40 -o results.csv
+    pikaparse parse -t '1+2*3' --ast -f sexpr
+
+Without -g the built-in expression grammar (bench.EXPRESSION_GRAMMAR) is
+used.  perfbench/run.py is the benchmark; the CLI only parses.
 
 Exit codes: 0 success, 1 input did not fully parse, 2 bad usage or a bad
 grammar, 3 internal error (the tool crashed).
@@ -17,13 +19,7 @@ import argparse
 import json
 import sys
 
-from .bench import (
-    expression_grammar,
-    fit_records,
-    gen_expressions,
-    run_bench,
-    write_csv,
-)
+from .bench import expression_grammar
 from .clauses import GrammarError
 from .engine import parse
 from .metagrammar import compile_grammar
@@ -125,14 +121,10 @@ _FORMATS = {
 
 def _load_grammar(args):
     if args.grammar is None:
-        return expression_grammar(not args.no_repetition_rewrite)
+        return expression_grammar()
     with open(args.grammar, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return compile_grammar(
-        text,
-        start_rule=args.start,
-        rewrite_repetitions=not args.no_repetition_rewrite,
-    )
+    return compile_grammar(text, start_rule=args.start)
 
 
 def _read_input(args) -> str:
@@ -185,57 +177,6 @@ def _cmd_parse(args) -> int:
     return 1
 
 
-def _cmd_gen(args) -> int:
-    exprs = gen_expressions(args.count, args.max_depth, args.seed)
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        for e in exprs:
-            out.write(e + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    grammar = _load_grammar(args)
-    if args.inputs:
-        with open(args.inputs, "r", encoding="utf-8") as fh:
-            inputs = [line.rstrip("\n") for line in fh if line.strip()]
-    else:
-        inputs = gen_expressions(args.count, args.max_depth, args.seed)
-    engines = args.engines.split(",")
-    records = run_bench(grammar, inputs, engines=engines, repeats=args.repeats)
-    out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        write_csv(records, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    for engine in engines:
-        lengths = {r.input_length for r in records if r.engine == engine}
-        if len(lengths) >= 3:
-            fit = fit_records(records, engine)
-            print(
-                "# %s: time ~ n^%.3f (r^2=%.3f) over %d inputs"
-                % (engine, fit.exponent, fit.r_squared, len(inputs)),
-                file=sys.stderr,
-            )
-    return 0
-
-
-def _add_grammar_opts(sp):
-    sp.add_argument("-g", "--grammar", help="grammar file (default: built-in expression grammar)")
-    sp.add_argument("-s", "--start", help="start rule (default: first rule)")
-    sp.add_argument(
-        "--no-repetition-rewrite",
-        dest="no_repetition_rewrite",
-        action="store_true",
-        help="match X+ greedily, holding every repeat, instead of right-recursively "
-        "(trees are the same; the memo grows quadratically with run length)",
-    )
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pikaparse",
@@ -244,7 +185,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse input and print its tree")
-    _add_grammar_opts(p)
+    p.add_argument("-g", "--grammar", help="grammar file (default: built-in expression grammar)")
+    p.add_argument("-s", "--start", help="start rule (default: first rule)")
     p.add_argument("input", nargs="?", help="input file, - for stdin (default)")
     p.add_argument("-t", "--text", help="inline input text instead of a file")
     p.add_argument(
@@ -262,29 +204,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="do not strip one trailing newline from the input",
     )
-    p.set_defaults(func=_cmd_parse)
-
-    p = sub.add_parser("gen", help="generate a random expression corpus")
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--max-depth", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("bench", help="time parses and write a CSV")
-    _add_grammar_opts(p)
-    p.add_argument("--inputs", help="file with one input per line (default: generated corpus)")
-    p.add_argument("--count", type=int, default=40)
-    p.add_argument("--max-depth", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument(
-        "--engines",
-        default="bottomup",
-        help="comma-separated: bottomup, topdown (default: bottomup)",
-    )
-    p.add_argument("-o", "--output", help="CSV file (default: stdout)")
-    p.set_defaults(func=_cmd_bench)
     return ap
 
 
@@ -292,7 +211,7 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        return _cmd_parse(args)
     except GrammarError as exc:
         print("grammar error: %s" % exc, file=sys.stderr)
         return 2

@@ -110,17 +110,17 @@ _EMPTY = Nothing()
 def _lower_rules(rules, rewrite_repetitions):
     """Lower rules onto the core clause set, in new objects.
 
-    One bottom-up walk per rule body rewrites X? to (X / ()), X* to
-    (X+ / ()) and &X to !!X.  Every X+ is marked chained when
-    rewrite_repetitions is set, so it matches right-recursively and a run
-    of k repeats adds one memo entry per start position instead of the
-    k(k+1)/2 children a greedy repetition stores.
+    One bottom-up walk over the rule bodies, lowering each distinct clause
+    once, rewrites X? to (X / ()), X* to (X+ / ()) and &X to !!X.  Every
+    X+ is marked chained when rewrite_repetitions is set, so it matches
+    right-recursively and a run of k repeats adds one memo entry per start
+    position instead of the k(k+1)/2 children a greedy repetition stores.
 
     Every clause is interned as it is built, a leaf keyed on its kind and
     payload and a composite on its kind, edge labels and interned
-    subclauses, so structurally identical clauses are one object.  Rule references are then replaced by the clauses they
-    name.  Returns the new rules; the given rules and clauses are left as
-    they are.
+    subclauses, so structurally identical clauses are one object.  Rule
+    references are then replaced by the clauses they name.  Returns the
+    new rules; the given rules and clauses are left as they are.
     """
     canon = {}
 
@@ -141,30 +141,46 @@ def _lower_rules(rules, rewrite_repetitions):
             c = canon[key] = type(clause)(*payload)
         return c
 
+    memo = {}
+
     def lower(clause, depth, rule_name):
-        if depth > MAX_CLAUSE_DEPTH:
+        # Returns (lowered clause, levels it nests).  A clause shared by
+        # several parents is lowered once, so a DAG costs its size, not its
+        # size unfolded into a tree; its nesting still counts at every depth.
+        got = memo.get(id(clause))
+        if depth + (got[1] - 1 if got else 0) > MAX_CLAUSE_DEPTH:
             raise GrammarError(
                 "rule %r nests clauses more than %d levels deep"
                 % (rule_name, MAX_CLAUSE_DEPTH)
             )
+        if got is not None:
+            return got
         if not clause.sub_clauses:
-            return leaf(clause)
+            got = memo[id(clause)] = leaf(clause), 1
+            return got
         subs = []
+        height = 0
         for s in clause.sub_clauses:
-            subs.append(lower(s, depth + 1, rule_name))
+            sub, h = lower(s, depth + 1, rule_name)
+            subs.append(sub)
+            if h > height:
+                height = h
         labels = clause.sub_clause_labels
         if isinstance(clause, Optional):
-            return make(First, (subs[0], leaf(_EMPTY)), (labels[0], None))
-        if isinstance(clause, ZeroOrMore):
-            return make(First, (make(OneOrMore, subs, labels), leaf(_EMPTY)), (None, None))
-        if isinstance(clause, FollowedBy):
-            return make(NotFollowedBy, (make(NotFollowedBy, subs, labels),), (None,))
-        return make(type(clause), subs, labels)
+            new = make(First, (subs[0], leaf(_EMPTY)), (labels[0], None))
+        elif isinstance(clause, ZeroOrMore):
+            new = make(First, (make(OneOrMore, subs, labels), leaf(_EMPTY)), (None, None))
+        elif isinstance(clause, FollowedBy):
+            new = make(NotFollowedBy, (make(NotFollowedBy, subs, labels),), (None,))
+        else:
+            new = make(type(clause), subs, labels)
+        got = memo[id(clause)] = new, height + 1
+        return got
 
     out = []
     for r in rules:
         lowered = copy.copy(r)
-        lowered.clause = lower(r.clause, 1, r.name)
+        lowered.clause = lower(r.clause, 1, r.name)[0]
         out.append(lowered)
 
     by_name = {r.name: r for r in out}

@@ -408,41 +408,49 @@ def _replace_self_refs(clause: Clause, base: str, decide):
     replaced by decide(k, n); returns (n, the new clause).
 
     Iterative, so a clause of any depth gets as far as assembly's depth
-    check.  One walk lists the clauses in postorder, which keeps the
-    references in preorder; folding that list on a stack then rebuilds
-    every clause whose operands changed.  A clause built in code that
-    contains itself is a GrammarError, not an endless walk.
+    check.  The first walk visits each distinct clause once and counts the
+    references under it, an occurrence of a shared clause counting once
+    per occurrence.  The second walk rebuilds in preorder every clause
+    that holds a reference and returns the rest as they are, without
+    walking them, so a clause DAG costs its size, not its size unfolded
+    into a tree.  A clause built in code that contains itself is a
+    GrammarError, not an endless walk.
     """
-    post = []
+    refs = {}
     on_path = set()
     stack = [(clause, False)]
     while stack:
         c, leaving = stack.pop()
         if leaving:
             on_path.discard(c)
-            post.append(c)
-            continue
-        if c in on_path:
+            refs[c] = (isinstance(c, RuleRef) and c.rule_name == base) + sum(
+                map(refs.__getitem__, c.sub_clauses)
+            )
+        elif c in on_path:
             raise GrammarError("clause %r contains itself" % c)
-        on_path.add(c)
-        stack.append((c, True))
-        stack.extend((s, False) for s in reversed(c.sub_clauses))
-    n = sum(isinstance(c, RuleRef) and c.rule_name == base for c in post)
+        elif c not in refs:
+            on_path.add(c)
+            stack.append((c, True))
+            stack.extend((s, False) for s in reversed(c.sub_clauses))
+    n = refs[clause]
     built = []
     k = 0
-    for c in post:
-        arity = len(c.sub_clauses)
-        if isinstance(c, RuleRef) and c.rule_name == base:
-            built.append(decide(k, n))
-            k += 1
-        elif arity:
+    stack = [(clause, False)]
+    while stack:
+        c, leaving = stack.pop()
+        if leaving:
+            arity = len(c.sub_clauses)
             subs = tuple(built[-arity:])
             del built[-arity:]
-            built.append(
-                c if subs == c.sub_clauses else type(c)(subs, c.sub_clause_labels)
-            )
-        else:
+            built.append(type(c)(subs, c.sub_clause_labels))
+        elif not refs[c]:
             built.append(c)
+        elif isinstance(c, RuleRef):
+            built.append(decide(k, n))
+            k += 1
+        else:
+            stack.append((c, True))
+            stack.extend((s, False) for s in reversed(c.sub_clauses))
     return n, built[0]
 
 

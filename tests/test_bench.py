@@ -1,6 +1,5 @@
 """Benchmark helpers: corpus generation, timing records, scaling fits."""
 
-import io
 import math
 import random
 
@@ -8,14 +7,12 @@ import pytest
 
 from pikaparse import parse
 from pikaparse.bench import (
-    CSV_HEADER,
     BenchRecord,
     expression_grammar,
     fit_loglog,
     fit_records,
     gen_expressions,
     run_bench,
-    write_csv,
 )
 
 
@@ -55,40 +52,10 @@ def test_run_bench_record_fields():
     assert len(records) == 2
     for i, r in enumerate(records):
         assert isinstance(r, BenchRecord)
-        assert r.engine == "bottomup"
         assert r.input_id == i
         assert r.input_length == len(texts[i])
         assert r.parse_nanos > 0
         assert r.memo_entries > 0
-
-
-def test_run_bench_both_engines():
-    # The top-down engine needs a grammar without left recursion.
-    from helpers import compile_climb
-
-    g = compile_climb()
-    records = run_bench(g, ["a+b"], engines=("bottomup", "topdown"), repeats=1)
-    assert [r.engine for r in records] == ["bottomup", "topdown"]
-    assert all(r.parse_nanos > 0 for r in records)
-
-
-def test_run_bench_rejects_unknown_engine():
-    g = expression_grammar()
-    with pytest.raises(ValueError, match="unknown engine"):
-        run_bench(g, ["a"], engines=("sideways",))
-
-
-def test_csv_output_shape():
-    g = expression_grammar()
-    records = run_bench(g, ["a+b", "x"], repeats=1)
-    buf = io.StringIO()
-    write_csv(records, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "engine,input_id,input_length,parse_nanos,memo_entries"
-    assert len(lines) == 3
-    cells = lines[1].split(",")
-    assert cells[0] == "bottomup" and cells[2] == "3"
-    assert all(c.isdigit() for c in cells[1:])
 
 
 # === scaling fits ===
@@ -108,13 +75,12 @@ def test_fit_requires_three_points():
         fit_loglog([1, 2], [1, 2])
 
 
-def test_fit_records_filters_engine_and_trivial_lengths():
+def test_fit_records_excludes_trivial_lengths():
     records = [
-        BenchRecord("bottomup", 0, 1, 999999, 1),  # length 1: excluded
-        BenchRecord("topdown", 1, 10, 5, 1),       # other engine: excluded
-        BenchRecord("bottomup", 2, 10, 100, 1),
-        BenchRecord("bottomup", 3, 100, 1000, 1),
-        BenchRecord("bottomup", 4, 1000, 10000, 1),
+        BenchRecord(0, 1, 999999, 1),  # length 1: excluded
+        BenchRecord(1, 10, 100, 1),
+        BenchRecord(2, 100, 1000, 1),
+        BenchRecord(3, 1000, 10000, 1),
     ]
     fit = fit_records(records)
     assert abs(fit.exponent - 1.0) < 1e-9

@@ -119,15 +119,6 @@ def test_recover_rule_selection(tmp_path, capsys):
     assert out.count("Assign [") == 2
 
 
-def test_no_oneormore_rewrite_flag_and_alias(capsys):
-    # --no-repetition-rewrite is the one spelling; the old alias is gone.
-    assert main(["parse", "-t", "12", "--no-repetition-rewrite"]) == 0
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as info:
-        main(["parse", "-t", "12", "--no-oneormore-rewrite"])
-    assert info.value.code == 2
-
-
 # === error paths ===
 
 def test_missing_grammar_file_is_usage_error(capsys):
@@ -174,61 +165,21 @@ def test_missing_subcommand_rejected():
         main([])
 
 
-# === gen command ===
-
-def test_gen_writes_parseable_lines(capsys):
-    rc = main(["gen", "--count", "5", "--seed", "9"])
+def test_parse_is_the_only_subcommand(capsys):
+    # perfbench/run.py is the benchmark, so the CLI has no timing path; it
+    # has no repetition-mode option either, since both modes print the
+    # same tree.
+    for argv in (["--help"], ["parse", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
     out = capsys.readouterr().out
-    assert rc == 0
-    lines = out.splitlines()
-    assert len(lines) == 5
-    g = compile_leftrec()
-    from pikaparse import parse as run
-    assert all(run(g, ln).matched_whole() for ln in lines)
-
-
-def test_gen_deterministic_and_file_output(tmp_path, capsys):
-    opath = tmp_path / "corpus.txt"
-    assert main(["gen", "--count", "4", "--seed", "3", "-o", str(opath)]) == 0
-    first = opath.read_text()
-    assert main(["gen", "--count", "4", "--seed", "3", "-o", str(opath)]) == 0
-    assert opath.read_text() == first
-    assert len(first.splitlines()) == 4
-
-
-# === bench command ===
-
-def test_bench_csv_to_stdout(capsys):
-    rc = main(["bench", "--count", "4", "--repeats", "1", "--max-depth", "3"])
-    captured = capsys.readouterr()
-    assert rc == 0
-    lines = captured.out.splitlines()
-    assert lines[0] == "engine,input_id,input_length,parse_nanos,memo_entries"
-    assert len(lines) == 5
-
-
-def test_bench_inputs_file_and_csv_file(tmp_path, capsys):
-    ipath = tmp_path / "inputs.txt"
-    ipath.write_text("a+b\n1*2*3\n(x)\n")
-    opath = tmp_path / "out.csv"
-    rc = main(["bench", "--inputs", str(ipath), "--repeats", "1", "-o", str(opath)])
-    assert rc == 0
-    lines = opath.read_text().splitlines()
-    assert len(lines) == 4
-    assert lines[1].split(",")[2] == "3"
-
-
-def test_bench_fit_summary_on_stderr(capsys):
-    rc = main(["bench", "--count", "6", "--repeats", "1", "--max-depth", "6"])
-    err = capsys.readouterr().err
-    assert rc == 0
-    assert "bottomup: time ~ n^" in err
-
-
-def test_bench_unknown_engine(capsys):
-    rc = main(["bench", "--count", "2", "--engines", "quantum"])
-    assert rc == 2
-    assert "unknown engine" in capsys.readouterr().err
+    assert "{parse}" in out
+    assert "repetition" not in out
+    for argv in (["gen"], ["bench"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
 
 
 # === serializers on deep trees ===

@@ -3,6 +3,7 @@ interning, reference resolution), ordering, nullability, seed parents,
 validation."""
 
 import random
+import time
 
 import pytest
 
@@ -451,6 +452,52 @@ def test_clause_tree_at_the_depth_limit_compiles():
     g = assemble_grammar([Rule("Deep", Seq((not_chain(levels, Char("x")), CharSet.of("xy"))))])
     assert parse(g, "x").matched_whole() == (levels % 2 == 0)
     assert parse(g, "y").matched_whole() == (levels % 2 == 1)
+
+
+def test_shared_clause_counts_its_depth_at_every_occurrence():
+    # Chain is lowered once, where it is a rule body; nested under 55 more
+    # sequences it fills the limit, under 56 it is too deep.
+    chain = not_chain(MAX_CLAUSE_DEPTH - 56, Char("x"))
+
+    def nested(levels):
+        c = chain
+        for _ in range(levels):
+            c = Seq((c, Char("y")))
+        return c
+
+    assemble_grammar([Rule("Chain", chain), Rule("Deeper", nested(55))])
+    with pytest.raises(
+        GrammarError, match="rule 'Deeper' nests clauses more than %d" % MAX_CLAUSE_DEPTH
+    ):
+        assemble_grammar([Rule("Chain", chain), Rule("Deeper", nested(56))])
+
+
+# === shared clause DAGs ===
+
+def shared_dag(levels):
+    # Each level is one Seq holding the level below twice, so the clause
+    # unfolds into 2 ** levels characters.  Never display a deep one.
+    c = Char("a")
+    for _ in range(levels):
+        c = Seq((c, c))
+    return c
+
+
+def test_shared_clause_dag_assembles_in_its_size():
+    t0 = time.perf_counter()
+    g = assemble_grammar([Rule("A", shared_dag(40))])
+    assert time.perf_counter() - t0 < 1.0
+    assert len(g.all_clauses) == 41
+
+
+def test_shared_clause_dag_renders_unfolded():
+    g = assemble_grammar([Rule("A", shared_dag(12))])
+    text = "'a'"
+    for _ in range(12):
+        text = "(%s %s)" % (text, text)
+    assert len(g.all_clauses) == 13
+    assert render_grammar(g) == "A <- %s;\n" % text[1:-1]
+    assert parse(g, "a" * 4096).matched_whole()
 
 
 # === naming ===

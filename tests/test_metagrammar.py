@@ -1,6 +1,7 @@
 """Grammar text parsing, precedence shorthand expansion, and rendering."""
 
 import random
+import time
 import warnings
 
 import pytest
@@ -379,6 +380,27 @@ def test_precedence_rule_containing_itself_is_a_grammar_error():
     loop.sub_clauses = (First((loop, RuleRef("E"))), Char("x"))
     with pytest.raises(GrammarError, match="contains itself"):
         rewrite_precedence_hierarchy([Rule("E", loop, precedence=0)])
+
+
+def test_shared_clause_dag_expands_in_its_size():
+    # The DAG unfolds into 2 ** 40 characters and holds no reference to E,
+    # so expansion keeps it as it is.  Never display it.
+    dag = Char("a")
+    for _ in range(40):
+        dag = Seq((dag, dag))
+    t0 = time.perf_counter()
+    rules = rewrite_precedence_hierarchy([
+        Rule("E", Seq((dag, RuleRef("E"))), precedence=0),
+        Rule("E", Char("b"), precedence=1),
+    ])
+    assert time.perf_counter() - t0 < 1.0
+    e0 = rules[1]
+    assert e0.name == "E0"
+    assert e0.clause.sub_clauses[0].sub_clauses[0] is dag
+    t0 = time.perf_counter()
+    g = assemble_grammar(rules)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(g.all_clauses) == 45
 
 
 def test_single_level_group():

@@ -9,7 +9,9 @@ from pikaparse import (
     Rule,
     assemble_grammar,
     compile_grammar,
+    covering_matches,
     extract_parse_tree,
+    find_error_spans,
     parse,
     to_ast,
 )
@@ -73,22 +75,32 @@ def test_flatten_collapses_chains():
 def test_flatten_matches_greedy_repetition_spans():
     # With and without chained repetitions, the tree is the same: names,
     # labels and spans everywhere.  Greedy matches hold their repeats flat,
-    # so the greedy grammar is an independent reference.
+    # so the greedy grammar is an independent reference.  Where the input
+    # does not fully parse, error spans and islands agree too.
     items = "L <- (items:W ',')+; W <- [a-z]+;"
     whole_star = "L <- W*; W <- [a-z]+ ' '?;"
+    listing = "List <- Item* End?; Item <- w:[a-z]+ ' '?; End <- '.'+;"
     cases = [
         (ASSIGN, ["a=1;", "ab=12;c=3;", "x=9;y=8;z=7;"]),
         (items, ["ab,", "ab,c,", "".join("w%s," % ("x" * (i % 3)) for i in range(40))]),
         (whole_star, ["", "ab", "ab cd e ", "a " * 30]),
+        (listing, ["ab cd e..", "", "abc", "x y.", "#a"]),
     ]
     for text_grammar, texts in cases:
         chained = compile_grammar(text_grammar)
         greedy = compile_grammar(text_grammar, rewrite_repetitions=False)
         for text in texts:
-            a = parse_tree(chained, text)
-            b = parse_tree(greedy, text)
-            assert a.len == len(text), text
-            assert tree_shape(a) == tree_shape(b), text
+            a = parse(chained, text)
+            b = parse(greedy, text)
+            assert a.matched_whole() == (text != "#a"), text
+            assert tree_shape(extract_parse_tree(a)) == tree_shape(extract_parse_tree(b)), text
+            if not a.matched_whole():
+                assert find_error_spans(a) == find_error_spans(b), text
+                islands = [
+                    [(g.node_name(m.clause), m.pos, m.len) for m in covering_matches(t)]
+                    for g, t in ((chained, a), (greedy, b))
+                ]
+                assert islands[0] == islands[1], text
 
     rng = random.Random(7)
     compared = 0
