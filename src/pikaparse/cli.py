@@ -7,7 +7,8 @@ Without -g the built-in expression grammar (bench.EXPRESSION_GRAMMAR) is
 used.  perfbench/run.py is the benchmark; the CLI only parses.
 
 Exit codes: 0 success, 1 input did not fully parse, 2 bad usage or a bad
-grammar, 3 internal error (the tool crashed).
+grammar, 3 internal error (the tool crashed).  A reader that closes the
+pipe early does not change the code.
 
 All tree serializers build output iteratively: parse trees of deeply nested
 inputs (a long left-nested sum, say) exceed any recursive serializer's
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bench import expression_grammar
@@ -140,7 +142,8 @@ def _read_input(args) -> str:
     return data
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args):
+    """Parse as args say; returns (exit code, lines to print)."""
     grammar = _load_grammar(args)
     text = _read_input(args)
     table = parse(grammar, text)
@@ -149,32 +152,29 @@ def _cmd_parse(args) -> int:
         if args.ast:
             root = to_ast(root)
             if root is None:
-                print("(no labeled nodes)")
-                return 0
-        print(_FORMATS[args.format](root))
-        return 0
+                return 0, ["(no labeled nodes)"]
+        return 0, [_FORMATS[args.format](root)]
     names = args.recover.split(",") if args.recover else None
     spans = find_error_spans(table, names)
-    print("input does not fully match rule %r" % grammar.start_rule)
-    print("error spans:")
+    out = ["input does not fully match rule %r" % grammar.start_rule, "error spans:"]
     if not spans:
         # Everything is covered by some match, yet no single start-rule
         # match spans the whole input.
-        print("  (none: matches cover the input but do not join up)")
+        out.append("  (none: matches cover the input but do not join up)")
     for s in spans:
-        print("  [%d,%d) %s" % (s.start, s.end, json.dumps(s.slice(text))))
+        out.append("  [%d,%d) %s" % (s.start, s.end, json.dumps(s.slice(text))))
     islands = covering_matches(table, names)
     if islands:
-        print("matched before/after/between:")
+        out.append("matched before/after/between:")
         for m in islands:
             t = text[m.pos : m.pos + m.len]
             if len(t) > 40:
                 t = t[:37] + "..."
-            print(
+            out.append(
                 "  %s [%d,%d) %s"
                 % (grammar.node_name(m.clause), m.pos, m.pos + m.len, json.dumps(t))
             )
-    return 1
+    return 1, out
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
-        return _cmd_parse(args)
+        code, lines = _cmd_parse(args)
     except GrammarError as exc:
         print("grammar error: %s" % exc, file=sys.stderr)
         return 2
@@ -224,6 +224,19 @@ def main(argv=None) -> int:
     except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (`| head`, say).  The parse is done, so
+        # its own code stands; stdout is pointed at devnull so that the
+        # interpreter's final flush does not fail on the pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

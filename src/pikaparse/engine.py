@@ -2,9 +2,13 @@
 
 Instead of recursive descent, the table is populated one input position at a
 time, from the last position to the first.  Within a position, a priority
-queue drains clauses in bottom-up order (lowest clause_idx first): terminals
-are tried against the input directly, and every stored or improved match
-reschedules the seed parents that could start at the same position.  Because
+queue drains clauses in bottom-up order (lowest clause_idx first), and every
+stored or improved match reschedules the seed parents that could start at
+the same position.  Terminals are dispatched on the position's character:
+only the terminals that can start with it are tried, and the character
+alone decides a single-character terminal.  A terminal the character rules
+out counts as tried and failed, so its nullable seed parents still get
+their one courtesy evaluation at the position.  Because
 everything to the right of the current position is already final, a clause's
 match can reference cyclic (left-recursive) structure through the memo table
 without infinite regress: improvements propagate around the cycle until a
@@ -21,6 +25,7 @@ share one definition of what each operator means.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 
 from .clauses import (
     Char,
@@ -255,59 +260,146 @@ class MemoTable:
 
     # -- filling ----------------------------------------------------------
 
-    def _add(self, clause, pos, new, heap, in_heap, courtesy):
-        updated = False
-        if new is not None:
-            tbl = self._tables[clause.clause_idx]
-            old = tbl.get(pos)
-            if old is None or (
-                (type(clause) is First and new.alt_idx < old.alt_idx)
-                or new.len > old.len
-            ):
-                tbl[pos] = new
-                updated = True
-        for parent in clause.seed_parent_clauses:
-            i = parent.clause_idx
-            if updated:
-                if not in_heap[i]:
-                    in_heap[i] = 1
-                    heapq.heappush(heap, i)
-            elif parent.can_match_zero_chars and not courtesy[i]:
-                # A parent that can match zero characters gets one courtesy
-                # evaluation per position even when this child found nothing
-                # new; capping it at one keeps chains of such parents from
-                # rescheduling each other forever.
-                courtesy[i] = 1
-                if not in_heap[i]:
-                    in_heap[i] = 1
-                    heapq.heappush(heap, i)
-
     def _run(self):
-        clauses = self.grammar.all_clauses
-        n_clauses = len(clauses)
-        terminals = [
-            c for c in clauses if c.is_terminal and type(c) is not Nothing
-        ]
-        terminals.sort(key=lambda c: c.clause_idx)
+        grammar = self.grammar
+        plan = grammar.fill_plan
+        if plan is None:
+            plan = grammar.fill_plan = FillPlan(grammar)
+        parents = plan.parents
+        nullable_parents = plan.nullable_parents
+        bounds = plan.bounds
+        entries = plan.entries
+        clauses = grammar.all_clauses
+        tables = self._tables
         text = self.text
         lookup = self.lookup
+        heappush = heapq.heappush
         heappop = heapq.heappop
         matchers = [_MATCHERS[type(c)] for c in clauses]
         for pos in range(len(text) - 1, -1, -1):
             self._col = pos
-            heap = []
-            in_heap = bytearray(n_clauses)
-            courtesy = bytearray(n_clauses)
-            for t in terminals:
-                m = matchers[t.clause_idx](t, pos, text, lookup)
-                self._add(t, pos, m, heap, in_heap, courtesy)
+            k = bisect_right(bounds, ord(text[pos]))
+            chars, heap, in_heap, courtesy = entries[k] or plan.entry(k)
+            heap = list(heap)
+            in_heap = bytearray(in_heap)
+            courtesy = bytearray(courtesy)
+            for idx in chars:
+                tables[idx][pos] = Match(clauses[idx], pos, 1)
+            # An evaluation stores its match if it is the clause's first or
+            # an improvement (an earlier alternative of an ordered choice, or
+            # a longer match), and then schedules every seed parent.
+            # Otherwise a parent that can match zero characters gets one
+            # courtesy evaluation per position; capping it at one keeps
+            # chains of such parents from rescheduling each other forever.
             while heap:
                 idx = heappop(heap)
                 in_heap[idx] = 0
                 c = clauses[idx]
                 m = matchers[idx](c, pos, text, lookup)
-                self._add(c, pos, m, heap, in_heap, courtesy)
+                if m is not None:
+                    tbl = tables[idx]
+                    old = tbl.get(pos)
+                    if old is None or (
+                        (type(c) is First and m.alt_idx < old.alt_idx)
+                        or m.len > old.len
+                    ):
+                        tbl[pos] = m
+                        for i in parents[idx]:
+                            if not in_heap[i]:
+                                in_heap[i] = 1
+                                heappush(heap, i)
+                        continue
+                for i in nullable_parents[idx]:
+                    if not courtesy[i]:
+                        courtesy[i] = 1
+                        if not in_heap[i]:
+                            in_heap[i] = 1
+                            heappush(heap, i)
         self._col = None
+
+
+class FillPlan:
+    """What filling a grammar's table needs beyond its clauses.
+
+    Built on the grammar's first parse and kept as grammar.fill_plan.
+    parents[i] and nullable_parents[i] hold the clause indices of clause
+    i's seed parents: all of them, and those that can match zero
+    characters.
+
+    Terminals are dispatched on the column's character.  bounds splits the
+    code points wherever a Char, a CharSet range or a Str's first character
+    starts or stops, so every character of one interval starts the same
+    terminals, and entries[k] describes interval k, which holds the code
+    points cp with bisect_right(bounds, cp) == k.  An entry is built the
+    first time a column's character falls in its interval, so the plan
+    grows with the grammar, never with the texts parsed.
+    """
+
+    __slots__ = ("parents", "nullable_parents", "bounds", "entries", "_terminals")
+
+    def __init__(self, grammar: Grammar):
+        clauses = grammar.all_clauses
+        self._terminals = [
+            c for c in clauses if c.is_terminal and type(c) is not Nothing
+        ]
+        self.parents = [
+            tuple(p.clause_idx for p in c.seed_parent_clauses) for c in clauses
+        ]
+        self.nullable_parents = [
+            tuple(p.clause_idx for p in c.seed_parent_clauses if p.can_match_zero_chars)
+            for c in clauses
+        ]
+        bounds = set()
+        for c in self._terminals:
+            if type(c) is CharSet:
+                for lo, hi in c.ranges:
+                    bounds.update((lo, hi + 1))
+            else:
+                cp = ord(c.char if type(c) is Char else c.string[0])
+                bounds.update((cp, cp + 1))
+        self.bounds = sorted(bounds)
+        self.entries = [None] * (len(self.bounds) + 1)
+
+    def entry(self, k):
+        """Interval k's entry: (single-char terminals that match, initial
+        heap, in-heap flags, courtesy flags).
+
+        A terminal is decided by its own matcher on the interval's lowest
+        code point (followed by the rest of a Str), so _MATCHERS stays the
+        one definition of what each terminal matches.  The single-char
+        terminals that match are stored without another call, and their
+        seed parents are scheduled.  A Str that can start here is
+        scheduled itself; terminals come first in clause order, so the
+        heap tries it before any clause that reads it.  The nullable seed
+        parents of every terminal the character rules out are scheduled
+        too, spending their one courtesy evaluation of the column.
+        """
+        ch = chr(self.bounds[k - 1]) if k else "\0"
+        chars, scheduled, courtesy = [], set(), set()
+        for t in self._terminals:
+            kind = type(t)
+            probe = ch + t.string[1:] if kind is Str else ch
+            if _MATCHERS[kind](t, 0, probe, None) is None:
+                courtesy.update(self.nullable_parents[t.clause_idx])
+            elif kind is Str:
+                scheduled.add(t.clause_idx)
+            else:
+                chars.append(t.clause_idx)
+                scheduled.update(self.parents[t.clause_idx])
+        scheduled |= courtesy
+        in_heap = bytearray(len(self.parents))
+        courtesy_flags = bytearray(len(self.parents))
+        for i in scheduled:
+            in_heap[i] = 1
+        for i in courtesy:
+            courtesy_flags[i] = 1
+        e = self.entries[k] = (
+            tuple(chars),
+            tuple(sorted(scheduled)),  # a sorted list is a heap
+            bytes(in_heap),
+            bytes(courtesy_flags),
+        )
+        return e
 
 
 def parse(grammar: Grammar, text: str) -> MemoTable:

@@ -58,6 +58,8 @@ class Grammar:
         for r in sorted(rules, key=attrgetter("alias")):
             self.names.setdefault(id(r.clause), r.name)
         self._node_names = {}
+        # The engine's per-grammar state, built on the first parse.
+        self.fill_plan = None
 
     def rule(self, name: str) -> Rule:
         r = self.rule_map.get(name)
@@ -276,8 +278,8 @@ def topo_sort_clauses(rules, lowest_precedence_clauses=()):
     targets of back edges found by one depth_first pass from the
     unreferenced rule clauses and then every rule clause, in first-found
     order.  Rule declaration order keeps the result deterministic.
-    Terminals are then stably moved to the lowest indexes so the
-    per-position seeding step can treat them as one block.
+    Terminals are then stably moved to the lowest indexes, so the fill's
+    queue tries a column's terminals before any clause that reads them.
     """
     referenced = set()
     for c in depth_first(r.clause for r in rules):

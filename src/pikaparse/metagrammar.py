@@ -403,6 +403,12 @@ def parse_rules(text: str) -> list[Rule]:
 # ---------------------------------------------------------------------------
 # precedence shorthand
 
+# Most references to its base name that one precedence level's body may
+# hold.  Expansion rebuilds a clause per reference, so a clause DAG whose
+# references unfold into a huge tree is refused before any rebuilding.
+MAX_SELF_REFERENCES = 1000
+
+
 def _replace_self_refs(clause: Clause, base: str, decide):
     """Rebuild clause with the k-th (preorder) of its n references to base
     replaced by decide(k, n); returns (n, the new clause).
@@ -414,7 +420,8 @@ def _replace_self_refs(clause: Clause, base: str, decide):
     that holds a reference and returns the rest as they are, without
     walking them, so a clause DAG costs its size, not its size unfolded
     into a tree.  A clause built in code that contains itself is a
-    GrammarError, not an endless walk.
+    GrammarError, not an endless walk, and so is n above
+    MAX_SELF_REFERENCES.
     """
     refs = {}
     on_path = set()
@@ -433,6 +440,11 @@ def _replace_self_refs(clause: Clause, base: str, decide):
             stack.append((c, True))
             stack.extend((s, False) for s in reversed(c.sub_clauses))
     n = refs[clause]
+    if n > MAX_SELF_REFERENCES:
+        raise GrammarError(
+            "a level of rule %r refers to %r %d times; at most %d are allowed"
+            % (base, base, n, MAX_SELF_REFERENCES)
+        )
     built = []
     k = 0
     stack = [(clause, False)]

@@ -1,10 +1,15 @@
-"""The command line interface, driven in-process through main()."""
+"""The command line interface, driven in-process through main(), and as a
+subprocess where the process's own stdout matters."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pikaparse
 from pikaparse.cli import main, tree_lines, tree_to_json, tree_to_sexpr
 
 from helpers import ASSIGN, compile_leftrec, parse_tree
@@ -153,6 +158,32 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     rc = main(["parse", "-t", "1+2"])
     assert rc == 3
     assert "internal error: RuntimeError: engine fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, code, first_line",
+    [
+        # Hundreds of kilobytes or more either way, more than a pipe holds.
+        ("+".join(["(a*b)"] * 300), 0, b"E0 [0,1799)\n"),
+        ("a#" * 20000, 1, b"input does not fully match rule 'E'\n"),
+    ],
+    ids=["parsed", "not-parsed"],
+)
+def test_closed_pipe_keeps_the_parse_exit_code(text, code, first_line):
+    # `pikaparse parse ... | head -1`: the reader closes the pipe after one
+    # line, which is no error of the tool's.
+    src = os.path.dirname(os.path.dirname(pikaparse.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pikaparse.cli", "parse", "-t", text],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == code
+    assert err == b""
 
 
 def test_unknown_format_rejected():

@@ -26,6 +26,7 @@ from pikaparse.clauses import (
 from pikaparse.engine import parse
 from pikaparse.grammar import MAX_CLAUSE_DEPTH, assemble_grammar
 from pikaparse.metagrammar import (
+    MAX_SELF_REFERENCES,
     GrammarSyntaxError,
     compile_grammar,
     parse_rules,
@@ -401,6 +402,32 @@ def test_shared_clause_dag_expands_in_its_size():
     g = assemble_grammar(rules)
     assert time.perf_counter() - t0 < 1.0
     assert len(g.all_clauses) == 45
+
+
+def test_self_reference_dag_is_refused_before_expanding():
+    # Every level doubles the references to E that expansion would rebuild:
+    # 2 ** 40 of them here.
+    dag = Seq((RuleRef("E"), Char("a")))
+    for _ in range(40):
+        dag = Seq((dag, dag))
+    t0 = time.perf_counter()
+    with pytest.raises(GrammarError, match="rule 'E' refers to 'E' 1099511627776 times"):
+        rewrite_precedence_hierarchy([
+            Rule("E", dag, precedence=0),
+            Rule("E", Char("b"), precedence=1),
+        ])
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_self_reference_limit_is_inclusive():
+    def level(n):
+        return Rule("E", Seq([RuleRef("E")] * n + [Char("a")]), precedence=0)
+
+    tightest = Rule("E", Char("b"), precedence=1)
+    rules = rewrite_precedence_hierarchy([level(MAX_SELF_REFERENCES), tightest])
+    assert len(rules[1].clause.sub_clauses[0].sub_clauses) == MAX_SELF_REFERENCES + 1
+    with pytest.raises(GrammarError, match="at most %d" % MAX_SELF_REFERENCES):
+        rewrite_precedence_hierarchy([level(MAX_SELF_REFERENCES + 1), tightest])
 
 
 def test_single_level_group():
