@@ -310,8 +310,12 @@ class CharSet(Terminal):
 
     def matches_char(self, ch: str) -> bool:
         cp = ord(ch)
-        hit = any(lo <= cp <= hi for lo, hi in self.ranges)
-        return hit != self.negated
+        # The ranges are sorted and disjoint, so the first one that does not
+        # end below cp is the only one that can hold it.
+        for lo, hi in self.ranges:
+            if cp <= hi:
+                return (lo <= cp) != self.negated
+        return self.negated
 
     def _leaf_text(self):
         parts = []

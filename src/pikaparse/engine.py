@@ -18,9 +18,18 @@ Match improvement ordering: a new match beats a stored one if the clause is
 an ordered choice and the new match uses an earlier alternative, or if the
 new match is longer.
 
-`match_clause` holds the per-kind matching semantics against an arbitrary
-lookup function; the top-down reference evaluator reuses it so both engines
-share one definition of what each operator means.
+Each parse compiles every clause into a matcher: a closure over pos built by
+its kind's factory (`make_matcher`), bound to one reader per subclause.  A
+reader is the subclause table's dict.get for a clause that cannot match zero
+characters, a reader that falls back to a childless zero-length match for
+one that can, and the lookahead chain's own matcher for a NotFollowedBy.
+The factories are the one definition of what each operator means: the
+top-down reference evaluator builds its matchers with them too, reading
+through its own memo, and `match_clause` wraps them for an arbitrary lookup
+function.  The watermark check lives in the matchers: each compares every
+read it makes at another position with its own pos, and the fill calls
+matchers only at the column it fills, so a read left of the column is
+counted in watermark_violations.
 """
 from __future__ import annotations
 
@@ -75,99 +84,225 @@ class Match:
 # ---------------------------------------------------------------------------
 # per-kind matching semantics
 
-def _match_seq(clause, pos, text, lookup):
-    subs = []
-    cur = pos
-    for s in clause.sub_clauses:
-        m = lookup(s, cur)
+# One factory per clause kind; make_matcher says what they build.
+
+
+def _unchecked():
+    pass
+
+
+def _seq_matcher(clause, text, read, late):
+    readers = tuple(map(read, clause.sub_clauses))
+    if len(readers) == 2:
+        r0, r1 = readers
+
+        def seq2(pos):
+            m0 = r0(pos)
+            if m0 is None:
+                return None
+            at = pos + m0.len
+            if at < pos:
+                late()
+            m1 = r1(at)
+            if m1 is None:
+                return None
+            return Match(clause, pos, at + m1.len - pos, (m0, m1))
+
+        return seq2
+    if len(readers) == 3:
+        r0, r1, r2 = readers
+
+        def seq3(pos):
+            m0 = r0(pos)
+            if m0 is None:
+                return None
+            at = pos + m0.len
+            if at < pos:
+                late()
+            m1 = r1(at)
+            if m1 is None:
+                return None
+            at += m1.len
+            if at < pos:
+                late()
+            m2 = r2(at)
+            if m2 is None:
+                return None
+            return Match(clause, pos, at + m2.len - pos, (m0, m1, m2))
+
+        return seq3
+    head, rest = readers[0], readers[1:]
+
+    def seq(pos):
+        m = head(pos)
         if m is None:
             return None
-        subs.append(m)
-        cur += m.len
-    return Match(clause, pos, cur - pos, tuple(subs))
+        subs = [m]
+        at = pos + m.len
+        for r in rest:
+            if at < pos:
+                late()
+            m = r(at)
+            if m is None:
+                return None
+            subs.append(m)
+            at += m.len
+        return Match(clause, pos, at - pos, tuple(subs))
+
+    return seq
 
 
-def _match_first(clause, pos, text, lookup):
-    for i, s in enumerate(clause.sub_clauses):
-        m = lookup(s, pos)
-        if m is not None:
-            return Match(clause, pos, m.len, (m,), i)
-    return None
+def _first_matcher(clause, text, read, late):
+    readers = tuple(map(read, clause.sub_clauses))
+    if len(readers) == 2:
+        r0, r1 = readers
 
+        def first2(pos):
+            m = r0(pos)
+            if m is not None:
+                return Match(clause, pos, m.len, (m,))
+            m = r1(pos)
+            if m is not None:
+                return Match(clause, pos, m.len, (m,), 1)
+            return None
 
-def _match_one_or_more(clause, pos, text, lookup):
-    sub = clause.sub_clauses[0]
-    m = lookup(sub, pos)
-    if m is None:
+        return first2
+
+    def first(pos):
+        for i, r in enumerate(readers):
+            m = r(pos)
+            if m is not None:
+                return Match(clause, pos, m.len, (m,), i)
         return None
+
+    return first
+
+
+def _one_or_more_matcher(clause, text, read, late):
+    r = read(clause.sub_clauses[0])
     if clause.chained:
         # Right-recursive, as in the paper: the first repeat, then this
-        # clause's match where it ends.  That lookup lies right of pos, so
+        # clause's match where it ends.  That read lies right of pos, so
         # the right-to-left fill has already made it final.
-        rest = lookup(clause, pos + m.len)
-        if rest is None:
-            return Match(clause, pos, m.len, (m,))
-        return Match(clause, pos, m.len + rest.len, (m, rest))
+        again = read(clause)
+
+        def chained(pos):
+            m = r(pos)
+            if m is None:
+                return None
+            at = pos + m.len
+            if at < pos:
+                late()
+            rest = again(at)
+            if rest is None:
+                return Match(clause, pos, m.len, (m,))
+            return Match(clause, pos, m.len + rest.len, (m, rest))
+
+        return chained
+
     # Greedy: consume every repeat up front and keep the repeats as direct
     # children.
-    subs = [m]
-    cur = pos + m.len
-    while m.len:
-        m = lookup(sub, cur)
+    def greedy(pos):
+        m = r(pos)
         if m is None:
-            break
-        subs.append(m)
-        cur += m.len
-    return Match(clause, pos, cur - pos, tuple(subs))
+            return None
+        subs = [m]
+        at = pos + m.len
+        while m.len:
+            if at < pos:
+                late()
+            m = r(at)
+            if m is None:
+                break
+            subs.append(m)
+            at += m.len
+        return Match(clause, pos, at - pos, tuple(subs))
+
+    return greedy
 
 
-def _match_not_followed_by(clause, pos, text, lookup):
-    # A chain of directly nested NotFollowedBy clauses is walked here, each
-    # level flipping the answer, and only the innermost operand is looked
-    # up, so no level recurses into the next.  Assembly rejects chains that
-    # loop.
+def _not_followed_by_matcher(clause, text, read, late):
+    # A chain of directly nested NotFollowedBy clauses is walked here, once,
+    # each level flipping the answer, and only the innermost operand is
+    # read, so no level recurses into the next.  Assembly rejects chains
+    # that loop.
     on_miss = True  # the chain matches when its innermost operand misses
     sub = clause.sub_clauses[0]
     while type(sub) is NotFollowedBy:
         on_miss = not on_miss
         sub = sub.sub_clauses[0]
-    if (lookup(sub, pos) is None) == on_miss:
+    r = read(sub)
+
+    def not_followed_by(pos):
+        if (r(pos) is None) == on_miss:
+            return Match(clause, pos, 0)
+        return None
+
+    return not_followed_by
+
+
+def _char_matcher(clause, text, read, late):
+    ch, n = clause.char, len(text)
+
+    def char(pos):
+        if pos < n and text[pos] == ch:
+            return Match(clause, pos, 1)
+        return None
+
+    return char
+
+
+def _char_set_matcher(clause, text, read, late):
+    matches, n = clause.matches_char, len(text)
+
+    def char_set(pos):
+        if pos < n and matches(text[pos]):
+            return Match(clause, pos, 1)
+        return None
+
+    return char_set
+
+
+def _str_matcher(clause, text, read, late):
+    string, k = clause.string, len(clause.string)
+
+    def str_(pos):
+        if text.startswith(string, pos):
+            return Match(clause, pos, k)
+        return None
+
+    return str_
+
+
+def _nothing_matcher(clause, text, read, late):
+    def nothing(pos):
         return Match(clause, pos, 0)
-    return None
+
+    return nothing
 
 
-def _match_char(clause, pos, text, lookup):
-    if pos < len(text) and text[pos] == clause.char:
-        return Match(clause, pos, 1)
-    return None
-
-
-def _match_char_set(clause, pos, text, lookup):
-    if pos < len(text) and clause.matches_char(text[pos]):
-        return Match(clause, pos, 1)
-    return None
-
-
-def _match_str(clause, pos, text, lookup):
-    if text.startswith(clause.string, pos):
-        return Match(clause, pos, len(clause.string))
-    return None
-
-
-def _match_nothing(clause, pos, text, lookup):
-    return Match(clause, pos, 0)
-
-
-_MATCHERS = {
-    Seq: _match_seq,
-    First: _match_first,
-    OneOrMore: _match_one_or_more,
-    NotFollowedBy: _match_not_followed_by,
-    Char: _match_char,
-    CharSet: _match_char_set,
-    Str: _match_str,
-    Nothing: _match_nothing,
+_FACTORIES = {
+    Seq: _seq_matcher,
+    First: _first_matcher,
+    OneOrMore: _one_or_more_matcher,
+    NotFollowedBy: _not_followed_by_matcher,
+    Char: _char_matcher,
+    CharSet: _char_set_matcher,
+    Str: _str_matcher,
+    Nothing: _nothing_matcher,
 }
+
+
+def make_matcher(clause, text, read, late=_unchecked):
+    """Build clause's matcher over text: a function of pos returning the
+    clause's Match at pos, or None.
+
+    read(sub) must return a function of pos that gives subclause sub's
+    Match there, or None; it is called while the matcher is built, and
+    never for a terminal.  late() is called for any read the matcher would
+    make left of its own pos, which correct matchers never do.
+    """
+    return _FACTORIES[type(clause)](clause, text, read, late)
 
 
 def match_clause(clause, pos, text, lookup):
@@ -176,7 +311,7 @@ def match_clause(clause, pos, text, lookup):
     lookup(sub, pos) must return a Match or None; it is never called for
     terminals' characters, which are checked against text directly.
     """
-    return _MATCHERS[type(clause)](clause, pos, text, lookup)
+    return make_matcher(clause, text, lambda sub: lambda at: lookup(sub, at))(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +324,34 @@ class MemoTable:
     general holds no synthesized zero-length matches: lookup fabricates
     those on demand for clauses that can match zero characters.
 
-    watermark_violations counts lookups that read a position left of the
-    one being processed; the fill order makes such reads unsound, so the
-    counter staying at zero is a cheap invariant check.
+    watermark_violations counts reads the fill made left of the column
+    being filled; the fill order makes such reads unsound, so the counter
+    staying at zero is a cheap invariant check.
     """
 
     def __init__(self, grammar: Grammar, text: str):
         self.grammar = grammar
         self.text = text
-        n = len(grammar.all_clauses)
-        self._tables = [dict() for _ in range(n)]
+        clauses = grammar.all_clauses
+        self._tables = [dict() for _ in clauses]
         self._positions_cache = {}
-        self._col = None
         self.watermark_violations = 0
+        # One reader per clause, the same functions that matchers read
+        # their subclauses through.  NotFollowedBy is never scheduled (it
+        # seeds nothing and is no seed parent), so its table stays empty and
+        # its reader is its matcher, which reads only a non-lookahead
+        # operand.  A clause that can match zero characters reads as a
+        # childless zero-length match where nothing is stored.
+        readers = self._readers = [
+            _or_empty(c, tbl.get) if c.can_match_zero_chars else tbl.get
+            for c, tbl in zip(clauses, self._tables)
+        ]
+        for i, c in enumerate(clauses):
+            if type(c) is NotFollowedBy:
+                readers[i] = make_matcher(c, text, self._reader)
+
+    def _reader(self, clause):
+        return self._readers[clause.clause_idx]
 
     # -- queries ----------------------------------------------------------
 
@@ -216,16 +366,7 @@ class MemoTable:
         negative lookahead and to a childless zero-length match for any
         clause that can match zero characters.
         """
-        if self._col is not None and pos < self._col:
-            self.watermark_violations += 1
-        m = self._tables[clause.clause_idx].get(pos)
-        if m is not None:
-            return m
-        if type(clause) is NotFollowedBy:
-            return _match_not_followed_by(clause, pos, self.text, self.lookup)
-        if clause.can_match_zero_chars:
-            return Match(clause, pos, 0, (), clause.zero_idx)
-        return None
+        return self._readers[clause.clause_idx](pos)
 
     def match_positions(self, clause):
         """Positions with a stored match for clause, descending.
@@ -272,12 +413,19 @@ class MemoTable:
         clauses = grammar.all_clauses
         tables = self._tables
         text = self.text
-        lookup = self.lookup
         heappush = heapq.heappush
         heappop = heapq.heappop
-        matchers = [_MATCHERS[type(c)] for c in clauses]
+
+        def late():
+            self.watermark_violations += 1
+
+        # The dispatch entries decide single-character terminals, which are
+        # never evaluated.
+        matchers = [
+            None if type(c) in (Char, CharSet) else make_matcher(c, text, self._reader, late)
+            for c in clauses
+        ]
         for pos in range(len(text) - 1, -1, -1):
-            self._col = pos
             k = bisect_right(bounds, ord(text[pos]))
             chars, heap, in_heap, courtesy = entries[k] or plan.entry(k)
             heap = list(heap)
@@ -286,23 +434,20 @@ class MemoTable:
             for idx in chars:
                 tables[idx][pos] = Match(clauses[idx], pos, 1)
             # An evaluation stores its match if it is the clause's first or
-            # an improvement (an earlier alternative of an ordered choice, or
-            # a longer match), and then schedules every seed parent.
-            # Otherwise a parent that can match zero characters gets one
-            # courtesy evaluation per position; capping it at one keeps
-            # chains of such parents from rescheduling each other forever.
+            # an improvement (a longer match, or an earlier alternative of an
+            # ordered choice: only its matches carry an alt_idx other than
+            # 0), and then schedules every seed parent.  Otherwise a parent
+            # that can match zero characters gets one courtesy evaluation
+            # per position; capping it at one keeps chains of such parents
+            # from rescheduling each other forever.
             while heap:
                 idx = heappop(heap)
                 in_heap[idx] = 0
-                c = clauses[idx]
-                m = matchers[idx](c, pos, text, lookup)
+                m = matchers[idx](pos)
                 if m is not None:
                     tbl = tables[idx]
                     old = tbl.get(pos)
-                    if old is None or (
-                        (type(c) is First and m.alt_idx < old.alt_idx)
-                        or m.len > old.len
-                    ):
+                    if old is None or m.len > old.len or m.alt_idx < old.alt_idx:
                         tbl[pos] = m
                         for i in parents[idx]:
                             if not in_heap[i]:
@@ -315,7 +460,19 @@ class MemoTable:
                         if not in_heap[i]:
                             in_heap[i] = 1
                             heappush(heap, i)
-        self._col = None
+
+
+def _or_empty(clause, get):
+    """Read clause's stored match, or a childless zero-length one."""
+    zero_idx = clause.zero_idx
+
+    def read(pos):
+        m = get(pos)
+        if m is None:
+            return Match(clause, pos, 0, (), zero_idx)
+        return m
+
+    return read
 
 
 class FillPlan:
@@ -365,8 +522,8 @@ class FillPlan:
         heap, in-heap flags, courtesy flags).
 
         A terminal is decided by its own matcher on the interval's lowest
-        code point (followed by the rest of a Str), so _MATCHERS stays the
-        one definition of what each terminal matches.  The single-char
+        code point (followed by the rest of a Str), so make_matcher stays
+        the one definition of what each terminal matches.  The single-char
         terminals that match are stored without another call, and their
         seed parents are scheduled.  A Str that can start here is
         scheduled itself; terminals come first in clause order, so the
@@ -379,7 +536,7 @@ class FillPlan:
         for t in self._terminals:
             kind = type(t)
             probe = ch + t.string[1:] if kind is Str else ch
-            if _MATCHERS[kind](t, 0, probe, None) is None:
+            if make_matcher(t, probe, None)(0) is None:
                 courtesy.update(self.nullable_parents[t.clause_idx])
             elif kind is Str:
                 scheduled.add(t.clause_idx)

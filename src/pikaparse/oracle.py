@@ -1,10 +1,11 @@
 """Top-down memoized reference parser.
 
-This is the classic recursive packrat evaluator.  It shares the per-kind
-matching semantics with the bottom-up engine (engine.match_clause), so the
-two differ only in evaluation strategy; comparing their results exercises
-exactly the bottom-up machinery: fill order, seeding, match improvement,
-and zero-length synthesis.
+This is the classic recursive packrat evaluator.  It builds each clause's
+matcher with the bottom-up engine's per-kind factories (engine.make_matcher),
+reading subclauses through its own memoizing evaluators, so the two differ
+only in evaluation strategy; comparing their results exercises exactly the
+bottom-up machinery: fill order, seeding, match improvement, and zero-length
+synthesis.
 
 The evaluator cannot handle left recursion, so it statically rejects
 grammars where a clause can reach itself without consuming input.  The
@@ -18,7 +19,7 @@ import threading
 from typing import NamedTuple
 
 from .clauses import First
-from .engine import match_clause
+from .engine import make_matcher
 from .grammar import Grammar, depth_first, same_position_subs
 
 
@@ -65,26 +66,36 @@ def packrat_parse(grammar: Grammar, text: str, check_left_recursion: bool = True
     if check_left_recursion:
         ensure_no_left_recursion(grammar, start)
     memo = {}
+    clauses = grammar.all_clauses
+    matchers = []
 
-    def evaluate(clause, pos):
-        key = (clause.clause_idx, pos)
-        if key in memo:
-            hit = memo[key]
-            if hit is _BUSY:
-                desc = repr(clause)
-                if len(desc) > 80:
-                    desc = desc[:77] + "..."
-                raise LeftRecursionError(
-                    "left recursion at position %d through %s" % (pos, desc)
-                )
-            return hit
-        memo[key] = _BUSY
-        m = match_clause(clause, pos, text, evaluate)
-        memo[key] = m
-        return m
+    def evaluator(clause):
+        idx = clause.clause_idx
 
-    needed = min(1_000_000, 8 * len(text) + 8 * len(grammar.all_clauses) + 2000)
-    m = _call_with_frame_budget(lambda: evaluate(start, 0), needed)
+        def evaluate(pos):
+            key = (idx, pos)
+            if key in memo:
+                hit = memo[key]
+                if hit is _BUSY:
+                    desc = repr(clause)
+                    if len(desc) > 80:
+                        desc = desc[:77] + "..."
+                    raise LeftRecursionError(
+                        "left recursion at position %d through %s" % (pos, desc)
+                    )
+                return hit
+            memo[key] = _BUSY
+            m = memo[key] = matchers[idx](pos)
+            return m
+
+        return evaluate
+
+    evaluators = [evaluator(c) for c in clauses]
+    matchers.extend(
+        make_matcher(c, text, lambda sub: evaluators[sub.clause_idx]) for c in clauses
+    )
+    needed = min(1_000_000, 8 * len(text) + 8 * len(clauses) + 2000)
+    m = _call_with_frame_budget(lambda: evaluators[start.clause_idx](0), needed)
     return OracleResult(m, memo)
 
 

@@ -105,6 +105,16 @@ def test_charset_matches_char():
     assert neg.matches_char("d")
 
 
+def test_negated_multi_range_set_at_each_range_edge():
+    ranges = [(ord("0"), ord("9")), (ord("A"), ord("F")), (ord("x"), ord("x"))]
+    neg = CharSet(ranges, negated=True)
+    for lo, hi in ranges:
+        assert neg.matches_char(chr(lo - 1)), chr(lo - 1)
+        assert not neg.matches_char(chr(lo)), chr(lo)
+        assert not neg.matches_char(chr(hi)), chr(hi)
+        assert neg.matches_char(chr(hi + 1)), chr(hi + 1)
+
+
 def test_charset_identity_ignores_written_order():
     a = CharSet([(ord("a"), ord("b")), (ord("x"), ord("y"))])
     b = CharSet([(ord("x"), ord("y")), (ord("a"), ord("b"))])

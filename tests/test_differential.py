@@ -70,3 +70,27 @@ def test_engines_agree_on_generated_pairs():
     # The input sampler is biased toward matches; make sure the bias works
     # and the agreement above is not vacuous.
     assert derived_hits > 100
+
+
+def test_every_oracle_memo_entry_agrees_with_the_table():
+    # Every (clause, position) the top-down parser evaluated on the pairs
+    # above, not only the start match: this reaches each clause's matcher
+    # at every position the oracle visits.
+    rng = random.Random(20260822)
+    entries = 0
+    for i in range(60):
+        g, alphabet = random_grammar(rng)
+        for j in range(10):
+            text = sample_input(rng, g, alphabet)
+            table = parse(g, text)
+            memo = packrat_parse(g, text, check_left_recursion=False).memo
+            for (idx, pos), top in memo.items():
+                clause = g.all_clauses[idx]
+                bottom = table.lookup(clause, pos)
+                ctx = (i, j, text, clause, pos, describe_match(bottom), describe_match(top))
+                assert (bottom is None) == (top is None), ctx
+                if bottom is not None:
+                    assert bottom.len == top.len, ctx
+                assert same_shape(bottom, top), ctx
+            entries += len(memo)
+    assert entries > 2000

@@ -14,21 +14,27 @@ from pikaparse.oracle import describe_match, packrat_parse, same_shape
 def count_matcher_calls(monkeypatch, grammar, text):
     """Matcher calls made by one parse of text.
 
-    The grammar parses text once first: its dispatch entries are built on
-    first use, by calling each terminal's matcher once per entry.
+    Every matcher factory is wrapped so the matchers it builds count their
+    calls.  The grammar parses text once first: its dispatch entries are
+    built on first use, by calling each terminal's matcher once per entry.
     """
     parse(grammar, text)
     calls = [0]
 
-    def counted(matcher):
-        def call(*args):
-            calls[0] += 1
-            return matcher(*args)
+    def counted(factory):
+        def build(*args):
+            matcher = factory(*args)
 
-        return call
+            def call(pos):
+                calls[0] += 1
+                return matcher(pos)
 
-    for kind, matcher in list(engine._MATCHERS.items()):
-        monkeypatch.setitem(engine._MATCHERS, kind, counted(matcher))
+            return call
+
+        return build
+
+    for kind, factory in list(engine._FACTORIES.items()):
+        monkeypatch.setitem(engine._FACTORIES, kind, counted(factory))
     table = parse(grammar, text)
     monkeypatch.undo()
     assert table.matched_whole()
@@ -56,6 +62,7 @@ def test_keywords_that_cannot_start_cost_nothing(monkeypatch):
         for k in (10, 100, 1000)
     ]
     assert counts[0] == counts[1] == counts[2], counts
+    assert counts[0] > 0
 
 
 # perfbench/workloads.py's JSON grammar.

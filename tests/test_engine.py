@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pikaparse.clauses import First, GrammarError, Nothing, OneOrMore, Seq
-from pikaparse.engine import Match, parse
+from pikaparse.engine import Match, match_clause, parse
 from pikaparse.metagrammar import compile_grammar
 from pikaparse.oracle import packrat_parse, same_shape
 
@@ -29,6 +29,15 @@ def test_string_terminal():
     g = compile_grammar("A <- 'ab' 'cd';")
     assert parse(g, "abcd").matched_whole()
     assert parse(g, "abxd").start_match() is None
+
+
+def test_match_clause_reads_through_the_given_lookup():
+    g = compile_grammar("A <- 'a' 'b' ('c' / 'x' / 'y') 'd';")
+    t = parse(g, "abyd")
+    a = g.rule_clause("A")
+    m = match_clause(a, 0, "abyd", t.lookup)
+    assert m.len == 4 and same_shape(m, t.start_match())
+    assert match_clause(a, 1, "abyd", t.lookup) is None
 
 
 def test_choice_takes_first_alternative():
