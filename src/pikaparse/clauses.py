@@ -68,8 +68,8 @@ def escape_set_char(ch: str) -> str:
 class Clause:
     """Base class for all grammar clauses.
 
-    The analysis fields (clause_idx, can_match_zero_chars, seed_parent_clauses,
-    zero_idx) are populated by grammar assembly and are meaningless before it.
+    The analysis fields (clause_idx, can_match_zero_chars, zero_idx) are
+    populated by grammar assembly and are meaningless before it.
     """
 
     __slots__ = (
@@ -77,7 +77,6 @@ class Clause:
         "sub_clause_labels",
         "clause_idx",
         "can_match_zero_chars",
-        "seed_parent_clauses",
         "zero_idx",
     )
 
@@ -104,7 +103,6 @@ class Clause:
             raise GrammarError("label tuple length does not match subclause count")
         self.clause_idx = -1
         self.can_match_zero_chars = False
-        self.seed_parent_clauses = []
         self.zero_idx = 0
 
     @classmethod
@@ -359,10 +357,6 @@ class RuleRef(Clause):
 
     def _leaf_text(self):
         return self.rule_name
-
-
-SURFACE_KINDS = (FollowedBy, Optional, ZeroOrMore)
-CORE_KINDS = (Seq, First, OneOrMore, NotFollowedBy, Char, CharSet, Str, Nothing)
 
 
 class Rule:

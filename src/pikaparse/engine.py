@@ -4,11 +4,12 @@ Instead of recursive descent, the table is populated one input position at a
 time, from the last position to the first.  Within a position, a priority
 queue drains clauses in bottom-up order (lowest clause_idx first), and every
 stored or improved match reschedules the seed parents that could start at
-the same position.  Terminals are dispatched on the position's character:
-only the terminals that can start with it are tried, and the character
-alone decides a single-character terminal.  A terminal the character rules
-out counts as tried and failed, so its nullable seed parents still get
-their one courtesy evaluation at the position.  Because
+the same position, and nothing else schedules a clause.  Terminals are
+dispatched on the position's character: only the terminals that can start
+with it are tried, and the character alone decides a single-character
+terminal.  A clause that can match zero characters and that nothing
+evaluated at a position reads as a zero-length match there, so the fill
+never needs to evaluate a clause only to find its empty match.  Because
 everything to the right of the current position is already final, a clause's
 match can reference cyclic (left-recursive) structure through the memo table
 without infinite regress: improvements propagate around the cycle until a
@@ -46,7 +47,7 @@ from .clauses import (
     Seq,
     Str,
 )
-from .grammar import Grammar
+from .grammar import Grammar, same_position_subs
 
 
 class Match:
@@ -320,9 +321,10 @@ def match_clause(clause, pos, text, lookup):
 class MemoTable:
     """Stored matches per (clause, position), plus the machinery to fill them.
 
-    The table never stores matches for the always-empty terminal, and in
-    general holds no synthesized zero-length matches: lookup fabricates
-    those on demand for clauses that can match zero characters.
+    The table never stores matches for the always-empty terminal, and for
+    a grammar that assembles without a GrammarWarning it holds no
+    zero-length match at all: lookup fabricates those on demand for
+    clauses that can match zero characters.
 
     watermark_violations counts reads the fill made left of the column
     being filled; the fill order makes such reads unsound, so the counter
@@ -407,7 +409,6 @@ class MemoTable:
         if plan is None:
             plan = grammar.fill_plan = FillPlan(grammar)
         parents = plan.parents
-        nullable_parents = plan.nullable_parents
         bounds = plan.bounds
         entries = plan.entries
         clauses = grammar.all_clauses
@@ -427,19 +428,16 @@ class MemoTable:
         ]
         for pos in range(len(text) - 1, -1, -1):
             k = bisect_right(bounds, ord(text[pos]))
-            chars, heap, in_heap, courtesy = entries[k] or plan.entry(k)
+            chars, heap, in_heap = entries[k] or plan.entry(k)
             heap = list(heap)
             in_heap = bytearray(in_heap)
-            courtesy = bytearray(courtesy)
             for idx in chars:
                 tables[idx][pos] = Match(clauses[idx], pos, 1)
             # An evaluation stores its match if it is the clause's first or
             # an improvement (a longer match, or an earlier alternative of an
             # ordered choice: only its matches carry an alt_idx other than
-            # 0), and then schedules every seed parent.  Otherwise a parent
-            # that can match zero characters gets one courtesy evaluation
-            # per position; capping it at one keeps chains of such parents
-            # from rescheduling each other forever.
+            # 0), and then schedules every seed parent.  Otherwise the
+            # clause's entry, and so what its parents read, is unchanged.
             while heap:
                 idx = heappop(heap)
                 in_heap[idx] = 0
@@ -453,13 +451,6 @@ class MemoTable:
                             if not in_heap[i]:
                                 in_heap[i] = 1
                                 heappush(heap, i)
-                        continue
-                for i in nullable_parents[idx]:
-                    if not courtesy[i]:
-                        courtesy[i] = 1
-                        if not in_heap[i]:
-                            in_heap[i] = 1
-                            heappush(heap, i)
 
 
 def _or_empty(clause, get):
@@ -479,9 +470,11 @@ class FillPlan:
     """What filling a grammar's table needs beyond its clauses.
 
     Built on the grammar's first parse and kept as grammar.fill_plan.
-    parents[i] and nullable_parents[i] hold the clause indices of clause
-    i's seed parents: all of them, and those that can match zero
-    characters.
+    parents[i] holds the clause indices of clause i's seed parents, the
+    clauses to reschedule when it stores or improves a match: every clause
+    that lists it in same_position_subs, once each, in clause order.  A
+    NotFollowedBy is evaluated on demand and is no one's seed parent,
+    although its operand is tried at its own position.
 
     Terminals are dispatched on the column's character.  bounds splits the
     code points wherever a Char, a CharSet range or a Str's first character
@@ -492,20 +485,19 @@ class FillPlan:
     grows with the grammar, never with the texts parsed.
     """
 
-    __slots__ = ("parents", "nullable_parents", "bounds", "entries", "_terminals")
+    __slots__ = ("parents", "bounds", "entries", "_terminals")
 
     def __init__(self, grammar: Grammar):
         clauses = grammar.all_clauses
         self._terminals = [
             c for c in clauses if c.is_terminal and type(c) is not Nothing
         ]
-        self.parents = [
-            tuple(p.clause_idx for p in c.seed_parent_clauses) for c in clauses
-        ]
-        self.nullable_parents = [
-            tuple(p.clause_idx for p in c.seed_parent_clauses if p.can_match_zero_chars)
-            for c in clauses
-        ]
+        parents = [[] for _ in clauses]
+        for p in clauses:
+            if type(p) is not NotFollowedBy:
+                for sub in dict.fromkeys(same_position_subs(p)):
+                    parents[sub.clause_idx].append(p.clause_idx)
+        self.parents = list(map(tuple, parents))
         bounds = set()
         for c in self._terminals:
             if type(c) is CharSet:
@@ -519,7 +511,7 @@ class FillPlan:
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, initial
-        heap, in-heap flags, courtesy flags).
+        heap, in-heap flags).
 
         A terminal is decided by its own matcher on the interval's lowest
         code point (followed by the rest of a Str), so make_matcher stays
@@ -527,34 +519,28 @@ class FillPlan:
         terminals that match are stored without another call, and their
         seed parents are scheduled.  A Str that can start here is
         scheduled itself; terminals come first in clause order, so the
-        heap tries it before any clause that reads it.  The nullable seed
-        parents of every terminal the character rules out are scheduled
-        too, spending their one courtesy evaluation of the column.
+        heap tries it before any clause that reads it.  A terminal the
+        character rules out schedules nothing.
         """
         ch = chr(self.bounds[k - 1]) if k else "\0"
-        chars, scheduled, courtesy = [], set(), set()
+        chars, scheduled = [], set()
         for t in self._terminals:
             kind = type(t)
             probe = ch + t.string[1:] if kind is Str else ch
             if make_matcher(t, probe, None)(0) is None:
-                courtesy.update(self.nullable_parents[t.clause_idx])
-            elif kind is Str:
+                continue
+            if kind is Str:
                 scheduled.add(t.clause_idx)
             else:
                 chars.append(t.clause_idx)
                 scheduled.update(self.parents[t.clause_idx])
-        scheduled |= courtesy
         in_heap = bytearray(len(self.parents))
-        courtesy_flags = bytearray(len(self.parents))
         for i in scheduled:
             in_heap[i] = 1
-        for i in courtesy:
-            courtesy_flags[i] = 1
         e = self.entries[k] = (
             tuple(chars),
             tuple(sorted(scheduled)),  # a sorted list is a heap
             bytes(in_heap),
-            bytes(courtesy_flags),
         )
         return e
 

@@ -1,5 +1,5 @@
 """Grammar assembly: lowering, topological ordering, nullability and
-seed-parent analysis.
+validation.
 
 `assemble_grammar` runs the whole pipeline over a flat rule list (precedence
 shorthand must already be expanded, see metagrammar.rewrite_precedence_hierarchy)
@@ -13,8 +13,8 @@ and returns a Grammar ready for the matching engine:
 2. topologically order clauses bottom-up and assign clause_idx
 3. compute can_match_zero_chars (fixed point over cycles)
 4. validate (empty-match placement, nullable repetition bodies, lookahead
-   cycles) and warn on dead First alternatives
-5. compute seed parent clauses
+   cycles, empty matches that depend on a lookahead) and warn on dead First
+   alternatives
 """
 from __future__ import annotations
 
@@ -310,7 +310,7 @@ def topo_sort_clauses(rules, lowest_precedence_clauses=()):
 
 
 # ---------------------------------------------------------------------------
-# nullability and seed parents
+# nullability
 
 def compute_can_match_zero_chars(all_clauses):
     """Fixed-point nullability, starting every clause at False.
@@ -346,23 +346,6 @@ def compute_can_match_zero_chars(all_clauses):
             )
 
 
-def compute_seed_parents(all_clauses):
-    """Record, per clause, the parents to reschedule when it matches.
-
-    A parent belongs in a child's seed list when the child's match can begin
-    at the position the parent's match would, which is what
-    same_position_subs lists.  Each parent appears once per child.
-    NotFollowedBy is evaluated on demand and seeds nothing, although its
-    operand is tried at its own position.
-    """
-    for c in all_clauses:
-        c.seed_parent_clauses = []
-    for parent in all_clauses:
-        if not isinstance(parent, NotFollowedBy):
-            for sub in dict.fromkeys(same_position_subs(parent)):
-                sub.seed_parent_clauses.append(parent)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -372,6 +355,22 @@ def _validate(rules, all_clauses):
             raise GrammarError(
                 "the empty-match clause () cannot come first in %r; matching "
                 "would never be triggered through it" % c
+            )
+        # Where nothing is stored, a clause that can match zero characters
+        # reads as a zero-length match, which assumes that match cannot
+        # fail.  It can if a lookahead is part of it: an element of a Seq,
+        # or the alternative a First's empty match takes.  Direct parts are
+        # enough to check, because any clause whose empty match holds a
+        # lookahead deeper down holds such a Seq or First.
+        if isinstance(c, First):
+            empty_parts = (c.sub_clauses[c.zero_idx],)
+        else:
+            empty_parts = c.sub_clauses if isinstance(c, Seq) else ()
+        if c.can_match_zero_chars and any(isinstance(s, NotFollowedBy) for s in empty_parts):
+            raise GrammarError(
+                "%r matches zero characters only if a lookahead in it "
+                "succeeds, and the parser cannot check that where it "
+                "assumes the empty match" % c
             )
         if isinstance(c, OneOrMore) and c.sub_clauses[0].can_match_zero_chars:
             raise GrammarError(
@@ -457,6 +456,5 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
     all_clauses = topo_sort_clauses(rules, lowest)
     compute_can_match_zero_chars(all_clauses)
     _validate(rules, all_clauses)
-    compute_seed_parents(all_clauses)
 
     return Grammar(rules, all_clauses, start_rule)

@@ -95,8 +95,14 @@ def next_match_after(table: MemoTable, rule_name: str, pos: int, min_len: int = 
 
     Binary search over the descending position list; returns a Match or
     None.  min_len filters out degenerate matches (zero-length by default).
+    With min_len 0, a rule that can match zero characters matches at pos
+    itself, although the table stores no empty matches.
     """
     clause = table.grammar.rule_clause(rule_name)
+    if min_len < 1 and 0 <= pos <= len(table.text):
+        m = table.lookup(clause, pos)
+        if m is not None:
+            return m
     return _first_match_from(table, clause, pos, min_len)
 
 
@@ -106,8 +112,11 @@ def covering_matches(table: MemoTable, rule_names=None, min_len: int = 1):
     At each offset, the match of any rule of interest with the earliest
     start at or after the offset wins, longest match breaking ties; the
     walk then resumes at its end.  These are the recovered islands around
-    the error spans.
+    the error spans.  min_len must be at least 1: an empty island would not
+    move the walk.
     """
+    if min_len < 1:
+        raise ValueError("min_len must be at least 1, got %r" % (min_len,))
     clauses = _clauses_of_interest(table, rule_names)
     n = len(table.text)
     out = []

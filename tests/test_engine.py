@@ -2,14 +2,16 @@
 recursion, lookahead, zero-length economy."""
 
 import random
+import warnings
 
 import pytest
 
-from pikaparse.clauses import First, GrammarError, Nothing, OneOrMore, Seq
+from pikaparse.clauses import First, GrammarError, GrammarWarning, Nothing, OneOrMore, Seq
 from pikaparse.engine import Match, match_clause, parse
 from pikaparse.metagrammar import compile_grammar
 from pikaparse.oracle import packrat_parse, same_shape
 
+from gram_gen import random_grammar, sample_input
 from helpers import ARITH_LEFTREC, compile_leftrec
 
 
@@ -150,25 +152,39 @@ def test_nothing_is_never_stored():
     assert all(not isinstance(m.clause, Nothing) for m in t.all_stored())
 
 
-def test_evaluated_zero_length_match_is_stored():
-    # A failed terminal gives its nullable parents a courtesy evaluation,
-    # so the zero-length Optional match at position 0 lands in the table.
-    g = compile_grammar("A <- 'x'? 'y';")
-    t = parse(g, "y")
-    opt = g.rule_clause("A").sub_clauses[0]
-    m = t.stored(opt, 0)
-    assert m is not None and m.len == 0 and m.alt_idx == 1
-
-
 def test_synthesized_zero_length_lookup():
-    # Past the last column nothing was ever evaluated, so lookup answers
-    # for nullable clauses by synthesizing an empty match on the spot.
+    # 'x' matches nowhere, so nothing schedules the Optional: the table holds
+    # no empty match for it, in the text or past its end, and lookup
+    # synthesizes one on the spot.
     g = compile_grammar("A <- 'x'? 'y';")
     t = parse(g, "y")
     opt = g.rule_clause("A").sub_clauses[0]
-    assert t.stored(opt, 1) is None
-    synth = t.lookup(opt, 1)
-    assert synth.len == 0 and synth.alt_idx == 1 and synth.sub_matches == ()
+    for pos in (0, 1):
+        assert t.stored(opt, pos) is None
+        synth = t.lookup(opt, pos)
+        assert synth.len == 0 and synth.alt_idx == 1 and synth.sub_matches == ()
+    assert t.matched_whole()
+
+
+def test_warning_free_grammars_store_only_consuming_matches():
+    # The fill evaluates a clause only after a seed child stored or improved
+    # a match, and without an always-matching alternative before the last,
+    # a clause read through a consuming child consumes too.  Empty matches
+    # are then only ever synthesized.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GrammarWarning)
+        cases = [
+            (compile_grammar("N <- '-'? [0-9]+;"), ["-12", "7", "-", "x-1", ""]),
+            (compile_grammar("A <- 'x'? 'y';"), ["y", "xy", "x", "yy", "qy"]),
+        ]
+        rng = random.Random(2026)
+        for _ in range(100):
+            g, alphabet = random_grammar(rng)
+            cases.append((g, [sample_input(rng, g, alphabet) for _ in range(5)]))
+    for g, texts in cases:
+        for text in texts:
+            stored = parse(g, text).all_stored()
+            assert all(m.len > 0 for m in stored), (g, text)
 
 
 def test_optional_chain_matches_sparse_input():

@@ -1,9 +1,10 @@
 """Grammar assembly pipeline: lowering (sugar, chained repetitions,
-interning, reference resolution), ordering, nullability, seed parents,
-validation."""
+interning, reference resolution), ordering, nullability, validation; and
+the seed parents the engine's fill plan derives from it."""
 
 import random
 import time
+import warnings
 
 import pytest
 
@@ -23,7 +24,7 @@ from pikaparse.clauses import (
     Seq,
     ZeroOrMore,
 )
-from pikaparse.engine import parse
+from pikaparse.engine import FillPlan, parse
 from pikaparse.tree import extract_parse_tree
 from pikaparse.grammar import MAX_CLAUSE_DEPTH, assemble_grammar, depth_first
 from pikaparse.metagrammar import compile_grammar, render_grammar
@@ -292,20 +293,24 @@ def test_zero_idx_of_star_chain():
 
 # === seed parents ===
 
+def seed_parents(g, clause):
+    return [g.all_clauses[i] for i in FillPlan(g).parents[clause.clause_idx]]
+
+
 def test_seq_seeds_prefix_through_first_consumer():
     g = compile_grammar("A <- 'a'? 'b' 'c';")
     seq = g.rule_clause("A")
     opt, b, c = seq.sub_clauses
-    assert seq in opt.seed_parent_clauses
-    assert seq in b.seed_parent_clauses
-    assert seq not in c.seed_parent_clauses
+    assert seq in seed_parents(g, opt)
+    assert seq in seed_parents(g, b)
+    assert seq not in seed_parents(g, c)
 
 
 def test_first_seeds_every_alternative():
     g = compile_grammar("A <- 'a' / 'b' / 'c';")
     first = g.rule_clause("A")
     for s in first.sub_clauses:
-        assert first in s.seed_parent_clauses
+        assert first in seed_parents(g, s)
 
 
 def test_lookahead_boundary_blocks_seeding():
@@ -317,8 +322,8 @@ def test_lookahead_boundary_blocks_seeding():
     # demand, so no seeding interest crosses the lookahead boundary.  The
     # lookahead itself still registers in its sequence's prefix like any
     # other element that can match empty, it just never fires.
-    assert probe.seed_parent_clauses == []
-    assert nfb.seed_parent_clauses == [seq]
+    assert seed_parents(g, probe) == []
+    assert seed_parents(g, nfb) == [seq]
 
 
 def test_climb_seed_parent_spot_checks():
@@ -326,7 +331,7 @@ def test_climb_seed_parent_spot_checks():
     e0 = g.rule_clause("E0")
     e1 = g.rule_clause("E1")
     seq = e0.sub_clauses[0]
-    assert set(e1.seed_parent_clauses) == {seq, e0}
+    assert set(seed_parents(g, e1)) == {seq, e0}
 
 
 # === validation ===
@@ -347,14 +352,25 @@ def test_empty_match_first_in_choice_rejected():
         assemble_grammar([Rule("A", First((Nothing(), Char("b"))))])
 
 
+@pytest.mark.parametrize("text", [
+    "S <- A 'x'; A <- !'x' !'y';",
+    "S <- A 'x'; A <- &'y' / !'x';",
+    "S <- A [a-z]; A <- 'a'? !'b';",
+])
+def test_empty_match_through_a_lookahead_rejected(text):
+    # Each would read A as an empty match where its lookahead fails.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GrammarWarning)
+        with pytest.raises(GrammarError, match="only if a lookahead"):
+            compile_grammar(text)
+
+
 def test_dead_alternative_warns():
     with pytest.warns(GrammarWarning, match="unreachable"):
         compile_grammar("A <- 'a'* / 'c';")
 
 
 def test_repetition_tails_do_not_warn():
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile_grammar("A <- 'a'* 'b';")

@@ -1,11 +1,12 @@
 """The top-down reference parser and the match-shape comparator."""
 
+import itertools
 import random
 
 import pytest
 
 from pikaparse import NotFollowedBy, compile_grammar, parse
-from pikaparse.engine import Match
+from pikaparse.engine import FillPlan, Match
 from pikaparse.oracle import (
     LeftRecursionError,
     describe_match,
@@ -50,7 +51,8 @@ def test_hidden_left_recursion_through_nullable_prefix():
         ensure_no_left_recursion(g)
     lookahead = g.rule_clause("A").sub_clauses[0].sub_clauses[0]
     assert isinstance(lookahead, NotFollowedBy)
-    assert lookahead not in g.rule_clause("A").seed_parent_clauses
+    a = g.rule_clause("A")
+    assert lookahead.clause_idx not in FillPlan(g).parents[a.clause_idx]
 
 
 def test_right_recursion_is_fine():
@@ -80,6 +82,18 @@ def test_agreement_on_random_character_soup():
         bottom = parse(g, text).start_match()
         top = packrat_parse(g, text).match
         assert same_shape(bottom, top), text
+
+
+@pytest.mark.parametrize("grammar", ["A <- !'x' 'y';", "A <- ('a' !'b')?;", "A <- &'y';"])
+def test_agreement_with_lookaheads_outside_empty_matches(grammar):
+    # Assembly accepts these: no empty match depends on a lookahead.
+    g = compile_grammar(grammar)
+    for n in range(4):
+        for chars in itertools.product("abxy", repeat=n):
+            text = "".join(chars)
+            bottom = parse(g, text).start_match()
+            top = packrat_parse(g, text).match
+            assert same_shape(bottom, top), text
 
 
 def test_agreement_includes_match_length():

@@ -1,5 +1,7 @@
 """Error-span discovery and resume points read from a filled memo table."""
 
+import pytest
+
 from pikaparse import compile_grammar, parse
 from pikaparse.recovery import (
     ErrorSpan,
@@ -100,7 +102,29 @@ def test_min_len_filters_empty_matches():
     assert m is not None and m.len == 0
 
 
+def test_min_len_zero_finds_the_empty_match_at_pos():
+    # The table stores no empty match; a nullable rule matches at any
+    # position of the text and at its end, and nowhere past it.
+    g = compile_grammar("S <- O 'b'; O <- 'a'?;")
+    t = parse(g, "bab")
+    assert t.stored(g.rule_clause("O"), 0) is None
+    for pos in (0, 3):
+        m = next_match_after(t, "O", pos, min_len=0)
+        assert (m.pos, m.len) == (pos, 0)
+    m = next_match_after(t, "O", 1, min_len=0)
+    assert (m.pos, m.len) == (1, 1)
+    assert next_match_after(t, "O", 4, min_len=0) is None
+
+
 # === recovered islands ===
+
+def test_islands_need_a_positive_min_len():
+    # An empty island would not move the walk.
+    t = parse(compile_grammar("S <- O 'b'; O <- 'a'?;"), "b")
+    for min_len in (0, -1):
+        with pytest.raises(ValueError, match="min_len"):
+            covering_matches(t, ["O"], min_len=min_len)
+
 
 def test_islands_around_corruption():
     t = table("a=1;##b=2;")
