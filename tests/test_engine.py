@@ -152,6 +152,21 @@ def test_nothing_is_never_stored():
     assert all(not isinstance(m.clause, Nothing) for m in t.all_stored())
 
 
+def test_evaluated_zero_length_match_is_stored():
+    # The fill never schedules a clause just to store an empty match, but a
+    # clause it does evaluate stores whatever it yields.  Here 'y' matching
+    # schedules the First, whose always-matching first alternative makes
+    # that an empty match at position 0.
+    with pytest.warns(GrammarWarning, match="always matches"):
+        g = compile_grammar("A <- ('x'? / 'y') 'z';")
+    t = parse(g, "yz")
+    first = g.rule_clause("A").sub_clauses[0]
+    m = t.stored(first, 0)
+    assert m is not None and m.len == 0 and m.alt_idx == 0
+    assert t.stored(first.sub_clauses[0], 0) is None
+    assert not t.matched_whole()
+
+
 def test_synthesized_zero_length_lookup():
     # 'x' matches nowhere, so nothing schedules the Optional: the table holds
     # no empty match for it, in the text or past its end, and lookup
