@@ -17,6 +17,12 @@ Those constraints also keep the generated grammars inside the space
 where synthesized zero-length matches (the bottom-up engine never stores
 them) coincide with what a top-down parse of the same clause would
 produce.
+
+random_leftrec_grammar drops the first constraint on purpose: its start
+rule is left-recursive, directly or through a second rule, over helper
+rules from the generator above.  Only the bottom-up engine and the
+exhaustive enumerator in enum_oracle can check those, on short inputs
+from sample_short_input.
 """
 
 import random
@@ -171,6 +177,61 @@ def random_grammar(rng):
             return g, alphabet
 
 
+def random_leftrec_rules(rng):
+    """Rules whose start rule L is left-recursive, plus helper rules from
+    random_rules: directly (L <- L x / y, sometimes with a second growing
+    alternative) or through a second rule (L <- M x / y; M <- L z / w).
+    Operands consume input: terminals, pairs of them, or references to
+    helper rules that cannot match zero characters.  None if the helper
+    rules do not assemble.
+    """
+    helpers, alphabet = random_rules(rng)
+    try:
+        g = assemble_grammar(helpers, rewrite_repetitions=False)
+    except Exception:
+        return None
+    usable = [r.name for r in helpers if not g.rule_clause(r.name).can_match_zero_chars]
+
+    def operand():
+        roll = rng.random()
+        if usable and roll < 0.3:
+            return RuleRef(rng.choice(usable))
+        if roll < 0.45:
+            return Seq((_terminal(rng, alphabet).clause, _terminal(rng, alphabet).clause))
+        return _terminal(rng, alphabet).clause
+
+    def grow(ref):
+        return Seq((RuleRef(ref), operand()))
+
+    if rng.random() < 0.5:
+        alts = [grow("L")]
+        if rng.random() < 0.3:
+            alts.append(grow("L"))
+        rules = [Rule("L", First(tuple(alts) + (operand(),)))]
+    else:
+        rules = [
+            Rule("L", First((grow("M"), operand()))),
+            Rule("M", First((grow("L"), operand()))),
+        ]
+    return rules + helpers, alphabet
+
+
+def random_leftrec_grammar(rng, max_clauses=24):
+    """An assembled left-recursive grammar, plus alphabet.  Repetitions
+    are chained or greedy at random."""
+    while True:
+        got = random_leftrec_rules(rng)
+        if got is None:
+            continue
+        rules, alphabet = got
+        try:
+            g = assemble_grammar(rules, rewrite_repetitions=rng.random() < 0.7)
+        except Exception:
+            continue
+        if len(g.all_clauses) <= max_clauses:
+            return g, alphabet
+
+
 # ----------------------------------------------------------------------
 # input sampling
 
@@ -254,3 +315,18 @@ def _mutate(rng, s, alphabet):
     if roll < 0.8:
         return s[:i] + rng.choice(alphabet) + s[i + 1 :]
     return s[:i]
+
+
+def sample_short_input(rng, grammar, alphabet, max_len=10):
+    """Like sample_input, but at most max_len characters, and a derived
+    string is the longest of a few tries, so left-recursive rules grow
+    over several operands."""
+    roll = rng.random()
+    if roll < 0.85:
+        tries = [derive(rng, grammar, budget=40) for _ in range(4)]
+        s = max((t for t in tries if len(t) <= max_len), key=len, default=tries[0])
+        if roll >= 0.6:
+            s = _mutate(rng, s, alphabet)
+    else:
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
+    return s[:max_len]

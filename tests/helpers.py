@@ -11,7 +11,7 @@ add/sub), encoded three ways:
 - ARITH_SHORTHAND: bracket notation that expands to ARITH_LEFTREC
 """
 
-from pikaparse import compile_grammar, extract_parse_tree, parse
+from pikaparse import compile_grammar, engine, extract_parse_tree, parse
 
 ARITH_CLIMB = """
 E4 <- '(' E0 ')';
@@ -40,6 +40,20 @@ E[0,L] <- E ('+' / '-') E;
 ASSIGN = """
 Program <- Assign+;
 Assign <- lhs:[a-z]+ '=' rhs:[0-9]+ ';';
+"""
+
+
+# perfbench/workloads.py's JSON grammar.
+JSON_GRAMMAR = r"""
+Doc <- WS v:Value WS;
+Value <- obj:Object / arr:Array / str:String / num:Number / lit:('true' / 'false' / 'null');
+Object <- '{' WS (mem:Member (WS ',' WS mem:Member)*)? WS '}';
+Member <- key:String WS ':' WS val:Value;
+Array <- '[' WS (item:Value (WS ',' WS item:Value)*)? WS ']';
+String <- '"' ('\\' (["\\/bfnrt] / 'u' Hex Hex Hex Hex) / !["\\] [^])* '"';
+Hex <- [0-9a-fA-F];
+Number <- '-'? ('0' / [1-9] [0-9]*) ('.' [0-9]+)? ([eE] ('+' / '-')? [0-9]+)?;
+WS <- [ \t\n\r]*;
 """
 
 
@@ -86,3 +100,33 @@ def _named_items(grammar, node):
     if name:
         return ["(%s %s)" % (name, " ".join(inner))]
     return inner
+
+
+def count_matcher_calls(monkeypatch, grammar, text):
+    """Matcher calls made by one parse of text.
+
+    Every matcher factory is wrapped so the matchers it builds count their
+    calls.  The grammar parses text once first: its dispatch entries are
+    built on first use, by calling each terminal's matcher once per entry.
+    """
+    parse(grammar, text)
+    calls = [0]
+
+    def counted(factory):
+        def build(*args):
+            matcher = factory(*args)
+
+            def call(pos):
+                calls[0] += 1
+                return matcher(pos)
+
+            return call
+
+        return build
+
+    for kind, factory in list(engine._FACTORIES.items()):
+        monkeypatch.setitem(engine._FACTORIES, kind, counted(factory))
+    table = parse(grammar, text)
+    monkeypatch.undo()
+    assert table.matched_whole()
+    return calls[0]

@@ -7,38 +7,10 @@ a grammar keeps grows with the grammar, not with the texts it parses.
 
 import pytest
 
-from pikaparse import compile_grammar, engine, parse
+from pikaparse import compile_grammar, parse
 from pikaparse.oracle import describe_match, packrat_parse, same_shape
 
-
-def count_matcher_calls(monkeypatch, grammar, text):
-    """Matcher calls made by one parse of text.
-
-    Every matcher factory is wrapped so the matchers it builds count their
-    calls.  The grammar parses text once first: its dispatch entries are
-    built on first use, by calling each terminal's matcher once per entry.
-    """
-    parse(grammar, text)
-    calls = [0]
-
-    def counted(factory):
-        def build(*args):
-            matcher = factory(*args)
-
-            def call(pos):
-                calls[0] += 1
-                return matcher(pos)
-
-            return call
-
-        return build
-
-    for kind, factory in list(engine._FACTORIES.items()):
-        monkeypatch.setitem(engine._FACTORIES, kind, counted(factory))
-    table = parse(grammar, text)
-    monkeypatch.undo()
-    assert table.matched_whole()
-    return calls[0]
+from helpers import JSON_GRAMMAR, count_matcher_calls
 
 
 KEYWORD_INPUT = "let x be y and z or w " * 20
@@ -63,20 +35,6 @@ def test_keywords_that_cannot_start_cost_nothing(monkeypatch):
     ]
     assert counts[0] == counts[1] == counts[2], counts
     assert counts[0] > 0
-
-
-# perfbench/workloads.py's JSON grammar.
-JSON_GRAMMAR = r"""
-Doc <- WS v:Value WS;
-Value <- obj:Object / arr:Array / str:String / num:Number / lit:('true' / 'false' / 'null');
-Object <- '{' WS (mem:Member (WS ',' WS mem:Member)*)? WS '}';
-Member <- key:String WS ':' WS val:Value;
-Array <- '[' WS (item:Value (WS ',' WS item:Value)*)? WS ']';
-String <- '"' ('\\' (["\\/bfnrt] / 'u' Hex Hex Hex Hex) / !["\\] [^])* '"';
-Hex <- [0-9a-fA-F];
-Number <- '-'? ('0' / [1-9] [0-9]*) ('.' [0-9]+)? ([eE] ('+' / '-')? [0-9]+)?;
-WS <- [ \t\n\r]*;
-"""
 
 
 def json_string(first_code_point, n):

@@ -1,0 +1,83 @@
+"""Flat left-recursive operator runs keep the memo table linear in memory.
+
+A run of k operands under a left-associative level grows a left-nested
+seed at every operand's column, so its fill costs Theta(k^2) evaluations:
+that is the fixpoint the pika parser computes.  Its memory does not have to
+grow that way.  The final matches of a column still hold the growth steps
+they superseded, and the engine cuts those and rebuilds them on demand, so
+retained bytes per char stay flat across run lengths and close to those of
+a right-nested input of the same operands.
+"""
+
+import functools
+import gc
+import tracemalloc
+
+from pikaparse import extract_parse_tree, parse
+from pikaparse.bench import expression_grammar
+
+from helpers import count_matcher_calls
+
+RUNS = (40, 160, 320)
+
+
+def flat_sum(k):
+    return "+".join(["ab"] * k)
+
+
+def right_nested_sum(k):
+    text = "ab"
+    for _ in range(k - 1):
+        text = "ab+(" + text + ")"
+    return text
+
+
+def retained_bytes_per_char(grammar, text):
+    """Bytes the filled table keeps alive, per input char."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        table = parse(grammar, text)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    del table
+    return kept / len(text)
+
+
+def operands(node):
+    """The tree of a sum as nested (left, op, right) tuples of text."""
+    kids = node.children
+    if len(kids) == 1 and node.name == "E0":
+        return operands(kids[0])
+    if len(kids) == 3:
+        return (operands(kids[0]), kids[1].text, kids[2].text)
+    return node.text
+
+
+def test_flat_runs_retain_linear_memory(monkeypatch):
+    g = expression_grammar()
+    parse(g, flat_sum(3))  # builds the grammar's fill plan
+    nested = retained_bytes_per_char(g, right_nested_sum(RUNS[1]))
+    flat = {k: retained_bytes_per_char(g, flat_sum(k)) for k in RUNS}
+    calls = {k: count_matcher_calls(monkeypatch, g, flat_sum(k)) / len(flat_sum(k)) for k in RUNS}
+    for k in RUNS:
+        print("k=%d: %.0f B/char retained, %.1f matcher calls/char" % (k, flat[k], calls[k]))
+    print("right-nested k=%d: %.0f B/char retained" % (RUNS[1], nested))
+    assert max(flat.values()) <= 2 * min(flat.values()), flat
+    for k in RUNS:
+        assert flat[k] <= 2 * nested, (k, flat[k], nested)
+    # The fill's work per run stays quadratic: per char it grows with k.
+    assert calls[RUNS[0]] < calls[RUNS[1]] < calls[RUNS[2]]
+
+
+def test_flat_runs_parse_as_the_left_fold():
+    g = expression_grammar()
+    for k in RUNS:
+        table = parse(g, flat_sum(k))
+        assert table.matched_whole()
+        assert table.watermark_violations == 0
+        expected = functools.reduce(lambda left, right: (left, "+", right), ["ab"] * k)
+        assert operands(extract_parse_tree(table)) == expected
