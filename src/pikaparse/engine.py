@@ -454,63 +454,38 @@ class MemoTable:
         # improvement (a longer match, or an earlier alternative of an
         # ordered choice: only its matches carry an alt_idx other than 0),
         # and then schedules every seed parent.  Otherwise the clause's
-        # entry, and so what its parents read, is unchanged.  Only a grammar
-        # with FillPlan.holders has superseded growth steps worth cutting,
-        # so only its fill counts improvements; any other runs the plain
-        # loop.
-        columns = range(len(text) - 1, -1, -1)
-        if not plan.holders:
-            for pos in columns:
-                k = bisect_right(bounds, ord(text[pos]))
-                chars, heap, in_heap = entries[k] or plan.entry(k)
-                heap = list(heap)
-                in_heap = bytearray(in_heap)
-                for idx in chars:
-                    tables[idx][pos] = Match(clauses[idx], pos, 1)
-                while heap:
-                    idx = heappop(heap)
-                    in_heap[idx] = 0
-                    m = matchers[idx](pos)
-                    if m is not None:
-                        tbl = tables[idx]
-                        old = tbl.get(pos)
-                        if old is None or m.len > old.len or m.alt_idx < old.alt_idx:
-                            tbl[pos] = m
-                            for i in parents[idx]:
-                                if not in_heap[i]:
-                                    in_heap[i] = 1
-                                    heappush(heap, i)
-        else:
-            cut = self._cutter(plan.holders)
-            for pos in columns:
-                k = bisect_right(bounds, ord(text[pos]))
-                chars, heap, in_heap = entries[k] or plan.entry(k)
-                heap = list(heap)
-                in_heap = bytearray(in_heap)
-                for idx in chars:
-                    tables[idx][pos] = Match(clauses[idx], pos, 1)
-                # Each improvement supersedes one match; a column with two or
-                # fewer holds too few to be worth cutting.
-                grew = 0
-                while heap:
-                    idx = heappop(heap)
-                    in_heap[idx] = 0
-                    m = matchers[idx](pos)
-                    if m is None:
+        # entry, and so what its parents read, is unchanged.  Each
+        # improvement supersedes one match; a column with two or fewer
+        # holds too few to be worth cutting, and only a grammar with
+        # FillPlan.holders has any to cut.
+        cut = self._cutter(plan.holders) if plan.holders else None
+        for pos in range(len(text) - 1, -1, -1):
+            k = bisect_right(bounds, ord(text[pos]))
+            chars, heap, in_heap = entries[k] or plan.entry(k)
+            heap = list(heap)
+            in_heap = bytearray(in_heap)
+            for idx in chars:
+                tables[idx][pos] = Match(clauses[idx], pos, 1)
+            grew = 0
+            while heap:
+                idx = heappop(heap)
+                in_heap[idx] = 0
+                m = matchers[idx](pos)
+                if m is None:
+                    continue
+                tbl = tables[idx]
+                old = tbl.get(pos)
+                if old is not None:
+                    if m.len <= old.len and m.alt_idx >= old.alt_idx:
                         continue
-                    tbl = tables[idx]
-                    old = tbl.get(pos)
-                    if old is not None:
-                        if m.len <= old.len and m.alt_idx >= old.alt_idx:
-                            continue
-                        grew += 1
-                    tbl[pos] = m
-                    for i in parents[idx]:
-                        if not in_heap[i]:
-                            in_heap[i] = 1
-                            heappush(heap, i)
-                if grew > 2:
-                    cut(pos)
+                    grew += 1
+                tbl[pos] = m
+                for i in parents[idx]:
+                    if not in_heap[i]:
+                        in_heap[i] = 1
+                        heappush(heap, i)
+            if grew > 2 and cut is not None:
+                cut(pos)
         matchers.clear()  # the entries not yet built refer to the list
 
     def _cutter(self, holders):

@@ -155,9 +155,10 @@ def same_shape(a, b) -> bool:
             continue
         if type(x.clause) is First and x.alt_idx != y.alt_idx:
             return False
-        if len(x.sub_matches) != len(y.sub_matches):
+        xs, ys = x.sub_matches, y.sub_matches
+        if len(xs) != len(ys):
             return False
-        stack.extend(zip(x.sub_matches, y.sub_matches))
+        stack.extend(zip(xs, ys))
     return True
 
 

@@ -87,10 +87,13 @@ def _repeats(m: Match):
     match holds its first repeat and then the match of the rest."""
     if not m.clause.chained:
         return m.sub_matches
-    items = [m.sub_matches[0]]
-    while len(m.sub_matches) == 2:
-        m = m.sub_matches[1]
-        items.append(m.sub_matches[0])
+    # A cut match rebuilds its children on every read of sub_matches, so
+    # each node's are read once.
+    subs = m.sub_matches
+    items = [subs[0]]
+    while len(subs) == 2:
+        subs = subs[1].sub_matches
+        items.append(subs[0])
     return items
 
 

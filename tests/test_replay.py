@@ -10,14 +10,14 @@ import weakref
 
 import pytest
 
-from pikaparse import compile_grammar, engine, extract_parse_tree, parse
+from pikaparse import compile_grammar, engine, extract_parse_tree, parse, tree
 from pikaparse.bench import expression_grammar
-from pikaparse.clauses import NotFollowedBy
+from pikaparse.clauses import NotFollowedBy, OneOrMore
 from pikaparse.engine import FillPlan, MemoTable
 
 from enum_oracle import all_trees, norm_match
 from gram_gen import random_leftrec_grammar, sample_short_input
-from helpers import JSON_GRAMMAR, compile_leftrec
+from helpers import JSON_GRAMMAR, compile_leftrec, shape
 
 
 def walk(m):
@@ -153,6 +153,43 @@ def test_walking_cuts_leaves_the_table_as_it_was():
         assert list(table._tables[c.clause_idx]) == positions[id(c)]
         assert table.match_positions(c) == positions[id(c)]
     assert table.watermark_violations == 0
+
+
+def test_a_cut_repetition_replays_once_per_node(monkeypatch):
+    # L+ grows with L on the same column, so its superseded steps are cut.
+    # Reading a chained repetition's repeats reads each node's children
+    # once, so it replays once per cut node of the chain.
+    g = compile_grammar("L <- L+ 'x' / 'y';")
+    text = "yxxxx"
+    table = parse(g, text)
+    uncut = uncut_table(monkeypatch, g, text)
+    assert table.matched_whole()
+    replays = []
+    replay = engine._Source.replay
+    monkeypatch.setattr(
+        engine._Source, "replay", lambda self, cut: replays.append(cut) or replay(self, cut)
+    )
+    checked = 0
+    for m in table.all_stored():
+        for j, c in enumerate(m.sub_matches):
+            if type(c) is not engine._Cut:
+                continue
+            assert type(c.clause) is OneOrMore and c.clause.chained
+            cut_nodes, node = 0, c
+            while True:
+                cut_nodes += type(node) is engine._Cut
+                subs = node.sub_matches
+                if len(subs) < 2:
+                    break
+                node = subs[1]
+            del replays[:]
+            repeats = tree._repeats(c)
+            assert len(replays) == cut_nodes
+            twin = uncut.stored(m.clause, m.pos).sub_matches[j]
+            assert list(map(norm_match, repeats)) == list(map(norm_match, tree._repeats(twin)))
+            checked += 1
+    assert checked > 0
+    assert shape(extract_parse_tree(table)) == shape(extract_parse_tree(uncut))
 
 
 def test_a_match_outlives_its_table():
