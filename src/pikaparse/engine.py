@@ -19,36 +19,42 @@ Match improvement ordering: a new match beats a stored one if the clause is
 an ordered choice and the new match uses an earlier alternative, or if the
 new match is longer.
 
+The table holds one int per (clause, position): the match's length and
+alternative packed as len << shift | alt, where shift is the grammar's
+alt_shift, wide enough for its widest ordered choice.  The fill builds no
+match objects and keeps no child pointers.
+
 Each parse compiles a clause into a matcher on the clause's first
 evaluation: a closure over pos built by its kind's factory (`make_matcher`),
-bound to one reader per subclause.  A reader is the subclause table's
-dict.get for a clause that cannot match zero characters, a reader that falls
-back to a childless zero-length match for one that can, and the lookahead
-chain's own matcher for a NotFollowedBy.  The factories are the one
-definition of what each operator means: the top-down reference evaluator
-builds its matchers with them too, reading through its own memo, and
-`match_clause` wraps them for an arbitrary lookup function.  The watermark
-check lives in the matchers: each compares every read it makes at another
-position with its own pos, and the fill calls matchers only at the column
-it fills, so a read left of the column is counted in watermark_violations.
+bound to one reader per subclause, that returns a packed value or None.  A
+reader is the subclause table's dict.get for a clause that cannot match
+zero characters, a reader that falls back to a childless zero-length value
+for one that can, and the lookahead chain's own matcher for a NotFollowedBy.
+The factories are the one definition of what each operator means: the
+top-down reference evaluator builds its matchers with them too, reading
+through its own memo, and `match_clause` wraps them for an arbitrary lookup
+function.  The watermark check lives in the matchers: each compares every
+read it makes at another position with its own pos, and the fill calls
+matchers only at the column it fills, so a read left of the column is
+counted in watermark_violations.
 
-A left-recursive seed grows at every column it can start at, and each
-growth step is the left operand of the next, so a run of k operands would
-keep Theta(k^2) superseded steps alive.  Once a column is filled, a
-superseded step that one of its final matches holds, and that itself holds
-another, is replaced by a cut (_Cut): it keeps its clause, position, length
-and alternative, and rebuilds its children when asked by replaying that one
-column into scratch slots.  The replay is exact because the fill is
-deterministic and everything right of the column is final.  FillPlan works
-out which clauses a replay evaluates; a grammar without same-position
-cycles has none and never cuts.  The table stays linear in memory for any
-run length, while the fill's time per run stays Theta(k^2).
+The queries build a Match when they read a value, and a Match builds its
+children each time they are read, by running its clause's matcher again at
+its position with readers that record the matches they read.  That reads
+what the fill read, unless the clause read, at its own position, a clause
+that changed after it was evaluated there: a left-recursive seed grows at
+every column it can start at, each growth step the left operand of the
+next, and only the last step stays in the table.  Then the children come
+from replaying that one column, which records the reads behind every value
+it stores, so one replay yields a whole left-nested run.  The replay is
+exact because the fill is deterministic and everything right of the column
+is final.  So the table stays linear in memory for any run length, while
+the fill's time per run stays Theta(k^2).
 """
 from __future__ import annotations
 
 import heapq
 import threading
-import weakref
 from bisect import bisect_right
 
 from .clauses import (
@@ -73,16 +79,39 @@ class Match:
     first repeat and then the match of the rest (if any) for a chained one,
     and nothing for terminals, lookaheads, and synthesized zero-length
     matches.
+
+    A match read from a memo table is built on read, and so are its
+    children, each time sub_matches is read: two reads of one entry give
+    equal matches, not the same object.  sub_matches given to the
+    constructor is either the children, as a tuple, or the source they are
+    built from: an object whose _entries(clause, pos, length, alt_idx)
+    gives the children as (clause, pos, length, alt_idx, source) tuples,
+    source being () for a childless one.  A match is such a source for its
+    own children.
     """
 
-    __slots__ = ("clause", "pos", "len", "sub_matches", "alt_idx")
+    __slots__ = ("clause", "pos", "len", "alt_idx", "_subs")
 
     def __init__(self, clause, pos, length, sub_matches=(), alt_idx=0):
         self.clause = clause
         self.pos = pos
         self.len = length
-        self.sub_matches = sub_matches
+        self._subs = sub_matches
         self.alt_idx = alt_idx
+
+    @property
+    def sub_matches(self):
+        subs = self._subs
+        if type(subs) is tuple:
+            return subs
+        entries = subs._entries(self.clause, self.pos, self.len, self.alt_idx)
+        return tuple([Match(c, p, n, s, a) for c, p, n, a, s in entries])
+
+    def _entries(self, clause, pos, length, alt_idx):
+        subs = self._subs
+        if type(subs) is not tuple:
+            return subs._entries(clause, pos, length, alt_idx)
+        return [(m.clause, m.pos, m.len, m.alt_idx, m) for m in subs]
 
     @property
     def end(self):
@@ -106,95 +135,95 @@ def _unchecked():
     pass
 
 
-def _seq_matcher(clause, text, read, late):
+def _seq_matcher(clause, text, read, shift, late):
     readers = tuple(map(read, clause.sub_clauses))
     if len(readers) == 2:
         r0, r1 = readers
 
         def seq2(pos):
-            m0 = r0(pos)
-            if m0 is None:
+            v = r0(pos)
+            if v is None:
                 return None
-            at = pos + m0.len
+            at = pos + (v >> shift)
             if at < pos:
                 late()
-            m1 = r1(at)
-            if m1 is None:
+            v = r1(at)
+            if v is None:
                 return None
-            return Match(clause, pos, at + m1.len - pos, (m0, m1))
+            return (at + (v >> shift) - pos) << shift
 
         return seq2
     if len(readers) == 3:
         r0, r1, r2 = readers
 
         def seq3(pos):
-            m0 = r0(pos)
-            if m0 is None:
+            v = r0(pos)
+            if v is None:
                 return None
-            at = pos + m0.len
+            at = pos + (v >> shift)
             if at < pos:
                 late()
-            m1 = r1(at)
-            if m1 is None:
+            v = r1(at)
+            if v is None:
                 return None
-            at += m1.len
+            at += v >> shift
             if at < pos:
                 late()
-            m2 = r2(at)
-            if m2 is None:
+            v = r2(at)
+            if v is None:
                 return None
-            return Match(clause, pos, at + m2.len - pos, (m0, m1, m2))
+            return (at + (v >> shift) - pos) << shift
 
         return seq3
     head, rest = readers[0], readers[1:]
 
     def seq(pos):
-        m = head(pos)
-        if m is None:
+        v = head(pos)
+        if v is None:
             return None
-        subs = [m]
-        at = pos + m.len
+        at = pos + (v >> shift)
         for r in rest:
             if at < pos:
                 late()
-            m = r(at)
-            if m is None:
+            v = r(at)
+            if v is None:
                 return None
-            subs.append(m)
-            at += m.len
-        return Match(clause, pos, at - pos, tuple(subs))
+            at += v >> shift
+        return (at - pos) << shift
 
     return seq
 
 
-def _first_matcher(clause, text, read, late):
+def _first_matcher(clause, text, read, shift, late):
     readers = tuple(map(read, clause.sub_clauses))
+    high = -1 << shift  # clears the alternative a subclause's value carries
     if len(readers) == 2:
         r0, r1 = readers
 
         def first2(pos):
-            m = r0(pos)
-            if m is not None:
-                return Match(clause, pos, m.len, (m,))
-            m = r1(pos)
-            if m is not None:
-                return Match(clause, pos, m.len, (m,), 1)
+            v = r0(pos)
+            if v is not None:
+                return v & high
+            v = r1(pos)
+            if v is not None:
+                return v & high | 1
             return None
 
         return first2
 
     def first(pos):
         for i, r in enumerate(readers):
-            m = r(pos)
-            if m is not None:
-                return Match(clause, pos, m.len, (m,), i)
+            v = r(pos)
+            if v is not None:
+                return v & high | i
         return None
 
     return first
 
 
-def _one_or_more_matcher(clause, text, read, late):
+def _one_or_more_matcher(clause, text, read, shift, late):
     r = read(clause.sub_clauses[0])
+    high = -1 << shift
     if clause.chained:
         # Right-recursive, as in the paper: the first repeat, then this
         # clause's match where it ends.  That read lies right of pos, so
@@ -202,41 +231,39 @@ def _one_or_more_matcher(clause, text, read, late):
         again = read(clause)
 
         def chained(pos):
-            m = r(pos)
-            if m is None:
+            v = r(pos)
+            if v is None:
                 return None
-            at = pos + m.len
+            at = pos + (v >> shift)
             if at < pos:
                 late()
             rest = again(at)
             if rest is None:
-                return Match(clause, pos, m.len, (m,))
-            return Match(clause, pos, m.len + rest.len, (m, rest))
+                return v & high
+            return (v & high) + (rest & high)
 
         return chained
 
     # Greedy: consume every repeat up front and keep the repeats as direct
     # children.
     def greedy(pos):
-        m = r(pos)
-        if m is None:
+        v = r(pos)
+        if v is None:
             return None
-        subs = [m]
-        at = pos + m.len
-        while m.len:
+        at = pos + (v >> shift)
+        while v >> shift:
             if at < pos:
                 late()
-            m = r(at)
-            if m is None:
+            v = r(at)
+            if v is None:
                 break
-            subs.append(m)
-            at += m.len
-        return Match(clause, pos, at - pos, tuple(subs))
+            at += v >> shift
+        return (at - pos) << shift
 
     return greedy
 
 
-def _not_followed_by_matcher(clause, text, read, late):
+def _not_followed_by_matcher(clause, text, read, shift, late):
     # A chain of directly nested NotFollowedBy clauses is walked here, once,
     # each level flipping the answer, and only the innermost operand is
     # read, so no level recurses into the next.  Assembly rejects chains
@@ -250,48 +277,48 @@ def _not_followed_by_matcher(clause, text, read, late):
 
     def not_followed_by(pos):
         if (r(pos) is None) == on_miss:
-            return Match(clause, pos, 0)
+            return 0
         return None
 
     return not_followed_by
 
 
-def _char_matcher(clause, text, read, late):
-    ch, n = clause.char, len(text)
+def _char_matcher(clause, text, read, shift, late):
+    ch, n, one = clause.char, len(text), 1 << shift
 
     def char(pos):
         if pos < n and text[pos] == ch:
-            return Match(clause, pos, 1)
+            return one
         return None
 
     return char
 
 
-def _char_set_matcher(clause, text, read, late):
-    matches, n = clause.matches_char, len(text)
+def _char_set_matcher(clause, text, read, shift, late):
+    matches, n, one = clause.matches_char, len(text), 1 << shift
 
     def char_set(pos):
         if pos < n and matches(text[pos]):
-            return Match(clause, pos, 1)
+            return one
         return None
 
     return char_set
 
 
-def _str_matcher(clause, text, read, late):
-    string, k = clause.string, len(clause.string)
+def _str_matcher(clause, text, read, shift, late):
+    string, k = clause.string, len(clause.string) << shift
 
     def str_(pos):
         if text.startswith(string, pos):
-            return Match(clause, pos, k)
+            return k
         return None
 
     return str_
 
 
-def _nothing_matcher(clause, text, read, late):
+def _nothing_matcher(clause, text, read, shift, late):
     def nothing(pos):
-        return Match(clause, pos, 0)
+        return 0
 
     return nothing
 
@@ -308,31 +335,141 @@ _FACTORIES = {
 }
 
 
-def make_matcher(clause, text, read, late=_unchecked):
+def make_matcher(clause, text, read, shift, late=_unchecked):
     """Build clause's matcher over text: a function of pos returning the
-    clause's Match at pos, or None.
+    clause's match at pos packed as len << shift | alt_idx, or None.
 
     read(sub) must return a function of pos that gives subclause sub's
-    Match there, or None; it is called while the matcher is built, and
-    never for a terminal.  late() is called for any read the matcher would
+    match there, packed the same way, or None; it is called while the
+    matcher is built, and never for a terminal.  A matcher uses only the
+    length of what it reads.  shift must leave room for the clause's
+    alternative index.  late() is called for any read the matcher would
     make left of its own pos, which correct matchers never do.
     """
-    return _FACTORIES[type(clause)](clause, text, read, late)
+    return _FACTORIES[type(clause)](clause, text, read, shift, late)
 
 
 def match_clause(clause, pos, text, lookup):
     """Match one clause at pos, resolving subclauses through lookup.
 
     lookup(sub, pos) must return a Match or None; it is never called for
-    terminals' characters, which are checked against text directly.
+    terminals' characters, which are checked against text directly.  The
+    result's children are the matches lookup returned.
     """
-    return make_matcher(clause, text, lambda sub: lambda at: lookup(sub, at))(pos)
+    shift = (len(clause.sub_clauses) - 1).bit_length() if type(clause) is First else 0
+    subs = []
+
+    def read(sub):
+        def get(at):
+            m = lookup(sub, at)
+            if m is None:
+                return None
+            subs.append(m)
+            return m.len << shift
+
+        return get
+
+    v = make_matcher(clause, text, read, shift)(pos)
+    if v is None:
+        return None
+    if _childless(clause):
+        subs = ()
+    return Match(clause, pos, v >> shift, tuple(subs), v & ~(-1 << shift))
+
+
+def _childless(clause):
+    return clause.is_terminal or type(clause) is NotFollowedBy
+
+
+# ---------------------------------------------------------------------------
+# building matches from packed values
+
+
+class _Decoder:
+    """Builds matches from a memo of packed values, on read: the base of
+    MemoTable and of the reference parser's result, and the source of the
+    matches they build (see Match).
+
+    A built match's children are the reads its clause's matcher makes, when
+    run again at the match's position, that find a match.  Subclasses give
+    _recorder(sub), the reader that records those reads into self._log as
+    (sub, pos, value, kind), where kind says where the children of what
+    it read come from: nowhere (0), the memo (1) or a replay record (2).
+    The memo holds only ints and none of the readers refers to the memo's
+    owner, so a match can hold its owner strongly without making a cycle.
+    """
+
+    def _init_decoding(self, grammar, text):
+        n = len(grammar.all_clauses)
+        self.grammar = grammar
+        self.text = text
+        self._shift = grammar.alt_shift
+        self._log = []
+        self._recorders = [None] * n
+        self._reruns = [None] * n
+        self._lock = threading.Lock()
+
+    def _match(self, clause, pos, v):
+        """The Match of clause's memo value v at pos."""
+        shift = self._shift
+        return Match(
+            clause, pos, v >> shift, () if _childless(clause) else self, v & ~(-1 << shift)
+        )
+
+    def _entries(self, clause, pos, length, alt_idx):
+        with self._lock:
+            return self._rerun(clause, pos, length << self._shift | alt_idx)
+
+    def _rerun(self, clause, pos, v, unsure=()):
+        """The children of clause's match v at pos, from running its matcher
+        again there.  None if that read a stored match, at pos, of a clause
+        in unsure: one that may have changed after clause was evaluated.
+        The caller holds the lock."""
+        log = self._log
+        del log[:]
+        i = clause.clause_idx
+        got = (self._reruns[i] or self._rerun_matcher(i))(pos)
+        if unsure and any(k == 1 and q == pos and s.clause_idx in unsure for s, q, _, k in log):
+            return None
+        if got != v:
+            raise RuntimeError("%r does not match at %d as its memo entry says" % (clause, pos))
+        return self._resolve(log)
+
+    def _rerun_matcher(self, i):
+        clause = self.grammar.all_clauses[i]
+        f = self._reruns[i] = make_matcher(clause, self.text, self._recorder, self._shift)
+        return f
+
+    def _resolve(self, log, record=None):
+        """Entries for recorded reads, each with the source of its
+        children: (), this memo, or the replay record they came from."""
+        shift = self._shift
+        mask = ~(-1 << shift)
+        sources = ((), self, record)
+        return [(c, q, v >> shift, v & mask, sources[k]) for c, q, v, k in log]
+
+
+class _Record(dict):
+    """What one replay of a column stored: (clause index, value) -> the
+    reads behind it, as the decoder's log records them."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def _entries(self, clause, pos, length, alt_idx):
+        log = self.get((clause.clause_idx, length << self.table._shift | alt_idx))
+        if log is None:
+            raise RuntimeError("replaying column %d did not rebuild %r" % (pos, clause))
+        return self.table._resolve(log, self)
 
 
 # ---------------------------------------------------------------------------
 # the memo table
 
-class MemoTable:
+class MemoTable(_Decoder):
     """Stored matches per (clause, position), plus the machinery to fill them.
 
     The table never stores matches for the always-empty terminal, and for
@@ -346,15 +483,20 @@ class MemoTable:
     """
 
     def __init__(self, grammar: Grammar, text: str):
-        self.grammar = grammar
-        self.text = text
+        self._init_decoding(grammar, text)
         self._tables = [dict() for _ in grammar.all_clauses]
         self._positions_cache = {}
         self.watermark_violations = 0
         # One reader per clause, built on first use: the same functions that
         # matchers read their subclauses through.
         self._readers = [None] * len(self._tables)
-        self._replayer = None  # built on the first replay (_Source.replay)
+        self._unsure = None  # FillPlan.unsure(), on the first child read
+        self._peeks = [None] * len(self._tables)
+        # A replay's state: the column it fills, the clauses it evaluates
+        # there, and their values so far.
+        self._col = [-1]
+        self._replaying = bytearray(len(self._tables))
+        self._scratch = [None] * len(self._tables)
 
     def _reader(self, clause):
         """clause's reader.  A clause that can match zero characters reads
@@ -366,7 +508,7 @@ class MemoTable:
         r = self._readers[i]
         if r is None:
             if type(clause) is NotFollowedBy:
-                r = make_matcher(clause, self.text, self._reader)
+                r = make_matcher(clause, self.text, self._reader, self._shift)
             elif clause.can_match_zero_chars:
                 r = _or_empty(clause, self._tables[i].get)
             else:
@@ -378,7 +520,14 @@ class MemoTable:
 
     def stored(self, clause, pos):
         """The stored match for clause at pos, or None.  No synthesis."""
-        return self._tables[clause.clause_idx].get(pos)
+        v = self._tables[clause.clause_idx].get(pos)
+        return None if v is None else self._match(clause, pos, v)
+
+    def stored_len(self, clause, pos):
+        """The length of the stored match for clause at pos, or None,
+        without building the match."""
+        v = self._tables[clause.clause_idx].get(pos)
+        return None if v is None else v >> self._shift
 
     def lookup(self, clause, pos):
         """Best known match for clause at pos.
@@ -387,7 +536,11 @@ class MemoTable:
         negative lookahead and to a childless zero-length match for any
         clause that can match zero characters.
         """
-        return self._reader(clause)(pos)
+        v = self._tables[clause.clause_idx].get(pos)
+        if v is not None:
+            return self._match(clause, pos, v)
+        v = self._reader(clause)(pos)
+        return None if v is None else Match(clause, pos, 0, (), v)
 
     def match_positions(self, clause):
         """Positions with a stored match for clause, descending.
@@ -405,8 +558,9 @@ class MemoTable:
         return positions
 
     def all_stored(self):
-        for tbl in self._tables:
-            yield from tbl.values()
+        for clause, tbl in zip(self.grammar.all_clauses, self._tables):
+            for pos, v in tbl.items():
+                yield self._match(clause, pos, v)
 
     @property
     def stored_count(self):
@@ -417,8 +571,8 @@ class MemoTable:
         return self.lookup(self.grammar.start_clause, 0)
 
     def matched_whole(self):
-        m = self.start_match()
-        return m is not None and m.len == len(self.text)
+        v = self._reader(self.grammar.start_clause)(0)
+        return v is not None and v >> self._shift == len(self.text)
 
     # -- filling ----------------------------------------------------------
 
@@ -433,6 +587,9 @@ class MemoTable:
         clauses = grammar.all_clauses
         tables = self._tables
         text = self.text
+        shift = self._shift
+        mask = ~(-1 << shift)
+        one = 1 << shift
         heappush = heapq.heappush
         heappop = heapq.heappop
 
@@ -444,242 +601,172 @@ class MemoTable:
         # single-character terminals, which are never evaluated.
         def build(i):
             def first_call(pos):
-                f = matchers[i] = make_matcher(clauses[i], text, self._reader, late)
+                f = matchers[i] = make_matcher(clauses[i], text, self._reader, shift, late)
                 return f(pos)
 
             return first_call
 
         matchers = list(map(build, range(len(clauses))))
-        # An evaluation stores its match if it is the clause's first or an
+        # An evaluation stores its value if it is the clause's first or an
         # improvement (a longer match, or an earlier alternative of an
-        # ordered choice: only its matches carry an alt_idx other than 0),
-        # and then schedules every seed parent.  Otherwise the clause's
-        # entry, and so what its parents read, is unchanged.  Each
-        # improvement supersedes one match; a column with two or fewer
-        # holds too few to be worth cutting, and only a grammar with
-        # FillPlan.holders has any to cut.
-        cut = self._cutter(plan.holders) if plan.holders else None
+        # ordered choice: only its values carry an alternative other than
+        # 0), and then schedules every seed parent.  Otherwise the clause's
+        # entry, and so what its parents read, is unchanged.
         for pos in range(len(text) - 1, -1, -1):
             k = bisect_right(bounds, ord(text[pos]))
             chars, heap, in_heap = entries[k] or plan.entry(k)
             heap = list(heap)
             in_heap = bytearray(in_heap)
             for idx in chars:
-                tables[idx][pos] = Match(clauses[idx], pos, 1)
-            grew = 0
+                tables[idx][pos] = one
             while heap:
                 idx = heappop(heap)
                 in_heap[idx] = 0
-                m = matchers[idx](pos)
-                if m is None:
+                v = matchers[idx](pos)
+                if v is None:
                     continue
                 tbl = tables[idx]
                 old = tbl.get(pos)
-                if old is not None:
-                    if m.len <= old.len and m.alt_idx >= old.alt_idx:
-                        continue
-                    grew += 1
-                tbl[pos] = m
+                if old is not None and v >> shift <= old >> shift and v & mask >= old & mask:
+                    continue
+                tbl[pos] = v
                 for i in parents[idx]:
                     if not in_heap[i]:
                         in_heap[i] = 1
                         heappush(heap, i)
-            if grew > 2 and cut is not None:
-                cut(pos)
         matchers.clear()  # the entries not yet built refer to the list
 
-    def _cutter(self, holders):
-        """A function that drops the superseded growth steps column pos's
-        final matches hold.
+    # -- building matches -------------------------------------------------
 
-        A child at pos that is not its clause's stored match was superseded
-        within the column; one that itself holds such a child is replaced
-        by a _Cut, which rebuilds its children when asked.  A superseded
-        child that holds none stays, so short chains never need a replay.
-        Only FillPlan.holders can hold a superseded child of a superseded
-        child, and same-column children come first in a match.
+    def _recorder(self, sub, recording=True):
+        """sub's reader for building children.  It reads the table, except
+        at the column a replay fills, where a clause the replay evaluates
+        reads its scratch slot, and it records every match it reads in the
+        log.  With recording False it records nothing, as a read inside a
+        lookahead must not."""
+        i = sub.clause_idx
+        cache = self._recorders if recording else self._peeks
+        r = cache[i]
+        if r is not None:
+            return r
+        log = self._log if recording else None
+        if type(sub) is NotFollowedBy:
+            peek = make_matcher(sub, self.text, lambda s: self._recorder(s, False), self._shift)
+
+            def r(pos):
+                v = peek(pos)
+                if v is not None:
+                    log.append((sub, pos, v, 0))
+                return v
+
+        else:
+            get = self._tables[i].get
+            zero = sub.zero_idx if sub.can_match_zero_chars else None
+            kind = 0 if sub.is_terminal else 1
+            col, replaying, scratch = self._col, self._replaying, self._scratch
+
+            def r(pos):
+                if pos == col[0] and replaying[i]:
+                    v, k = scratch[i], 2
+                else:
+                    v, k = get(pos), kind
+                if v is None:
+                    if zero is None:
+                        return None
+                    v, k = zero, 0
+                if log is not None:
+                    log.append((sub, pos, v, k))
+                return v
+
+        cache[i] = r
+        return r
+
+    def _entries(self, clause, pos, length, alt_idx):
+        """The children of clause's match at pos.  A rerun over the table
+        gives them unless it reads, at pos, a stored match of a clause that
+        may have changed after clause was evaluated there (FillPlan.unsure);
+        then they come from replaying the column."""
+        i = clause.clause_idx
+        v = length << self._shift | alt_idx
+        with self._lock:
+            unsure = self._unsure
+            if unsure is None:
+                unsure = self._unsure = self.grammar.fill_plan.unsure()
+            if unsure[i] is not None:
+                entries = self._rerun(clause, pos, v, unsure[i])
+                if entries is not None:
+                    return entries
+            record = self._replay(i, pos)
+        return record._entries(clause, pos, length, alt_idx)
+
+    def _replay(self, target, pos):
+        """Replay column pos's fill of the clauses FillPlan.replay(target)
+        lists, into scratch slots, recording the reads behind every value
+        it stores: a _Record.
+
+        The replay evaluates those clauses in the order the fill did and
+        reads the table everywhere else, where it is final.  A clause's
+        successive values in a column never repeat a (length, alternative)
+        pair, because a First never returns to a later alternative and
+        otherwise only a longer match is stored, so a value identifies the
+        step that stored it.  The per-clause dicts are never written.  The
+        caller holds the lock.
         """
-        tables = self._tables
-        gets = [tables[i].get for i in holders]
-        source = _Source(self)
-
-        def cut(pos):
-            for get in gets:
-                m = get(pos)
-                if m is None:
+        evaluated, seeds, parents = self.grammar.fill_plan.replay(target)
+        matchers = {i: self._reruns[i] or self._rerun_matcher(i) for i in evaluated}
+        tables, scratch, log = self._tables, self._scratch, self._log
+        shift = self._shift
+        mask = ~(-1 << shift)
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        heap = []
+        in_heap = bytearray(len(tables))
+        for s, ps in seeds:
+            if tables[s].get(pos) is not None:
+                for i in ps:
+                    if not in_heap[i]:
+                        in_heap[i] = 1
+                        heap.append(i)
+        heapq.heapify(heap)
+        record = _Record(self)
+        touched = []
+        self._col[0] = pos
+        for i in evaluated:
+            self._replaying[i] = 1
+        try:
+            while heap:
+                idx = heappop(heap)
+                in_heap[idx] = 0
+                del log[:]
+                v = matchers[idx](pos)
+                if v is None:
                     continue
-                for x in m.sub_matches:
-                    if x.pos != pos:
-                        break
-                    if tables[x.clause.clause_idx].get(pos) is x:
-                        continue
-                    for y in x.sub_matches:
-                        if y.pos != pos:
-                            break
-                        if y.sub_matches and tables[y.clause.clause_idx].get(pos) is not y:
-                            subs = m.sub_matches
-                            j = subs.index(x)
-                            m.sub_matches = subs[:j] + (_Cut(x, source),) + subs[j + 1 :]
-                            break
-
-        return cut
-
-
-class _Cut(Match):
-    """A superseded growth step: a match the fill replaced within its column
-    but that a final match there still holds, as a left-recursive operand.
-
-    It keeps its clause, position, length and alternative.  Its children
-    are rebuilt on every access by replaying its column's fill, so a run of
-    k operands keeps O(k) matches instead of the O(k^2) growth steps.
-    """
-
-    __slots__ = ("_source",)
-
-    def __init__(self, m, source):
-        self.clause = m.clause
-        self.pos = m.pos
-        self.len = m.len
-        self.alt_idx = m.alt_idx
-        self._source = source
-
-    @property
-    def sub_matches(self):
-        return self._source.replay(self)
-
-
-class _Source:
-    """Where a table's cuts rebuild their children: the table, held weakly
-    so that dropping it frees it at once, without waiting for the cycle
-    collector.  A match used after its table is gone rebuilds from a table
-    parsed again from the same grammar and text, which is identical."""
-
-    __slots__ = ("table", "grammar", "text")
-
-    def __init__(self, table):
-        self.table = weakref.ref(table)
-        self.grammar = table.grammar
-        self.text = table.text
-
-    def replay(self, cut):
-        table = self.table()
-        if table is None:
-            table = parse(self.grammar, self.text)
-            self.table = lambda: table
-        if table._replayer is None:
-            table._replayer = _replayer(table)
-        return table._replayer(cut)
-
-
-def _replayer(table):
-    """A function rebuilding a _Cut's children by replaying its column.
-
-    A replay evaluates the clauses FillPlan.replays lists for the cut's
-    clause, in the order the fill did, into scratch slots, and stops when
-    the cut's clause stores a match of the cut's length and alternative.  A
-    clause's successive stored matches never repeat those, because a First
-    never returns to a later alternative and otherwise only a longer match
-    is stored.  Every other read goes to the table, where it is final.  The
-    per-clause dicts are never written, so match_positions and all_stored
-    are unaffected.  What replaying a clause takes is built on its first
-    replay.
-    """
-    grammar = table.grammar
-    plan = grammar.fill_plan
-    clauses = grammar.all_clauses
-    tables = table._tables
-    text = table.text
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    n = len(clauses)
-    scratch = [None] * n
-    in_heap = bytearray(n)
-    touched = []
-    lock = threading.Lock()
-    col = -1  # the column being replayed
-
-    def machine(evaluated, seeds, parents):
-        def read(sub):
-            if type(sub) is NotFollowedBy:
-                return make_matcher(sub, text, read)
-            i = sub.clause_idx
-            get = tables[i].get
-            if i in parents:  # evaluated: read the scratch slot at col
-                stored = get
-
-                def get(pos):
-                    return scratch[i] if pos == col else stored(pos)
-
-            return _or_empty(sub, get) if sub.can_match_zero_chars else get
-
-        # A replay makes the reads the fill made and counted, so it counts
-        # none.
-        matchers = {i: make_matcher(clauses[i], text, read) for i in evaluated}
-        # read refers to itself, and through its cells to the table's
-        # dicts: break that cycle so the dicts go with the table.
-        read = None
-        return matchers, seeds, parents
-
-    machines = {}
-
-    def replay(cut):
-        nonlocal col
-        target, length, alt = cut.clause.clause_idx, cut.len, cut.alt_idx
-        with lock:
-            how = plan.replays[target]
-            got = machines.get(how[0])
-            if got is None:
-                got = machines[how[0]] = machine(*how)
-            matchers, seeds, parents = got
-            pos = col = cut.pos
-            heap = []
-            for s, ps in seeds:
-                if tables[s].get(pos) is not None:
-                    for i in ps:
-                        if not in_heap[i]:
-                            in_heap[i] = 1
-                            heap.append(i)
-            heapq.heapify(heap)
-            try:
-                while heap:
-                    idx = heappop(heap)
-                    in_heap[idx] = 0
-                    m = matchers[idx](pos)
-                    if m is None:
-                        continue
-                    old = scratch[idx]
-                    if old is None:
-                        touched.append(idx)
-                    elif m.len <= old.len and m.alt_idx >= old.alt_idx:
-                        continue
-                    if idx == target and m.len == length and m.alt_idx == alt:
-                        return m.sub_matches
-                    scratch[idx] = m
-                    for i in parents[idx]:
-                        if not in_heap[i]:
-                            in_heap[i] = 1
-                            heappush(heap, i)
-            finally:
-                for i in touched:
-                    scratch[i] = None
-                touched.clear()
-                for i in heap:
-                    in_heap[i] = 0
-                col = -1
-        raise RuntimeError("replaying column %d did not rebuild %r" % (pos, cut))
-
-    return replay
-
+                old = scratch[idx]
+                if old is None:
+                    touched.append(idx)
+                elif v >> shift <= old >> shift and v & mask >= old & mask:
+                    continue
+                record[idx, v] = tuple(log)
+                scratch[idx] = v
+                for i in parents[idx]:
+                    if not in_heap[i]:
+                        in_heap[i] = 1
+                        heappush(heap, i)
+        finally:
+            for i in touched:
+                scratch[i] = None
+            for i in evaluated:
+                self._replaying[i] = 0
+            self._col[0] = -1
+        return record
 
 def _or_empty(clause, get):
-    """Read clause's stored match, or a childless zero-length one."""
-    zero_idx = clause.zero_idx
+    """Read clause's stored value, or a childless zero-length one."""
+    zero = clause.zero_idx
 
     def read(pos):
-        m = get(pos)
-        if m is None:
-            return Match(clause, pos, 0, (), zero_idx)
-        return m
+        v = get(pos)
+        return zero if v is None else v
 
     return read
 
@@ -702,13 +789,16 @@ class FillPlan:
     first time a column's character falls in its interval, so the plan
     grows with the grammar, never with the texts parsed.
 
-    holders are the clauses whose matches the fill checks for superseded
-    growth steps to cut, and replays says what rebuilding each kind of cut
-    takes (see _replay_plan).  Both are empty for a grammar without
+    What building a match's children needs is built when first needed:
+    unsure() on the first child read, and replay(c) on the first replay
+    for clause c.  Both are empty of work for a grammar without
     same-position cycles.
     """
 
-    __slots__ = ("parents", "holders", "replays", "bounds", "entries", "_terminals")
+    __slots__ = (
+        "parents", "bounds", "entries", "_distinct", "_clauses", "_terminals", "_unsure",
+        "_analysis", "_replays",
+    )
 
     def __init__(self, grammar: Grammar):
         clauses = grammar.all_clauses
@@ -721,7 +811,6 @@ class FillPlan:
                 for sub in dict.fromkeys(same_position_subs(p)):
                     parents[sub.clause_idx].append(p.clause_idx)
         self.parents = list(map(tuple, parents))
-        self.holders, self.replays = _replay_plan(clauses, self.parents)
         bounds = set()
         for c in self._terminals:
             if type(c) is CharSet:
@@ -732,6 +821,11 @@ class FillPlan:
                 bounds.update((cp, cp + 1))
         self.bounds = sorted(bounds)
         self.entries = [None] * (len(self.bounds) + 1)
+        self._distinct = {}
+        self._unsure = None
+        self._analysis = None
+        self._replays = {}
+        self._clauses = clauses
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, initial
@@ -751,7 +845,7 @@ class FillPlan:
         for t in self._terminals:
             kind = type(t)
             probe = ch + t.string[1:] if kind is Str else ch
-            if make_matcher(t, probe, None)(0) is None:
+            if make_matcher(t, probe, None, 0)(0) is None:
                 continue
             if kind is Str:
                 scheduled.add(t.clause_idx)
@@ -761,105 +855,129 @@ class FillPlan:
         in_heap = bytearray(len(self.parents))
         for i in scheduled:
             in_heap[i] = 1
-        e = self.entries[k] = (
-            tuple(chars),
-            tuple(sorted(scheduled)),  # a sorted list is a heap
-            bytes(in_heap),
-        )
+        e = (tuple(chars), tuple(sorted(scheduled)), bytes(in_heap))  # a sorted list is a heap
+        # Intervals that start the same terminals share one entry.
+        e = self.entries[k] = self._distinct.setdefault(e, e)
         return e
 
+    def unsure(self):
+        """Per clause c, which of the clauses c reads at its own position
+        may change in a column after c is evaluated there: a frozenset of
+        their indices, empty when c's reads are final for it, or None when
+        such a clause is read through a lookahead.
 
-def _replay_plan(clauses, parents):
-    """What cutting and replaying a column need: (holders, replays).
+        A clause's pushers are its seed children except a NotFollowedBy or
+        the empty clause, which the fill never stores; only a pusher's
+        store schedules a clause.  Take a clause r and the clauses it is
+        pushed through, transitively: only they can push one of them.  So
+        when a reader c that sorts above r and all of them pops, the heap
+        holds none of them and none is evaluated again in the column: r is
+        final for c.  If they all sort below r, r is evaluated at most once
+        in a column, and so is a clause with a single pusher that is; such
+        a clause stores at most once.  So r is also final for a c whose
+        only pusher it is, because c is evaluated only after r stored.
+        Every other read is unsure.  A clause whose reads are all final for
+        it is evaluated at most once in a column, after they are final, so
+        its stored match is what its matcher gives on the final table.
+        """
+        if self._unsure is not None:
+            return self._unsure
+        clauses = self._clauses
+        n = len(clauses)
+        pushers = [[] for _ in clauses]
+        for i, ps in enumerate(self.parents):
+            if type(clauses[i]) not in (NotFollowedBy, Nothing):
+                for p in ps:
+                    pushers[p].append(i)
+        # top[c]: the highest index among the clauses c is pushed through,
+        # transitively (c itself if it is on a cycle), or -1.
+        top = [-1] * n
+        todo = list(range(n - 1, -1, -1))  # lowest first: pushers mostly sort below
+        while todo:
+            c = todo.pop()
+            t = top[c]
+            for s in pushers[c]:
+                if s > t:
+                    t = s
+                if top[s] > t:
+                    t = top[s]
+            if t > top[c]:
+                top[c] = t
+                todo.extend(self.parents[c])
+        self._analysis = (pushers, top)
 
-    A clause's pushers are its seed children except a NotFollowedBy or the
-    empty clause, which the fill never stores.  Take a clause c and the
-    clauses it is pushed through, transitively: only they can push one of
-    them.  So when a reader that sorts above c and all of them pops, the
-    heap holds none of them and none is evaluated again in the column: c
-    is final for that reader.  And if they all sort below c, nothing
-    pushes c again once it pops, so it is evaluated at most once in a
-    column.  Only the other clauses, every clause on a same-position cycle
-    among them, can be superseded.
+        def stores_once(r):
+            seen = set()
+            while top[r] >= r:
+                if len(pushers[r]) != 1 or r in seen:
+                    return False
+                seen.add(r)
+                r = pushers[r][0]
+            return True
 
-    holders are the clauses whose matches can hold a superseded child that
-    holds another.  replays maps the clause of each child that can be cut
-    to what replaying it needs: the clauses to evaluate (the child's clause
-    and, transitively, every clause one of them reads at its own position
-    that is not final for that reader), the other clauses that push one of
-    them, each with the ones it pushes, and each evaluated clause's parents
-    among them.  A clause that is read but not evaluated is final where it
-    is read, and it stores before a parent it pushes can pop, so the replay
-    reads its stored match and schedules those parents up front.
-    """
-    n = len(clauses)
-    pushers = [[] for _ in clauses]
-    for i, ps in enumerate(parents):
-        if type(clauses[i]) not in (NotFollowedBy, Nothing):
-            for p in ps:
-                pushers[p].append(i)
-    # top[c]: the highest index among the clauses c is pushed through,
-    # transitively (c itself if it is on a cycle), or -1.
-    top = [-1] * n
-    todo = list(range(n - 1, -1, -1))  # lowest first: pushers mostly sort below
-    while todo:
-        c = todo.pop()
-        t = top[c]
-        for s in pushers[c]:
-            if s > t:
-                t = s
-            if top[s] > t:
-                t = top[s]
-        if t > top[c]:
-            top[c] = t
-            todo.extend(parents[c])
-
-    read_at = {}
-
-    def reads(c):
-        # The clauses c's matcher reads at its own position.
-        out = read_at.get(c)
-        if out is None:
-            out = read_at[c] = []
-            for s in same_position_subs(clauses[c]):
-                while type(s) is NotFollowedBy:
-                    s = s.sub_clauses[0]
-                out.append(s.clause_idx)
-        return out
-
-    again = {c for c in range(n) if top[c] >= c}
-    holders = []
-    replays = {}
-    by_need = {}  # clauses that replay together share one entry
-    for h in sorted(again):
-        cuttable = [c for c in reads(h) if c in again and any(t in again for t in reads(c))]
-        if cuttable:
-            holders.append(h)
-        for target in cuttable:
-            if target in replays:
+        final = frozenset()
+        unsure = []
+        for c, clause in enumerate(clauses):
+            # Without a lookahead, a clause's reads at its position are its
+            # pushers and the empty clause.
+            if top[c] < c and NotFollowedBy not in map(type, clause.sub_clauses):
+                unsure.append(final)
                 continue
+            bad, hidden = set(), False
+            for r, through in _reads(clause):
+                if max(r, top[r]) >= c and not (pushers[c] == [r] and stores_once(r)):
+                    bad.add(r)
+                    hidden |= through
+            unsure.append(None if hidden else frozenset(bad))
+        self._unsure = unsure
+        return unsure
+
+    def replay(self, target):
+        """What replaying a column for clause target's children needs:
+        (evaluated, seeds, parents).
+
+        evaluated holds target and, transitively, every clause one of them
+        reads at its own position that does not sort, with every clause it
+        is pushed through, below that reader (see unsure()).  A
+        clause that is read but not evaluated is final where it is read,
+        and it stores before a parent it pushes can pop, so the replay
+        reads its stored match and schedules those parents up front: seeds
+        pairs each such pusher with the evaluated clauses it pushes.
+        parents maps each evaluated clause to its parents among them.
+        """
+        how = self._replays.get(target)
+        if how is None:
+            self.unsure()
+            pushers, top = self._analysis
             need, todo = {target}, [target]
             while todo:
                 c = todo.pop()
-                for r in reads(c):
+                for r, _ in _reads(self._clauses[c]):
                     if r not in need and max(r, top[r]) >= c:
                         need.add(r)
                         todo.append(r)
             evaluated = tuple(sorted(need))
-            how = by_need.get(evaluated)
-            if how is None:
-                seeds = {}
-                for c in evaluated:
-                    for s in pushers[c]:
-                        if s not in need:
-                            seeds.setdefault(s, []).append(c)
-                how = by_need[evaluated] = (
-                    evaluated,
-                    tuple((s, tuple(ps)) for s, ps in seeds.items()),
-                    {c: tuple(p for p in parents[c] if p in need) for c in evaluated},
-                )
-            replays[target] = how
-    return tuple(holders), replays
+            seeds = {}
+            for c in evaluated:
+                for s in pushers[c]:
+                    if s not in need:
+                        seeds.setdefault(s, []).append(c)
+            how = self._replays[target] = (
+                evaluated,
+                tuple((s, tuple(ps)) for s, ps in seeds.items()),
+                {c: tuple(p for p in self.parents[c] if p in need) for c in evaluated},
+            )
+        return how
+
+
+def _reads(clause):
+    """(index, through a lookahead) for each clause that clause's matcher
+    reads at its own position."""
+    for s in same_position_subs(clause):
+        through = False
+        while type(s) is NotFollowedBy:
+            s, through = s.sub_clauses[0], True
+        yield s.clause_idx, through
 
 
 def parse(grammar: Grammar, text: str) -> MemoTable:

@@ -58,6 +58,12 @@ class Grammar:
         for r in sorted(rules, key=attrgetter("alias")):
             self.names.setdefault(id(r.clause), r.name)
         self._node_names = {}
+        # Bits the alternative index takes in the engine's packed match
+        # values (len << alt_shift | alt): enough for the widest First.
+        self.alt_shift = max(
+            ((len(c.sub_clauses) - 1).bit_length() for c in all_clauses if isinstance(c, First)),
+            default=0,
+        )
         # The engine's per-grammar state, built on the first parse.
         self.fill_plan = None
 

@@ -10,16 +10,17 @@ synthesis.
 The evaluator cannot handle left recursion, so it statically rejects
 grammars where a clause can reach itself without consuming input.  The
 memo is write-once: each (clause, position) is evaluated at most once, and
-failures are memoized as None.
+failures are memoized as None.  Like the engine's table, it holds the
+matchers' packed (length, alternative) ints, and matches are built from it
+on read, the same way.
 """
 from __future__ import annotations
 
 import sys
 import threading
-from typing import NamedTuple
 
 from .clauses import First
-from .engine import make_matcher
+from .engine import _childless, _Decoder, make_matcher
 from .grammar import Grammar, depth_first, same_position_subs
 
 
@@ -46,9 +47,35 @@ def ensure_no_left_recursion(grammar: Grammar, start_clause=None):
     depth_first([root], same_position_subs, fail)
 
 
-class OracleResult(NamedTuple):
-    match: object
-    memo: dict
+class OracleResult(_Decoder):
+    """A top-down parse: match is the start rule's Match at position 0, or
+    None, and memo maps every (clause_idx, pos) evaluated to the packed
+    value its matcher returned (len << grammar.alt_shift | alt_idx), or
+    None.  match_at builds the Match of any memo entry."""
+
+    def __init__(self, grammar, text, memo):
+        self._init_decoding(grammar, text)
+        self.memo = memo
+        self.match = self.match_at(grammar.start_clause, 0)
+
+    def match_at(self, clause, pos):
+        v = self.memo[clause.clause_idx, pos]
+        return None if v is None else self._match(clause, pos, v)
+
+    def _recorder(self, sub):
+        i = sub.clause_idx
+        r = self._recorders[i]
+        if r is None:
+            memo, log, kind = self.memo, self._log, 0 if _childless(sub) else 1
+
+            def r(pos):
+                v = memo[i, pos]
+                if v is not None:
+                    log.append((sub, pos, v, kind))
+                return v
+
+            self._recorders[i] = r
+        return r
 
 
 _BUSY = object()
@@ -57,10 +84,10 @@ _BUSY = object()
 def packrat_parse(grammar: Grammar, text: str, check_left_recursion: bool = True) -> OracleResult:
     """Parse text top-down from the grammar's start rule.
 
-    Returns the best match at position 0 (None on failure) and the complete
-    memo of every evaluation performed.  Suited to test-scale inputs: the
-    evaluator recurses, so it raises the interpreter recursion limit in
-    proportion to input length.
+    Returns an OracleResult: the best match at position 0 (None on
+    failure) and the complete memo of every evaluation performed.  Suited
+    to test-scale inputs: the evaluator recurses, so it raises the
+    interpreter recursion limit in proportion to input length.
     """
     start = grammar.start_clause
     if check_left_recursion:
@@ -85,18 +112,19 @@ def packrat_parse(grammar: Grammar, text: str, check_left_recursion: bool = True
                     )
                 return hit
             memo[key] = _BUSY
-            m = memo[key] = matchers[idx](pos)
-            return m
+            v = memo[key] = matchers[idx](pos)
+            return v
 
         return evaluate
 
     evaluators = [evaluator(c) for c in clauses]
     matchers.extend(
-        make_matcher(c, text, lambda sub: evaluators[sub.clause_idx]) for c in clauses
+        make_matcher(c, text, lambda sub: evaluators[sub.clause_idx], grammar.alt_shift)
+        for c in clauses
     )
     needed = min(1_000_000, 8 * len(text) + 8 * len(clauses) + 2000)
-    m = _call_with_frame_budget(lambda: evaluators[start.clause_idx](0), needed)
-    return OracleResult(m, memo)
+    _call_with_frame_budget(lambda: evaluators[start.clause_idx](0), needed)
+    return OracleResult(grammar, text, memo)
 
 
 def _call_with_frame_budget(fn, frames):

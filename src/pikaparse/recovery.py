@@ -59,9 +59,9 @@ def find_error_spans(table: MemoTable, rule_names=None) -> list[ErrorSpan]:
     intervals = []
     for clause in _clauses_of_interest(table, rule_names):
         for pos in table.match_positions(clause):
-            m = table.stored(clause, pos)
-            if m.len > 0:
-                intervals.append((pos, pos + m.len))
+            length = table.stored_len(clause, pos)
+            if length > 0:
+                intervals.append((pos, pos + length))
     if not intervals:
         return [ErrorSpan(0, n)]
     intervals.sort()
@@ -84,9 +84,8 @@ def _first_match_from(table: MemoTable, clause, pos: int, min_len: int):
     # positions is descending; entries >= pos form a prefix.
     j = bisect_right(positions, -pos, key=lambda p: -p)
     for i in range(j - 1, -1, -1):
-        m = table.stored(clause, positions[i])
-        if m.len >= min_len:
-            return m
+        if table.stored_len(clause, positions[i]) >= min_len:
+            return table.stored(clause, positions[i])
     return None
 
 

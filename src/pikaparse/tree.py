@@ -82,17 +82,29 @@ class ASTNode:
         )
 
 
+def _children(entry):
+    """The children of a (clause, pos, length, alt_idx, source) entry, as
+    entries (see engine.Match).  A match read from a memo table builds its
+    children on every read, so each node's are read once."""
+    clause, pos, length, alt_idx, source = entry
+    return source._entries(clause, pos, length, alt_idx) if source else ()
+
+
 def _repeats(m: Match):
-    """The repeat matches of a OneOrMore match, in input order.  A chained
-    match holds its first repeat and then the match of the rest."""
-    if not m.clause.chained:
-        return m.sub_matches
-    # A cut match rebuilds its children on every read of sub_matches, so
-    # each node's are read once.
-    subs = m.sub_matches
+    """The repeat matches of a OneOrMore match, in input order."""
+    entries = _repeat_entries((m.clause, m.pos, m.len, m.alt_idx, m))
+    return [Match(c, p, n, s, a) for c, p, n, a, s in entries]
+
+
+def _repeat_entries(entry):
+    """The repeats of a OneOrMore entry, in input order.  A chained match
+    holds its first repeat and then the match of the rest."""
+    subs = _children(entry)
+    if not entry[0].chained:
+        return subs
     items = [subs[0]]
     while len(subs) == 2:
-        subs = subs[1].sub_matches
+        subs = _children(subs[1])
         items.append(subs[0])
     return items
 
@@ -100,30 +112,35 @@ def _repeats(m: Match):
 def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
     """Build the parse tree for one match, iteratively.
 
-    A repetition becomes a single node holding its repeats.
+    A repetition becomes a single node holding its repeats.  The walk
+    reads the matches below match as entries (see _children), without
+    building a Match for each.
     """
-
-    def mk(m, label):
-        return ParseTreeNode(
-            m.clause, grammar.node_name(m.clause), label, m.pos, m.len, source
-        )
-
-    root = mk(match, None)
-    stack = [(match, root)]
+    name = grammar.node_name
+    top = (match.clause, match.pos, match.len, match.alt_idx, match)
+    root = ParseTreeNode(match.clause, name(match.clause), None, match.pos, match.len, source)
+    stack = [(top, root)]
     while stack:
-        m, node = stack.pop()
-        labels = m.clause.sub_clause_labels
-        kind = type(m.clause)
+        entry, node = stack.pop()
+        clause, pos, length, alt_idx, subs = entry
+        if not subs:
+            continue
+        kind = type(clause)
+        labels = clause.sub_clause_labels
         if kind is OneOrMore:
-            kids = [(sm, labels[0]) for sm in _repeats(m)]
-        elif kind is First:
-            kids = [(sm, labels[m.alt_idx]) for sm in m.sub_matches]
+            kids = [(e, labels[0]) for e in _repeat_entries(entry)]
         else:
-            kids = zip(m.sub_matches, labels)
-        for sm, label in kids:
-            child = mk(sm, label)
-            node.children.append(child)
-            stack.append((sm, child))
+            entries = subs._entries(clause, pos, length, alt_idx)
+            if kind is First:
+                kids = [(e, labels[alt_idx]) for e in entries]
+            else:
+                kids = zip(entries, labels)
+        children = node.children
+        for e, label in kids:
+            c = e[0]
+            child = ParseTreeNode(c, name(c), label, e[1], e[2], source)
+            children.append(child)
+            stack.append((e, child))
     return root
 
 

@@ -83,9 +83,11 @@ def test_every_oracle_memo_entry_agrees_with_the_table():
         for j in range(10):
             text = sample_input(rng, g, alphabet)
             table = parse(g, text)
-            memo = packrat_parse(g, text, check_left_recursion=False).memo
-            for (idx, pos), top in memo.items():
+            res = packrat_parse(g, text, check_left_recursion=False)
+            memo = res.memo
+            for idx, pos in memo:
                 clause = g.all_clauses[idx]
+                top = res.match_at(clause, pos)
                 bottom = table.lookup(clause, pos)
                 ctx = (i, j, text, clause, pos, describe_match(bottom), describe_match(top))
                 assert (bottom is None) == (top is None), ctx

@@ -10,9 +10,10 @@ from pikaparse.clauses import First, GrammarError, GrammarWarning, Nothing, OneO
 from pikaparse.engine import Match, match_clause, parse
 from pikaparse.metagrammar import compile_grammar
 from pikaparse.oracle import packrat_parse, same_shape
+from pikaparse.tree import extract_parse_tree, node_from_match
 
 from gram_gen import random_grammar, sample_input
-from helpers import ARITH_LEFTREC, compile_leftrec
+from helpers import ARITH_LEFTREC, compile_leftrec, shape
 
 
 # === basics ===
@@ -239,11 +240,16 @@ def test_chained_repetition_stores_linear_matches():
     chain = g.rule_clause("A")
     assert [t.stored(chain, p).len for p in range(5)] == [5, 4, 3, 2, 1]
     assert t.stored_count == 10  # one terminal and one link per column
+    def key(m):
+        return (m.clause, m.pos, m.len, m.alt_idx)
+
     for p in range(5):
         # Each link holds its letter and the link where that letter ends.
+        # Matches are built on read, so compare what they say, not identity.
         m = t.stored(chain, p)
-        assert m.sub_matches[0] is t.stored(chain.sub_clauses[0], p)
-        assert m.sub_matches[1:] == ((t.stored(chain, p + 1),) if p < 4 else ())
+        assert key(m.sub_matches[0]) == key(t.stored(chain.sub_clauses[0], p))
+        rest = [key(t.stored(chain, p + 1))] if p < 4 else []
+        assert list(map(key, m.sub_matches[1:])) == rest
 
 
 def test_star_chain_accepts_empty():
@@ -364,3 +370,22 @@ def test_match_repr_is_informative():
 def test_match_end_property():
     m = Match(None, 3, 4)
     assert m.end == 7
+
+
+# === packed values ===
+
+def test_a_wide_first_keeps_its_alternative_and_its_length():
+    # The table packs each match as len << shift | alt, with shift wide
+    # enough for the grammar's widest First, so 5,000 alternatives neither
+    # wrap the alternative nor spill into the length.
+    alts = " / ".join("'x%d;'" % i for i in range(5000))
+    g = compile_grammar("S <- A 'end'; A <- %s;" % alts)
+    assert g.alt_shift == 13
+    text = "x4999;end"
+    t = parse(g, text)
+    assert t.matched_whole()
+    choice = t.start_match().sub_matches[0]
+    assert (choice.alt_idx, choice.len) == (4999, 6)
+    top = packrat_parse(g, text).match
+    assert same_shape(t.start_match(), top)
+    assert shape(extract_parse_tree(t)) == shape(node_from_match(top, g, text))

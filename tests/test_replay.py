@@ -1,27 +1,31 @@
-"""Cut growth steps: a column's final matches hold their superseded
-left-recursive operands as cuts, whose children are rebuilt by replaying
-the column.  Every tree read through them must be the tree the fill built.
+"""Matches built on read: the memo table holds packed (length, alternative)
+ints, and a match's children are rebuilt when read, by running its clause's
+matcher again at its position or, for a clause on a same-position cycle, by
+replaying that one column.  Every tree read this way must be the one a fill
+that builds a Match for every evaluation keeps.
 """
 
 import gc
+import heapq
 import random
 import sys
 import weakref
 
 import pytest
 
-from pikaparse import compile_grammar, engine, extract_parse_tree, parse, tree
+from pikaparse import compile_grammar, extract_parse_tree, find_error_spans, parse, tree
+from pikaparse import covering_matches, next_match_after
 from pikaparse.bench import expression_grammar
-from pikaparse.clauses import NotFollowedBy, OneOrMore
-from pikaparse.engine import FillPlan, MemoTable
+from pikaparse.clauses import Nothing, NotFollowedBy, OneOrMore
+from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
 
 from enum_oracle import all_trees, norm_match
 from gram_gen import random_leftrec_grammar, sample_short_input
-from helpers import JSON_GRAMMAR, compile_leftrec, shape
+from helpers import ASSIGN, JSON_GRAMMAR, compile_leftrec, shape
 
 
 def walk(m):
-    """Every match in m's tree, m first, rebuilding the cuts on the way."""
+    """Every match in m's tree, m first, building the children on the way."""
     out, stack = [], [m]
     while stack:
         m = stack.pop()
@@ -30,25 +34,71 @@ def walk(m):
     return out
 
 
-def cuts_in(table):
-    return sum(type(s) is engine._Cut for m in table.all_stored() for s in m.sub_matches)
-
-
 def full_form(table):
     """Every stored match, its whole tree in normalized form."""
     return [norm_match(m) for m in table.all_stored()]
 
 
-def uncut_table(monkeypatch, grammar, text):
-    """The table the fill builds when it cuts nothing."""
-    with monkeypatch.context() as m:
-        m.setattr(MemoTable, "_cutter", lambda self, holders: lambda pos: None)
-        return parse(grammar, text)
+def reference_fill(grammar, text):
+    """The fill the engine makes, building a Match for every evaluation
+    with match_clause: per clause, its final matches by position and every
+    match it stored, in order.  Every terminal is tried at every column,
+    which schedules what the engine's dispatch schedules."""
+    clauses = grammar.all_clauses
+    parents = FillPlan(grammar).parents
+    tables = [dict() for _ in clauses]
+    steps = [[] for _ in clauses]
+
+    def lookup(sub, at):
+        if type(sub) is NotFollowedBy:
+            return match_clause(sub, at, text, lookup)
+        m = tables[sub.clause_idx].get(at)
+        if m is None and sub.can_match_zero_chars:
+            return Match(sub, at, 0, (), sub.zero_idx)
+        return m
+
+    terminals = [c.clause_idx for c in clauses if c.is_terminal and type(c) is not Nothing]
+    for pos in range(len(text) - 1, -1, -1):
+        heap, queued = list(terminals), set(terminals)
+        while heap:
+            idx = heapq.heappop(heap)
+            queued.discard(idx)
+            m = match_clause(clauses[idx], pos, text, lookup)
+            if m is None:
+                continue
+            old = tables[idx].get(pos)
+            if old is not None and m.len <= old.len and m.alt_idx >= old.alt_idx:
+                continue
+            tables[idx][pos] = m
+            steps[idx].append(m)
+            for p in parents[idx]:
+                if p not in queued:
+                    queued.add(p)
+                    heapq.heappush(heap, p)
+    return tables, steps
 
 
-def test_left_recursive_pairs_match_the_enumerator():
+def reference_form(tables):
+    return [norm_match(m) for tbl in tables for m in tbl.values()]
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Records (column, clauses evaluated) for every replay a table makes."""
+    seen = []
+    replay = MemoTable._replay
+
+    def counted(self, target, pos):
+        seen.append((pos, self.grammar.fill_plan.replay(target)[0]))
+        return replay(self, target, pos)
+
+    monkeypatch.setattr(MemoTable, "_replay", counted)
+    return seen
+
+
+def test_left_recursive_pairs_match_the_enumerator(replays):
     rng = random.Random(20261018)
-    pairs = unique = compared = rebuilt = 0
+    pairs = unique = compared = 0
     for _ in range(300):
         g, alphabet = random_leftrec_grammar(rng)
         for _ in range(7):
@@ -69,85 +119,91 @@ def test_left_recursive_pairs_match_the_enumerator():
                 # derivation of the whole input; that is PEG semantics.
                 continue
             compared += 1
-            rebuilt += sum(type(x) is engine._Cut for x in walk(m))
             assert norm_match(m) == trees[0], text
-    print("%d pairs, %d unique derivations, %d compared, %d cut children rebuilt"
-          % (pairs, unique, compared, rebuilt))
+    print("%d pairs, %d unique derivations, %d compared, %d replays"
+          % (pairs, unique, compared, len(replays)))
     assert unique >= 1000
     assert compared >= 900
-    assert rebuilt > 0
+    assert len(replays) > 0
 
 
-def test_cut_tables_read_as_the_uncut_fill(monkeypatch):
+def test_built_matches_read_as_a_match_building_fill(replays):
     rng = random.Random(77)
-    cut_pairs = 0
+    replayed = 0
     for _ in range(120):
         g, alphabet = random_leftrec_grammar(rng)
         for _ in range(4):
             text = sample_short_input(rng, g, alphabet, max_len=40)
             table = parse(g, text)
-            cut_pairs += cuts_in(table) > 0
-            assert full_form(table) == full_form(uncut_table(monkeypatch, g, text)), text
+            before = len(replays)
+            assert full_form(table) == reference_form(reference_fill(g, text)[0]), text
+            replayed += len(replays) > before
             assert table.watermark_violations == 0
     g = compile_leftrec()
     for text in ("1+2*3-4/5+x*y*z-7", "a*b*c*d+e*f*g-(h-i-j-k)/l/m", "--a-b-c*d"):
         table = parse(g, text)
-        cut_pairs += cuts_in(table) > 0
-        assert full_form(table) == full_form(uncut_table(monkeypatch, g, text))
-    print("%d tables with cuts" % cut_pairs)
-    assert cut_pairs >= 50
-
-
-class History(dict):
-    """A per-clause table that remembers every match stored in it."""
-
-    def __init__(self):
-        super().__init__()
-        self.steps = []
-
-    def __setitem__(self, pos, m):
-        self.steps.append(m)
-        super().__setitem__(pos, m)
+        before = len(replays)
+        assert full_form(table) == reference_form(reference_fill(g, text)[0])
+        replayed += len(replays) > before
+    print("%d tables replayed a column" % replayed)
+    assert replayed >= 50
 
 
 def test_replay_rebuilds_every_superseded_step():
-    # Not only the steps the fill cuts: a cut made of any match that a
-    # clause whose matches can be cut stored and then replaced rebuilds
-    # that match's children.
+    # Not only the steps a tree reads: every match that a clause which can
+    # be superseded stored and then replaced comes back, with its
+    # children, from one replay of its column.
     rng = random.Random(9)
     grammars = [random_leftrec_grammar(rng) for _ in range(150)]
     grammars.append((compile_leftrec(), "1+-*/(a)"))
     steps = 0
     for g, alphabet in grammars:
         text = sample_short_input(rng, g, alphabet, max_len=30)
-        parse(g, text)
-        table = MemoTable(g, text)
-        table._tables = [History() for _ in g.all_clauses]
-        table._run()
-        source = engine._Source(table)
-        for idx in g.fill_plan.replays:
-            tbl = table._tables[idx]
-            for m in tbl.steps:
-                if m.sub_matches and tbl[m.pos] is not m:
-                    rebuilt = engine._Cut(m, source).sub_matches
-                    assert list(map(norm_match, rebuilt)) == list(map(norm_match, m.sub_matches))
-                    steps += 1
+        table = parse(g, text)
+        _, history = reference_fill(g, text)
+        superseded = [i for i, u in enumerate(g.fill_plan.unsure()) if u is None or u]
+        for idx in superseded:
+            final = table._tables[idx]
+            for m in history[idx]:
+                if final[m.pos] == m.len << g.alt_shift | m.alt_idx:
+                    continue
+                with table._lock:
+                    record = table._replay(idx, m.pos)
+                rebuilt = Match(m.clause, m.pos, m.len, record, m.alt_idx).sub_matches
+                assert list(map(norm_match, rebuilt)) == list(map(norm_match, m.sub_matches))
+                steps += 1
     assert steps > 500
 
 
-def test_walking_cuts_leaves_the_table_as_it_was():
+def test_a_clause_read_before_its_operand_stores_keeps_its_first_reads(replays):
+    # C reads the nullable O, which sorts above it, and both start at a
+    # column of 'a': C is evaluated first, while O is still empty, and
+    # again after O stores, when it fails.  So its stored match holds the
+    # empty O; a rerun over the final table would read O's stored match,
+    # and only a replay of the column tells.
+    g = compile_grammar("S <- O 'q' / C; C <- O 'a'; O <- R?; R <- 'a' C;")
+    c, o = g.rule_clause("C"), g.rule_clause("O")
+    assert o.clause_idx > c.clause_idx
+    for text in ("aa", "aaaa", "aaaq"):
+        table = parse(g, text)
+        assert o.clause_idx in g.fill_plan.unsure()[c.clause_idx]
+        assert full_form(table) == reference_form(reference_fill(g, text)[0]), text
+    assert len(replays) > 0
+
+
+def test_building_matches_leaves_the_table_as_it_was(replays):
     g = expression_grammar()
     text = "+".join(["ab"] * 30) + "*" + "*".join(["cd"] * 20)
     table = parse(g, text)
-    assert cuts_in(table) > 0
-    stored = list(table.all_stored())
+    stored = [(m.clause, m.pos, m.len, m.alt_idx) for m in table.all_stored()]
     positions = {id(c): list(table.match_positions(c)) for c in g.all_clauses}
     seen = 0
-    # Rebuilding children while iterating all_stored() must not disturb it.
+    # Building children while iterating all_stored() must not disturb it.
     for m in table.all_stored():
         seen += len(walk(m))
     assert seen > len(stored)
-    assert list(table.all_stored()) == stored
+    assert len(replays) > 0
+    assert [(m.clause, m.pos, m.len, m.alt_idx) for m in table.all_stored()] == stored
     assert table.stored_count == len(stored)
     for c in g.all_clauses:
         assert list(table._tables[c.clause_idx]) == positions[id(c)]
@@ -155,41 +211,31 @@ def test_walking_cuts_leaves_the_table_as_it_was():
     assert table.watermark_violations == 0
 
 
-def test_a_cut_repetition_replays_once_per_node(monkeypatch):
-    # L+ grows with L on the same column, so its superseded steps are cut.
-    # Reading a chained repetition's repeats reads each node's children
-    # once, so it replays once per cut node of the chain.
+def test_a_repetition_on_a_cycle_replays_once_per_link(replays):
+    # L+ grows with L on the same column, so its matches can be superseded
+    # and their children come from replays.  Reading a chained repetition's
+    # repeats reads each link's children once, so it replays at most once
+    # per link of the chain.
     g = compile_grammar("L <- L+ 'x' / 'y';")
     text = "yxxxx"
     table = parse(g, text)
-    uncut = uncut_table(monkeypatch, g, text)
+    ref_tables, _ = reference_fill(g, text)
     assert table.matched_whole()
-    replays = []
-    replay = engine._Source.replay
-    monkeypatch.setattr(
-        engine._Source, "replay", lambda self, cut: replays.append(cut) or replay(self, cut)
-    )
     checked = 0
     for m in table.all_stored():
         for j, c in enumerate(m.sub_matches):
-            if type(c) is not engine._Cut:
+            if type(c.clause) is not OneOrMore:
                 continue
-            assert type(c.clause) is OneOrMore and c.clause.chained
-            cut_nodes, node = 0, c
-            while True:
-                cut_nodes += type(node) is engine._Cut
-                subs = node.sub_matches
-                if len(subs) < 2:
-                    break
-                node = subs[1]
+            assert c.clause.chained
             del replays[:]
             repeats = tree._repeats(c)
-            assert len(replays) == cut_nodes
-            twin = uncut.stored(m.clause, m.pos).sub_matches[j]
+            assert len(replays) <= len(repeats)
+            twin = ref_tables[m.clause.clause_idx][m.pos].sub_matches[j]
             assert list(map(norm_match, repeats)) == list(map(norm_match, tree._repeats(twin)))
             checked += 1
     assert checked > 0
-    assert shape(extract_parse_tree(table)) == shape(extract_parse_tree(uncut))
+    ref_start = ref_tables[g.start_clause.clause_idx][0]
+    assert shape(extract_parse_tree(table)) == shape(tree.node_from_match(ref_start, g, text))
 
 
 def test_a_match_outlives_its_table():
@@ -200,11 +246,11 @@ def test_a_match_outlives_its_table():
     assert norm_match(m) == expected
 
 
-def test_tables_are_freed_without_the_cycle_collector():
+def test_tables_are_freed_without_the_cycle_collector(replays):
     g = expression_grammar()
     table = parse(g, "+".join(["ab"] * 12))
     extract_parse_tree(table)  # replays, so the replay machinery exists
-    assert cuts_in(table) > 0
+    assert len(replays) > 0
     ref = weakref.ref(table)
     tables = table._tables
     gc.disable()
@@ -216,35 +262,97 @@ def test_tables_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_json_grammar_has_nothing_to_cut():
+def test_json_grammar_has_nothing_to_cut(replays):
+    # No clause of the JSON grammar can be superseded in a column, so no
+    # match needs a replay.
     g = compile_grammar(JSON_GRAMMAR)
     text = '{"a": [1, 2, {"b": [[3], [4, 5], "x\\u0041y"]}], "c": null, "d": -1.5e3}'
     table = parse(g, text)
     assert table.matched_whole()
-    assert g.fill_plan.holders == () and g.fill_plan.replays == {}
-    assert cuts_in(table) == 0
-    assert not any(type(x) is engine._Cut for m in table.all_stored() for x in walk(m))
+    assert not any(g.fill_plan.unsure())
+    assert sum(len(walk(m)) for m in table.all_stored()) > table.stored_count
+    assert replays == []
 
 
-@pytest.mark.parametrize("text, cut", [("a+b", False), ("a*b-c", False), ("a+b+c", True)])
-def test_only_runs_of_three_operands_are_cut(text, cut):
-    # Two operands leave one superseded step per column, which holds no
-    # other, so nothing is cut and extracting the tree replays nothing.
+@pytest.mark.parametrize("text, replayed", [
+    ("a", False), ("a*b", True), ("a+b", True), ("a*b-c", True),
+    ("a+b+c", True), ("-a*b*c+d*e/f-(g+h+i)*j", True),
+])
+def test_a_tree_replays_each_column_cycle_at_most_once(replays, text, replayed):
+    # A replay records every step of its column, so the left-nested run it
+    # rebuilds needs no other replay of that column for that cycle.
     g = compile_leftrec()
     table = parse(g, text)
     assert table.matched_whole()
-    assert (cuts_in(table) > 0) == cut
+    extract_parse_tree(table)
+    assert len(replays) == len(set(replays))
+    assert (len(replays) > 0) == replayed
 
 
 def test_plan_replays_one_left_recursive_level_at_a_time():
     g = compile_leftrec()
     plan = FillPlan(g)
     name = g.clause_name
-    levels = {name(g.all_clauses[i]) for i in plan.replays if name(g.all_clauses[i])}
+    unsure = plan.unsure()
+    cyclic = [i for i, u in enumerate(unsure) if u]
+    levels = {name(g.all_clauses[i]) for i in cyclic if name(g.all_clauses[i])}
     assert levels == {"E0", "E1"}
-    for target, (evaluated, seeds, parents) in plan.replays.items():
+    for target in cyclic:
+        evaluated, seeds, parents = plan.replay(target)
         # A level's replay evaluates that level's rule and its growing
-        # sequence; the level below is final by the time either pops.
+        # sequence (and the unary level's operand choice, E2 / E3, with
+        # E2); the level below is final by the time either pops.
         assert len(evaluated) == 2 and target in evaluated
         assert set(parents) == set(evaluated)
-    assert set(plan.holders) == {i for ev, _, _ in plan.replays.values() for i in ev}
+
+
+def test_replay_data_is_built_when_first_needed():
+    # A query that reads no children builds neither the finality sets nor
+    # any replay plan; a tree of a left-recursive run builds both.
+    g = compile_leftrec()
+    table = parse(g, "a+b+c")
+    plan = g.fill_plan
+    assert table.start_match().len == 5
+    assert plan._unsure is None and plan._replays == {}
+    extract_parse_tree(table)
+    assert plan._unsure is not None and plan._replays != {}
+    # Recovery reads lengths and positions only.
+    g = compile_grammar(ASSIGN)
+    table = parse(g, "ab=12;c=;d=3;")
+    spans = find_error_spans(table, "Assign")
+    assert spans and covering_matches(table, "Assign")
+    assert next_match_after(table, "Assign", spans[0].end) is not None
+    assert g.fill_plan._unsure is None and g.fill_plan._replays == {}
+
+
+def test_threads_building_matches_from_one_table_agree():
+    # Building children reruns matchers into one log per table and replays
+    # into its scratch slots, under the table's lock; threads that walk the
+    # same table at once must each see the single-threaded trees.
+    import threading
+
+    g = compile_leftrec()
+    text = "a*b*c+d-e*f/(g+h+i)-j*k+l" * 3
+    table = parse(g, text)
+    expected = full_form(table)
+    results, errors = [], []
+
+    def walk_all():
+        try:
+            results.append(full_form(table))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk_all) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * len(threads)
