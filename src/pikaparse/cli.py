@@ -58,57 +58,48 @@ def _name_of(node):
     return getattr(node, "name", None) or node.label or "ast"
 
 
-def tree_to_json(node) -> str:
-    """Compact JSON: name, label, start, end, children; text on leaves."""
+def _serialize(node, opening, sep, close) -> str:
+    """Each node of the tree at node as opening(n), then its children with
+    sep between them, then close."""
     out = []
-    stack = [("node", node)]
+    stack = [node]
     while stack:
-        kind, v = stack.pop()
-        if kind == "lit":
+        v = stack.pop()
+        if isinstance(v, str):
             out.append(v)
             continue
-        parts = [
-            '{"name":%s' % json.dumps(_name_of(v)),
-            ',"label":%s' % json.dumps(v.label),
-            ',"start":%d,"end":%d' % (v.pos, v.end),
-        ]
-        if not v.children:
-            parts.append(',"text":%s' % json.dumps(v.text))
-        parts.append(',"children":[')
-        out.append("".join(parts))
-        stack.append(("lit", "]}"))
-        tail = []
-        for i, c in enumerate(v.children):
-            if i:
-                tail.append(("lit", ","))
-            tail.append(("node", c))
-        stack.extend(reversed(tail))
+        out.append(opening(v))
+        stack.append(close)
+        for c in reversed(v.children):
+            stack.append(c)
+            stack.append(sep)
+        if v.children:
+            stack.pop()  # no separator before the first child
     return "".join(out)
+
+
+def _json_opening(v):
+    text = "" if v.children else ',"text":%s' % json.dumps(v.text)
+    return '{"name":%s,"label":%s,"start":%d,"end":%d%s,"children":[' % (
+        json.dumps(_name_of(v)), json.dumps(v.label), v.pos, v.end, text
+    )
+
+
+def tree_to_json(node) -> str:
+    """Compact JSON: name, label, start, end, children; text on leaves."""
+    return _serialize(node, _json_opening, ",", "]}")
+
+
+def _sexpr_opening(v):
+    name = _name_of(v)
+    if v.label and v.label != name:
+        name = "%s:%s" % (v.label, name)
+    return "(%s %s" % (name, "" if v.children else json.dumps(v.text))
 
 
 def tree_to_sexpr(node) -> str:
     """S-expression rendering: (name child ...) with quoted leaf text."""
-    out = []
-    stack = [("node", node)]
-    while stack:
-        kind, v = stack.pop()
-        if kind == "lit":
-            out.append(v)
-            continue
-        name = _name_of(v)
-        if v.label and v.label != name:
-            name = "%s:%s" % (v.label, name)
-        if not v.children:
-            out.append("(%s %s)" % (name, json.dumps(v.text)))
-            continue
-        out.append("(%s" % name)
-        stack.append(("lit", ")"))
-        tail = []
-        for c in v.children:
-            tail.append(("lit", " "))
-            tail.append(("node", c))
-        stack.extend(reversed(tail))
-    return "".join(out)
+    return _serialize(node, _sexpr_opening, " ", ")")
 
 
 _FORMATS = {
@@ -215,10 +206,7 @@ def main(argv=None) -> int:
     except GrammarError as exc:
         print("grammar error: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

@@ -491,7 +491,6 @@ class MemoTable(_Decoder):
         # matchers read their subclauses through.
         self._readers = [None] * len(self._tables)
         self._unsure = None  # FillPlan.unsure(), on the first child read
-        self._peeks = [None] * len(self._tables)
         # A replay's state: the column it fills, the clauses it evaluates
         # there, and their values so far.
         self._col = [-1]
@@ -638,23 +637,24 @@ class MemoTable(_Decoder):
 
     # -- building matches -------------------------------------------------
 
-    def _recorder(self, sub, recording=True):
+    def _recorder(self, sub):
         """sub's reader for building children.  It reads the table, except
         at the column a replay fills, where a clause the replay evaluates
         reads its scratch slot, and it records every match it reads in the
-        log.  With recording False it records nothing, as a read inside a
-        lookahead must not."""
+        log.  A lookahead's own reads are taken back out of the log: its
+        match has no children."""
         i = sub.clause_idx
-        cache = self._recorders if recording else self._peeks
-        r = cache[i]
+        r = self._recorders[i]
         if r is not None:
             return r
-        log = self._log if recording else None
+        log = self._log
         if type(sub) is NotFollowedBy:
-            peek = make_matcher(sub, self.text, lambda s: self._recorder(s, False), self._shift)
+            peek = make_matcher(sub, self.text, self._recorder, self._shift)
 
             def r(pos):
+                n = len(log)
                 v = peek(pos)
+                del log[n:]
                 if v is not None:
                     log.append((sub, pos, v, 0))
                 return v
@@ -674,11 +674,10 @@ class MemoTable(_Decoder):
                     if zero is None:
                         return None
                     v, k = zero, 0
-                if log is not None:
-                    log.append((sub, pos, v, k))
+                log.append((sub, pos, v, k))
                 return v
 
-        cache[i] = r
+        self._recorders[i] = r
         return r
 
     def _entries(self, clause, pos, length, alt_idx):

@@ -35,14 +35,7 @@ def _clauses_of_interest(table: MemoTable, rule_names):
         names = [rule_names]
     else:
         names = list(rule_names)
-    seen = set()
-    out = []
-    for n in names:
-        c = g.rule_clause(n)
-        if id(c) not in seen:
-            seen.add(id(c))
-            out.append(c)
-    return out
+    return list(dict.fromkeys(map(g.rule_clause, names)))
 
 
 def find_error_spans(table: MemoTable, rule_names=None) -> list[ErrorSpan]:
@@ -83,9 +76,13 @@ def _first_match_from(table: MemoTable, clause, pos: int, min_len: int):
     positions = table.match_positions(clause)
     # positions is descending; entries >= pos form a prefix.
     j = bisect_right(positions, -pos, key=lambda p: -p)
+    values = table._tables[clause.clause_idx]
+    shift = table._shift
     for i in range(j - 1, -1, -1):
-        if table.stored_len(clause, positions[i]) >= min_len:
-            return table.stored(clause, positions[i])
+        at = positions[i]
+        v = values[at]
+        if v >> shift >= min_len:
+            return table._match(clause, at, v)
     return None
 
 

@@ -13,6 +13,8 @@ labeled descendants attach to the nearest labeled ancestor.
 """
 from __future__ import annotations
 
+from itertools import repeat
+
 from .clauses import First, OneOrMore
 from .engine import Match, MemoTable
 
@@ -164,21 +166,20 @@ def to_ast(root: ParseTreeNode):
     """
     if root is None:
         return None
-    gathered = {}
-    stack = [(root, False)]
+    # Preorder, with each node paired with the list its labeled
+    # descendants go to: a labeled node appends itself there and hands its
+    # own children list down; an unlabeled one hands its list through.
+    top = []
+    stack = [(root, top)]
     while stack:
-        node, done = stack.pop()
-        if not done:
-            stack.append((node, True))
-            stack.extend((c, False) for c in reversed(node.children))
-            continue
-        kids = []
-        for c in node.children:
-            kids.extend(gathered.pop(id(c)))
+        node, out = stack.pop()
         if node.label is not None:
-            kids = [ASTNode(node.label, node.pos, node.len, node.source, kids)]
-        gathered[id(node)] = kids
-    top = gathered.pop(id(root))
+            ast = ASTNode(node.label, node.pos, node.len, node.source, [])
+            out.append(ast)
+            out = ast.children
+        kids = node.children
+        if kids:
+            stack.extend(zip(reversed(kids), repeat(out)))
     if not top:
         return None
     if len(top) == 1:
