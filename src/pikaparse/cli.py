@@ -148,7 +148,9 @@ def _cmd_parse(args):
     names = args.recover.split(",") if args.recover else None
     spans = find_error_spans(table, names)
     out = ["input does not fully match rule %r" % grammar.start_rule, "error spans:"]
-    if not spans:
+    if not text:
+        out.append("  (none: the input is empty)")
+    elif not spans:
         # Everything is covered by some match, yet no single start-rule
         # match spans the whole input.
         out.append("  (none: matches cover the input but do not join up)")

@@ -39,17 +39,19 @@ matchers only at the column it fills, so a read left of the column is
 counted in watermark_violations.
 
 The queries build a Match when they read a value, and a Match builds its
-children each time they are read, by running its clause's matcher again at
-its position with readers that record the matches they read.  That reads
-what the fill read, unless the clause read, at its own position, a clause
-that changed after it was evaluated there: a left-recursive seed grows at
-every column it can start at, each growth step the left operand of the
-next, and only the last step stays in the table.  Then the children come
-from replaying that one column, which records the reads behind every value
-it stores, so one replay yields a whole left-nested run.  The replay is
-exact because the fill is deterministic and everything right of the column
-is final.  So the table stays linear in memory for any run length, while
-the fill's time per run stays Theta(k^2).
+children each time they are read, in the one way the fill plan chose for
+its clause when it was built.  A clause whose reads at its own position are
+all final by the time the fill evaluates it there has its matcher run again
+at the match's position, with readers that record the matches they read:
+that reads what the fill read.  Any other clause may have read a clause
+that changed after it: a left-recursive seed grows at every column it can
+start at, each growth step the left operand of the next, and only the last
+step stays in the table.  Its children come from replaying that one column,
+which records the reads behind every value it stores, so one replay yields
+a whole left-nested run.  The replay is exact because the fill is
+deterministic and everything right of the column is final.  So the table
+stays linear in memory for any run length, while the fill's time per run
+stays Theta(k^2).
 """
 from __future__ import annotations
 
@@ -420,17 +422,13 @@ class _Decoder:
         with self._lock:
             return self._rerun(clause, pos, length << self._shift | alt_idx)
 
-    def _rerun(self, clause, pos, v, unsure=()):
+    def _rerun(self, clause, pos, v):
         """The children of clause's match v at pos, from running its matcher
-        again there.  None if that read a stored match, at pos, of a clause
-        in unsure: one that may have changed after clause was evaluated.
-        The caller holds the lock."""
+        again there.  The caller holds the lock."""
         log = self._log
         del log[:]
         i = clause.clause_idx
         got = (self._reruns[i] or self._rerun_matcher(i))(pos)
-        if unsure and any(k == 1 and q == pos and s.clause_idx in unsure for s, q, _, k in log):
-            return None
         if got != v:
             raise RuntimeError("%r does not match at %d as its memo entry says" % (clause, pos))
         return self._resolve(log)
@@ -490,7 +488,6 @@ class MemoTable(_Decoder):
         # One reader per clause, built on first use: the same functions that
         # matchers read their subclauses through.
         self._readers = [None] * len(self._tables)
-        self._unsure = None  # FillPlan.unsure(), on the first child read
         # A replay's state: the column it fills, the clauses it evaluates
         # there, and their values so far.
         self._col = [-1]
@@ -555,6 +552,21 @@ class MemoTable(_Decoder):
         if positions is None:
             positions = self._positions_cache[i] = list(self._tables[i])
         return positions
+
+    def first_stored(self, clause, pos, min_len):
+        """The stored match of clause at the first position at or after pos
+        where it is at least min_len long, or None."""
+        positions = self.match_positions(clause)
+        # positions is descending; entries >= pos form a prefix.
+        j = bisect_right(positions, -pos, key=lambda p: -p)
+        values = self._tables[clause.clause_idx]
+        shift = self._shift
+        for i in range(j - 1, -1, -1):
+            at = positions[i]
+            v = values[at]
+            if v >> shift >= min_len:
+                return self._match(clause, at, v)
+        return None
 
     def all_stored(self):
         for clause, tbl in zip(self.grammar.all_clauses, self._tables):
@@ -681,27 +693,20 @@ class MemoTable(_Decoder):
         return r
 
     def _entries(self, clause, pos, length, alt_idx):
-        """The children of clause's match at pos.  A rerun over the table
-        gives them unless it reads, at pos, a stored match of a clause that
-        may have changed after clause was evaluated there (FillPlan.unsure);
-        then they come from replaying the column."""
-        i = clause.clause_idx
-        v = length << self._shift | alt_idx
+        """The children of clause's match at pos: from a rerun over the
+        table, or from replaying the column where FillPlan.replays says
+        clause needs it."""
+        how = self.grammar.fill_plan.replays[clause.clause_idx]
+        if how is None:
+            return super()._entries(clause, pos, length, alt_idx)
         with self._lock:
-            unsure = self._unsure
-            if unsure is None:
-                unsure = self._unsure = self.grammar.fill_plan.unsure()
-            if unsure[i] is not None:
-                entries = self._rerun(clause, pos, v, unsure[i])
-                if entries is not None:
-                    return entries
-            record = self._replay(i, pos)
+            record = self._replay(how, pos)
         return record._entries(clause, pos, length, alt_idx)
 
-    def _replay(self, target, pos):
-        """Replay column pos's fill of the clauses FillPlan.replay(target)
-        lists, into scratch slots, recording the reads behind every value
-        it stores: a _Record.
+    def _replay(self, how, pos):
+        """Replay column pos's fill of the clauses that how, a
+        FillPlan.replays entry, evaluates, into scratch slots, recording
+        the reads behind every value it stores: a _Record.
 
         The replay evaluates those clauses in the order the fill did and
         reads the table everywhere else, where it is final.  A clause's
@@ -711,7 +716,7 @@ class MemoTable(_Decoder):
         step that stored it.  The per-clause dicts are never written.  The
         caller holds the lock.
         """
-        evaluated, seeds, parents = self.grammar.fill_plan.replay(target)
+        evaluated, seeds, parents = how
         matchers = {i: self._reruns[i] or self._rerun_matcher(i) for i in evaluated}
         tables, scratch, log = self._tables, self._scratch, self._log
         shift = self._shift
@@ -771,7 +776,8 @@ def _or_empty(clause, get):
 
 
 class FillPlan:
-    """What filling a grammar's table needs beyond its clauses.
+    """What filling a grammar's table, and building its matches' children,
+    needs beyond its clauses.
 
     Built on the grammar's first parse and kept as grammar.fill_plan.
     parents[i] holds the clause indices of clause i's seed parents, the
@@ -788,16 +794,14 @@ class FillPlan:
     first time a column's character falls in its interval, so the plan
     grows with the grammar, never with the texts parsed.
 
-    What building a match's children needs is built when first needed:
-    unsure() on the first child read, and replay(c) on the first replay
-    for clause c.  Both are empty of work for a grammar without
-    same-position cycles.
+    replays is built whole with the plan.  replays[c] says where the
+    children of clause c's matches come from: None when a rerun of c's
+    matcher over the filled table gives them, else what replaying a column
+    needs for them (see _replay_plans).  Every entry is None for a grammar
+    without same-position cycles.
     """
 
-    __slots__ = (
-        "parents", "bounds", "entries", "_distinct", "_clauses", "_terminals", "_unsure",
-        "_analysis", "_replays",
-    )
+    __slots__ = ("parents", "bounds", "entries", "replays", "_distinct", "_terminals")
 
     def __init__(self, grammar: Grammar):
         clauses = grammar.all_clauses
@@ -821,10 +825,7 @@ class FillPlan:
         self.bounds = sorted(bounds)
         self.entries = [None] * (len(self.bounds) + 1)
         self._distinct = {}
-        self._unsure = None
-        self._analysis = None
-        self._replays = {}
-        self._clauses = clauses
+        self.replays = _replay_plans(clauses, self.parents)
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, initial
@@ -859,124 +860,104 @@ class FillPlan:
         e = self.entries[k] = self._distinct.setdefault(e, e)
         return e
 
-    def unsure(self):
-        """Per clause c, which of the clauses c reads at its own position
-        may change in a column after c is evaluated there: a frozenset of
-        their indices, empty when c's reads are final for it, or None when
-        such a clause is read through a lookahead.
 
-        A clause's pushers are its seed children except a NotFollowedBy or
-        the empty clause, which the fill never stores; only a pusher's
-        store schedules a clause.  Take a clause r and the clauses it is
-        pushed through, transitively: only they can push one of them.  So
-        when a reader c that sorts above r and all of them pops, the heap
-        holds none of them and none is evaluated again in the column: r is
-        final for c.  If they all sort below r, r is evaluated at most once
-        in a column, and so is a clause with a single pusher that is; such
-        a clause stores at most once.  So r is also final for a c whose
-        only pusher it is, because c is evaluated only after r stored.
-        Every other read is unsure.  A clause whose reads are all final for
-        it is evaluated at most once in a column, after they are final, so
-        its stored match is what its matcher gives on the final table.
-        """
-        if self._unsure is not None:
-            return self._unsure
-        clauses = self._clauses
-        n = len(clauses)
-        pushers = [[] for _ in clauses]
-        for i, ps in enumerate(self.parents):
-            if type(clauses[i]) not in (NotFollowedBy, Nothing):
-                for p in ps:
-                    pushers[p].append(i)
-        # top[c]: the highest index among the clauses c is pushed through,
-        # transitively (c itself if it is on a cycle), or -1.
-        top = [-1] * n
-        todo = list(range(n - 1, -1, -1))  # lowest first: pushers mostly sort below
+def _replay_plans(clauses, parents):
+    """FillPlan.replays: per clause c, None when c's matches have no
+    children or every clause c reads at its own position is final for c,
+    else (evaluated, seeds, parents) for replaying a column for c.
+
+    A clause's pushers are its seed children except a NotFollowedBy or the
+    empty clause, which the fill never stores; only a pusher's store
+    schedules a clause.  Take a clause r and the clauses it is pushed
+    through, transitively: only they can push one of them.  So when a
+    reader c that sorts above r and all of them pops, the heap holds none
+    of them and none is evaluated again in the column: r is final for c.
+    If they all sort below r, r is evaluated at most once in a column, and
+    so is a clause with a single pusher that is; such a clause stores at
+    most once.  So r is also final for a c whose only pusher it is,
+    because c is evaluated only after r stored.  A clause whose reads are
+    all final for it is evaluated at most once in a column, after they are
+    final, so its stored match is what its matcher gives on the final
+    table, and a rerun reads what the fill read.
+
+    Any other clause c may have read a clause that changed after it.
+    Replaying a column for c evaluates c and, transitively, every clause
+    one of them reads at its own position that does not sort, with every
+    clause it is pushed through, below that reader.  A clause that is read
+    but not evaluated is final where it is read, and it stores before a
+    parent it pushes can pop, so the replay reads its stored match and
+    schedules those parents up front: seeds pairs each such pusher with
+    the evaluated clauses it pushes.  parents maps each evaluated clause to
+    its parents among them.
+    """
+    n = len(clauses)
+    pushers = [[] for _ in clauses]
+    for i, ps in enumerate(parents):
+        if type(clauses[i]) not in (NotFollowedBy, Nothing):
+            for p in ps:
+                pushers[p].append(i)
+    # top[c]: the highest index among the clauses c is pushed through,
+    # transitively (c itself if it is on a cycle), or -1.
+    top = [-1] * n
+    todo = list(range(n - 1, -1, -1))  # lowest first: pushers mostly sort below
+    while todo:
+        c = todo.pop()
+        t = top[c]
+        for s in pushers[c]:
+            if s > t:
+                t = s
+            if top[s] > t:
+                t = top[s]
+        if t > top[c]:
+            top[c] = t
+            todo.extend(parents[c])
+    reads = [tuple(_reads(c)) for c in clauses]
+
+    def stores_once(r):
+        seen = set()
+        while top[r] >= r:
+            if len(pushers[r]) != 1 or r in seen:
+                return False
+            seen.add(r)
+            r = pushers[r][0]
+        return True
+
+    def final_for(c, r):
+        return max(r, top[r]) < c or (pushers[c] == [r] and stores_once(r))
+
+    def plan(target):
+        need, todo = {target}, [target]
         while todo:
             c = todo.pop()
-            t = top[c]
+            for r in reads[c]:
+                if r not in need and max(r, top[r]) >= c:
+                    need.add(r)
+                    todo.append(r)
+        evaluated = tuple(sorted(need))
+        seeds = {}
+        for c in evaluated:
             for s in pushers[c]:
-                if s > t:
-                    t = s
-                if top[s] > t:
-                    t = top[s]
-            if t > top[c]:
-                top[c] = t
-                todo.extend(self.parents[c])
-        self._analysis = (pushers, top)
+                if s not in need:
+                    seeds.setdefault(s, []).append(c)
+        return (
+            evaluated,
+            tuple((s, tuple(ps)) for s, ps in seeds.items()),
+            {c: tuple(p for p in parents[c] if p in need) for c in evaluated},
+        )
 
-        def stores_once(r):
-            seen = set()
-            while top[r] >= r:
-                if len(pushers[r]) != 1 or r in seen:
-                    return False
-                seen.add(r)
-                r = pushers[r][0]
-            return True
-
-        final = frozenset()
-        unsure = []
-        for c, clause in enumerate(clauses):
-            # Without a lookahead, a clause's reads at its position are its
-            # pushers and the empty clause.
-            if top[c] < c and NotFollowedBy not in map(type, clause.sub_clauses):
-                unsure.append(final)
-                continue
-            bad, hidden = set(), False
-            for r, through in _reads(clause):
-                if max(r, top[r]) >= c and not (pushers[c] == [r] and stores_once(r)):
-                    bad.add(r)
-                    hidden |= through
-            unsure.append(None if hidden else frozenset(bad))
-        self._unsure = unsure
-        return unsure
-
-    def replay(self, target):
-        """What replaying a column for clause target's children needs:
-        (evaluated, seeds, parents).
-
-        evaluated holds target and, transitively, every clause one of them
-        reads at its own position that does not sort, with every clause it
-        is pushed through, below that reader (see unsure()).  A
-        clause that is read but not evaluated is final where it is read,
-        and it stores before a parent it pushes can pop, so the replay
-        reads its stored match and schedules those parents up front: seeds
-        pairs each such pusher with the evaluated clauses it pushes.
-        parents maps each evaluated clause to its parents among them.
-        """
-        how = self._replays.get(target)
-        if how is None:
-            self.unsure()
-            pushers, top = self._analysis
-            need, todo = {target}, [target]
-            while todo:
-                c = todo.pop()
-                for r, _ in _reads(self._clauses[c]):
-                    if r not in need and max(r, top[r]) >= c:
-                        need.add(r)
-                        todo.append(r)
-            evaluated = tuple(sorted(need))
-            seeds = {}
-            for c in evaluated:
-                for s in pushers[c]:
-                    if s not in need:
-                        seeds.setdefault(s, []).append(c)
-            how = self._replays[target] = (
-                evaluated,
-                tuple((s, tuple(ps)) for s, ps in seeds.items()),
-                {c: tuple(p for p in self.parents[c] if p in need) for c in evaluated},
-            )
-        return how
+    return [
+        None if _childless(clause) or all(final_for(c, r) for r in reads[c]) else plan(c)
+        for c, clause in enumerate(clauses)
+    ]
 
 
 def _reads(clause):
-    """(index, through a lookahead) for each clause that clause's matcher
-    reads at its own position."""
+    """The index of each clause that clause's matcher reads at its own
+    position, a lookahead chain's innermost operand in the chain's place."""
     for s in same_position_subs(clause):
-        through = False
         while type(s) is NotFollowedBy:
-            s, through = s.sub_clauses[0], True
-        yield s.clause_idx, through
+            s = s.sub_clauses[0]
+        yield s.clause_idx
 
 
 def parse(grammar: Grammar, text: str) -> MemoTable:

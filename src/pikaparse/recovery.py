@@ -11,7 +11,6 @@ order, so next_match_after is a binary search, not a scan.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .engine import MemoTable
@@ -70,22 +69,6 @@ def find_error_spans(table: MemoTable, rule_names=None) -> list[ErrorSpan]:
     return spans
 
 
-def _first_match_from(table: MemoTable, clause, pos: int, min_len: int):
-    """Earliest stored match of clause at or after pos at least min_len
-    long, or None."""
-    positions = table.match_positions(clause)
-    # positions is descending; entries >= pos form a prefix.
-    j = bisect_right(positions, -pos, key=lambda p: -p)
-    values = table._tables[clause.clause_idx]
-    shift = table._shift
-    for i in range(j - 1, -1, -1):
-        at = positions[i]
-        v = values[at]
-        if v >> shift >= min_len:
-            return table._match(clause, at, v)
-    return None
-
-
 def next_match_after(table: MemoTable, rule_name: str, pos: int, min_len: int = 1):
     """Earliest stored match of rule_name starting at or after pos.
 
@@ -99,7 +82,7 @@ def next_match_after(table: MemoTable, rule_name: str, pos: int, min_len: int = 
         m = table.lookup(clause, pos)
         if m is not None:
             return m
-    return _first_match_from(table, clause, pos, min_len)
+    return table.first_stored(clause, pos, min_len)
 
 
 def covering_matches(table: MemoTable, rule_names=None, min_len: int = 1):
@@ -120,7 +103,7 @@ def covering_matches(table: MemoTable, rule_names=None, min_len: int = 1):
     while cursor < n:
         best = None
         for clause in clauses:
-            m = _first_match_from(table, clause, cursor, min_len)
+            m = table.first_stored(clause, cursor, min_len)
             if m is not None and (
                 best is None or (m.pos, -m.len) < (best.pos, -best.len)
             ):

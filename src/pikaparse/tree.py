@@ -92,12 +92,6 @@ def _children(entry):
     return source._entries(clause, pos, length, alt_idx) if source else ()
 
 
-def _repeats(m: Match):
-    """The repeat matches of a OneOrMore match, in input order."""
-    entries = _repeat_entries((m.clause, m.pos, m.len, m.alt_idx, m))
-    return [Match(c, p, n, s, a) for c, p, n, a, s in entries]
-
-
 def _repeat_entries(entry):
     """The repeats of a OneOrMore entry, in input order.  A chained match
     holds its first repeat and then the match of the rest."""

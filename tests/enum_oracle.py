@@ -25,7 +25,8 @@ from pikaparse.clauses import (
     Seq,
     Str,
 )
-from pikaparse.tree import _repeats
+
+from helpers import repeats
 
 MAX_TREES = 20000
 
@@ -208,7 +209,7 @@ def norm_match(m):
         return ("f", cid, m.pos, m.pos + m.len, m.alt_idx, norm_match(m.sub_matches[0]))
     if isinstance(m.clause, OneOrMore):
         # all_trees lists a repetition's repeats flat, as a greedy match does.
-        return ("n", cid, m.pos, m.pos + m.len, tuple(norm_match(s) for s in _repeats(m)))
+        return ("n", cid, m.pos, m.pos + m.len, tuple(norm_match(s) for s in repeats(m)))
     if isinstance(m.clause, Seq):
         return ("n", cid, m.pos, m.pos + m.len, tuple(norm_match(s) for s in m.sub_matches))
     return ("t", cid, m.pos, m.pos + m.len)

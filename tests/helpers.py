@@ -12,6 +12,7 @@ add/sub), encoded three ways:
 """
 
 from pikaparse import compile_grammar, engine, extract_parse_tree, parse
+from pikaparse.tree import _repeat_entries
 
 ARITH_CLIMB = """
 E4 <- '(' E0 ')';
@@ -68,6 +69,12 @@ def compile_climb():
 def parse_tree(grammar, text):
     """Parse text and return the flattened parse tree, or None."""
     return extract_parse_tree(parse(grammar, text))
+
+
+def repeats(m):
+    """The repeat matches of a OneOrMore match, in input order."""
+    entries = _repeat_entries((m.clause, m.pos, m.len, m.alt_idx, m))
+    return [engine.Match(c, p, n, s, a) for c, p, n, a, s in entries]
 
 
 def shape(node):

@@ -36,6 +36,14 @@ def test_parse_failure_reports_spans(capsys):
     assert "matched before/after/between:" in out
 
 
+def test_empty_input_the_grammar_cannot_match_is_reported_as_empty(capsys):
+    rc = main(["parse", "-t", ""])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "the input is empty" in out
+    assert "do not join up" not in out
+
+
 def test_parse_json_format(capsys):
     rc = main(["parse", "-t", "a+b", "--format", "json"])
     assert rc == 0
@@ -182,6 +190,7 @@ def test_closed_pipe_keeps_the_parse_exit_code(text, code, first_line):
     assert proc.stdout.readline() == first_line
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=120) == code
     assert err == b""
 

@@ -21,7 +21,7 @@ from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
 
 from enum_oracle import all_trees, norm_match
 from gram_gen import random_leftrec_grammar, sample_short_input
-from helpers import ASSIGN, JSON_GRAMMAR, compile_leftrec, shape
+from helpers import ASSIGN, JSON_GRAMMAR, compile_leftrec, repeats, shape
 
 
 def walk(m):
@@ -88,9 +88,9 @@ def replays(monkeypatch):
     seen = []
     replay = MemoTable._replay
 
-    def counted(self, target, pos):
-        seen.append((pos, self.grammar.fill_plan.replay(target)[0]))
-        return replay(self, target, pos)
+    def counted(self, how, pos):
+        seen.append((pos, how[0]))
+        return replay(self, how, pos)
 
     monkeypatch.setattr(MemoTable, "_replay", counted)
     return seen
@@ -147,13 +147,16 @@ def test_built_matches_read_as_a_match_building_fill(replays):
         (compile_grammar("E <- E '+' 'n' / &(E '-') 'm' / 'n';"), ("n+n+n", "n-", "n+n-")),
         (compile_grammar("E <- E '+' T / T; T <- !(E '+' 'x') [a-z];"), ("a+b+x+c",)),
     ]
+    per_grammar = []
     for g, texts in hand_written:
+        first = len(replays)
         for text in texts:
             table = parse(g, text)
             before = len(replays)
             assert full_form(table) == reference_form(reference_fill(g, text)[0]), text
             replayed += len(replays) > before
-    assert all(None in g.fill_plan.unsure() for g, _ in hand_written[1:])
+        per_grammar.append(len(replays) - first)
+    assert all(per_grammar[1:])  # each lookahead grammar replays a column
     print("%d tables replayed a column" % replayed)
     assert replayed >= 50
 
@@ -170,14 +173,15 @@ def test_replay_rebuilds_every_superseded_step():
         text = sample_short_input(rng, g, alphabet, max_len=30)
         table = parse(g, text)
         _, history = reference_fill(g, text)
-        superseded = [i for i, u in enumerate(g.fill_plan.unsure()) if u is None or u]
-        for idx in superseded:
+        for idx, how in enumerate(g.fill_plan.replays):
+            if how is None:
+                continue
             final = table._tables[idx]
             for m in history[idx]:
                 if final[m.pos] == m.len << g.alt_shift | m.alt_idx:
                     continue
                 with table._lock:
-                    record = table._replay(idx, m.pos)
+                    record = table._replay(how, m.pos)
                 rebuilt = Match(m.clause, m.pos, m.len, record, m.alt_idx).sub_matches
                 assert list(map(norm_match, rebuilt)) == list(map(norm_match, m.sub_matches))
                 steps += 1
@@ -195,7 +199,7 @@ def test_a_clause_read_before_its_operand_stores_keeps_its_first_reads(replays):
     assert o.clause_idx > c.clause_idx
     for text in ("aa", "aaaa", "aaaq"):
         table = parse(g, text)
-        assert o.clause_idx in g.fill_plan.unsure()[c.clause_idx]
+        assert o.clause_idx in g.fill_plan.replays[c.clause_idx][0]
         assert full_form(table) == reference_form(reference_fill(g, text)[0]), text
     assert len(replays) > 0
 
@@ -237,10 +241,10 @@ def test_a_repetition_on_a_cycle_replays_once_per_link(replays):
                 continue
             assert c.clause.chained
             del replays[:]
-            repeats = tree._repeats(c)
-            assert len(replays) <= len(repeats)
+            reps = repeats(c)
+            assert len(replays) <= len(reps)
             twin = ref_tables[m.clause.clause_idx][m.pos].sub_matches[j]
-            assert list(map(norm_match, repeats)) == list(map(norm_match, tree._repeats(twin)))
+            assert list(map(norm_match, reps)) == list(map(norm_match, repeats(twin)))
             checked += 1
     assert checked > 0
     ref_start = ref_tables[g.start_clause.clause_idx][0]
@@ -278,13 +282,13 @@ def test_json_grammar_has_nothing_to_cut(replays):
     text = '{"a": [1, 2, {"b": [[3], [4, 5], "x\\u0041y"]}], "c": null, "d": -1.5e3}'
     table = parse(g, text)
     assert table.matched_whole()
-    assert not any(g.fill_plan.unsure())
+    assert not any(g.fill_plan.replays)
     assert sum(len(walk(m)) for m in table.all_stored()) > table.stored_count
     assert replays == []
 
 
 @pytest.mark.parametrize("text, replayed", [
-    ("a", False), ("a*b", True), ("a+b", True), ("a*b-c", True),
+    ("a", True), ("a*b", True), ("a+b", True), ("a*b-c", True),
     ("a+b+c", True), ("-a*b*c+d*e/f-(g+h+i)*j", True),
 ])
 def test_a_tree_replays_each_column_cycle_at_most_once(replays, text, replayed):
@@ -302,12 +306,11 @@ def test_plan_replays_one_left_recursive_level_at_a_time():
     g = compile_leftrec()
     plan = FillPlan(g)
     name = g.clause_name
-    unsure = plan.unsure()
-    cyclic = [i for i, u in enumerate(unsure) if u]
+    cyclic = [i for i, how in enumerate(plan.replays) if how]
     levels = {name(g.all_clauses[i]) for i in cyclic if name(g.all_clauses[i])}
     assert levels == {"E0", "E1"}
     for target in cyclic:
-        evaluated, seeds, parents = plan.replay(target)
+        evaluated, seeds, parents = plan.replays[target]
         # A level's replay evaluates that level's rule and its growing
         # sequence (and the unary level's operand choice, E2 / E3, with
         # E2); the level below is final by the time either pops.
@@ -315,23 +318,28 @@ def test_plan_replays_one_left_recursive_level_at_a_time():
         assert set(parents) == set(evaluated)
 
 
-def test_replay_data_is_built_when_first_needed():
-    # A query that reads no children builds neither the finality sets nor
-    # any replay plan; a tree of a left-recursive run builds both.
-    g = compile_leftrec()
-    table = parse(g, "a+b+c")
-    plan = g.fill_plan
-    assert table.start_match().len == 5
-    assert plan._unsure is None and plan._replays == {}
-    extract_parse_tree(table)
-    assert plan._unsure is not None and plan._replays != {}
-    # Recovery reads lengths and positions only.
+def test_recovery_queries_build_no_children(monkeypatch):
+    # Recovery reads lengths and positions only: it neither reruns a
+    # matcher nor replays a column.
+    calls = []
+    for name in ("_rerun", "_replay"):
+        method = getattr(MemoTable, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(MemoTable, name, counted)
     g = compile_grammar(ASSIGN)
     table = parse(g, "ab=12;c=;d=3;")
     spans = find_error_spans(table, "Assign")
     assert spans and covering_matches(table, "Assign")
     assert next_match_after(table, "Assign", spans[0].end) is not None
-    assert g.fill_plan._unsure is None and g.fill_plan._replays == {}
+    assert calls == []
+    # A tree of a left-recursive run does both, so the counter counts.
+    table = parse(compile_leftrec(), "a+b+c")
+    extract_parse_tree(table)
+    assert set(calls) == {"_rerun", "_replay"}
 
 
 def test_threads_building_matches_from_one_table_agree():
