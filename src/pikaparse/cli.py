@@ -124,7 +124,9 @@ def _read_input(args) -> str:
     if args.text is not None:
         return args.text
     if args.input is None or args.input == "-":
-        data = sys.stdin.read()
+        # Decoded as a file is: strict UTF-8, with universal newlines.
+        data = sys.stdin.buffer.read().decode("utf-8")
+        data = data.replace("\r\n", "\n").replace("\r", "\n")
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = fh.read()

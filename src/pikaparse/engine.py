@@ -39,19 +39,19 @@ matchers only at the column it fills, so a read left of the column is
 counted in watermark_violations.
 
 The queries build a Match when they read a value, and a Match builds its
-children each time they are read, in the one way the fill plan chose for
-its clause when it was built.  A clause whose reads at its own position are
-all final by the time the fill evaluates it there has its matcher run again
-at the match's position, with readers that record the matches they read:
-that reads what the fill read.  Any other clause may have read a clause
+children each time they are read, in the one way the fill plan chose for its
+clause when it was built.  A clause whose reads at its own position are all
+final by the time the fill evaluates it there has its matcher run again at
+the match's position, with readers that record the matches they read: that
+reads what the fill read.  Clauses sort above what they read at their own
+position, so only a clause on a left-recursive cycle may have read a clause
 that changed after it: a left-recursive seed grows at every column it can
 start at, each growth step the left operand of the next, and only the last
 step stays in the table.  Its children come from replaying that one column,
-which records the reads behind every value it stores, so one replay yields
-a whole left-nested run.  The replay is exact because the fill is
-deterministic and everything right of the column is final.  So the table
-stays linear in memory for any run length, while the fill's time per run
-stays Theta(k^2).
+which records the reads behind every value it stores, so one replay yields a
+whole left-nested run.  The replay is exact because the fill is deterministic
+and everything right of the column is final.  So the table stays linear in
+memory for any run length, while the fill's time per run stays Theta(k^2).
 """
 from __future__ import annotations
 
@@ -526,12 +526,14 @@ class MemoTable(_Decoder):
         return None if v is None else v >> self._shift
 
     def lookup(self, clause, pos):
-        """Best known match for clause at pos.
+        """Best known match for clause at pos; None outside 0..len(text).
 
         Falls back from the stored table to on-demand evaluation for
         negative lookahead and to a childless zero-length match for any
         clause that can match zero characters.
         """
+        if not 0 <= pos <= len(self.text):
+            return None
         v = self._tables[clause.clause_idx].get(pos)
         if v is not None:
             return self._match(clause, pos, v)
@@ -797,8 +799,8 @@ class FillPlan:
     replays is built whole with the plan.  replays[c] says where the
     children of clause c's matches come from: None when a rerun of c's
     matcher over the filled table gives them, else what replaying a column
-    needs for them (see _replay_plans).  Every entry is None for a grammar
-    without same-position cycles.
+    needs for them (see _replay_plans).  Only a clause on a same-position
+    cycle, that is, a left-recursive one, has an entry other than None.
     """
 
     __slots__ = ("parents", "bounds", "entries", "replays", "_distinct", "_terminals")
@@ -872,23 +874,22 @@ def _replay_plans(clauses, parents):
     through, transitively: only they can push one of them.  So when a
     reader c that sorts above r and all of them pops, the heap holds none
     of them and none is evaluated again in the column: r is final for c.
-    If they all sort below r, r is evaluated at most once in a column, and
-    so is a clause with a single pusher that is; such a clause stores at
-    most once.  So r is also final for a c whose only pusher it is,
-    because c is evaluated only after r stored.  A clause whose reads are
-    all final for it is evaluated at most once in a column, after they are
+    Assembly sorts a clause above everything it reads at its own position,
+    except where a read closes a same-position cycle, so every read of a
+    clause on no such cycle is final for it.  A clause whose reads are all
+    final for it is evaluated at most once in a column, after they are
     final, so its stored match is what its matcher gives on the final
     table, and a rerun reads what the fill read.
 
-    Any other clause c may have read a clause that changed after it.
-    Replaying a column for c evaluates c and, transitively, every clause
-    one of them reads at its own position that does not sort, with every
-    clause it is pushed through, below that reader.  A clause that is read
-    but not evaluated is final where it is read, and it stores before a
-    parent it pushes can pop, so the replay reads its stored match and
-    schedules those parents up front: seeds pairs each such pusher with
-    the evaluated clauses it pushes.  parents maps each evaluated clause to
-    its parents among them.
+    A clause c on a same-position cycle may have read a clause that changed
+    after it.  Replaying a column for c evaluates c and, transitively, every
+    clause one of them reads at its own position that does not sort, with
+    every clause it is pushed through, below that reader.  A clause that is
+    read but not evaluated is final where it is read, and it stores before
+    a parent it pushes can pop, so the replay reads its stored match and
+    schedules those parents up front: seeds pairs each such pusher with the
+    evaluated clauses it pushes.  parents maps each evaluated clause to its
+    parents among them.
     """
     n = len(clauses)
     pushers = [[] for _ in clauses]
@@ -913,18 +914,6 @@ def _replay_plans(clauses, parents):
             todo.extend(parents[c])
     reads = [tuple(_reads(c)) for c in clauses]
 
-    def stores_once(r):
-        seen = set()
-        while top[r] >= r:
-            if len(pushers[r]) != 1 or r in seen:
-                return False
-            seen.add(r)
-            r = pushers[r][0]
-        return True
-
-    def final_for(c, r):
-        return max(r, top[r]) < c or (pushers[c] == [r] and stores_once(r))
-
     def plan(target):
         need, todo = {target}, [target]
         while todo:
@@ -946,7 +935,7 @@ def _replay_plans(clauses, parents):
         )
 
     return [
-        None if _childless(clause) or all(final_for(c, r) for r in reads[c]) else plan(c)
+        None if _childless(clause) or all(max(r, top[r]) < c for r in reads[c]) else plan(c)
         for c, clause in enumerate(clauses)
     ]
 

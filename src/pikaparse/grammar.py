@@ -1,4 +1,4 @@
-"""Grammar assembly: lowering, topological ordering, nullability and
+"""Grammar assembly: lowering, nullability, topological ordering and
 validation.
 
 `assemble_grammar` runs the whole pipeline over a flat rule list (precedence
@@ -10,8 +10,9 @@ and returns a Grammar ready for the matching engine:
    OneOrMore is marked chained so it matches right-recursively (on by
    default), structurally identical clauses are interned to single
    objects, and every RuleRef is replaced with the target rule's clause
-2. topologically order clauses bottom-up and assign clause_idx
-3. compute can_match_zero_chars (fixed point over cycles)
+2. compute can_match_zero_chars (fixed point over cycles)
+3. order clauses bottom-up by what they read at their own start position
+   and assign clause_idx
 4. validate (empty-match placement, nullable repetition bodies, lookahead
    cycles, empty matches that depend on a lookahead) and warn on dead First
    alternatives
@@ -276,38 +277,22 @@ def same_position_subs(clause):
 # ---------------------------------------------------------------------------
 # topological ordering (bottom-up clause index assignment)
 
-def topo_sort_clauses(rules, lowest_precedence_clauses=()):
-    """Order all reachable clauses bottom-up and assign clause_idx.
+def topo_sort_clauses(clauses):
+    """Order clauses bottom-up by what the fill reads, and assign clause_idx.
 
-    DFS roots, in order: rule clauses nothing else references, the lowest
-    precedence level of each shorthand hierarchy, then cycle heads: the
-    targets of back edges found by one depth_first pass from the
-    unreferenced rule clauses and then every rule clause, in first-found
-    order.  Rule declaration order keeps the result deterministic.
-    Terminals are then stably moved to the lowest indexes, so the fill's
-    queue tries a column's terminals before any clause that reads them.
+    clauses is the depth-first postorder over all edges from the rules.  A
+    depth-first postorder over same_position_subs puts every clause above
+    each clause it reads at its own start position, except where that read
+    closes a same-position cycle; can_match_zero_chars must be set, since
+    it decides what a sequence reads there.  Its roots are clauses in
+    reverse, top-down, so the clause of a cycle that the walk from the
+    rules reached first, normally the left-recursive rule itself, sorts
+    above the rest of its cycle.  The order within a cycle is the only part
+    of the order that the filled table depends on.  Terminals are then
+    stably moved to the lowest indexes, so the fill's queue tries a
+    column's terminals before any clause that reads them.
     """
-    referenced = set()
-    for c in depth_first(r.clause for r in rules):
-        referenced.update(c.sub_clauses)
-    top_level = list(dict.fromkeys(
-        r.clause for r in rules if r.clause not in referenced
-    ))
-
-    heads = {}
-    depth_first(
-        top_level + [r.clause for r in rules],
-        on_back_edge=lambda path, sub: heads.setdefault(sub, True),
-    )
-
-    ordered = depth_first(top_level + list(lowest_precedence_clauses) + list(heads))
-    reached = set(ordered)
-    for r in rules:
-        if r.clause not in reached:
-            raise GrammarError(
-                "rule %r is unreachable from every ordering root" % r.name
-            )
-
+    ordered = depth_first(reversed(clauses), same_position_subs)
     final = [c for c in ordered if c.is_terminal]
     final.extend(c for c in ordered if not c.is_terminal)
     for i, c in enumerate(final):
@@ -446,21 +431,9 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
         raise GrammarError("start rule %r is not defined" % start_rule)
 
     rules = _lower_rules(rules, rewrite_repetitions)
-
-    lowest = []
-    seen_groups = set()
-    for r in rules:
-        g = r.precedence_group
-        if g is not None and g not in seen_groups and r.precedence is not None:
-            seen_groups.add(g)
-            members = [
-                x for x in rules
-                if x.precedence_group == g and x.precedence is not None
-            ]
-            lowest.append(min(members, key=lambda x: x.precedence).clause)
-
-    all_clauses = topo_sort_clauses(rules, lowest)
-    compute_can_match_zero_chars(all_clauses)
+    clauses = depth_first(r.clause for r in rules)
+    compute_can_match_zero_chars(clauses)
+    all_clauses = topo_sort_clauses(clauses)
     _validate(rules, all_clauses)
 
     return Grammar(rules, all_clauses, start_rule)

@@ -78,7 +78,7 @@ def next_match_after(table: MemoTable, rule_name: str, pos: int, min_len: int = 
     itself, although the table stores no empty matches.
     """
     clause = table.grammar.rule_clause(rule_name)
-    if min_len < 1 and 0 <= pos <= len(table.text):
+    if min_len < 1:
         m = table.lookup(clause, pos)
         if m is not None:
             return m

@@ -12,6 +12,7 @@ add/sub), encoded three ways:
 """
 
 from pikaparse import compile_grammar, engine, extract_parse_tree, parse
+from pikaparse.grammar import same_position_subs
 from pikaparse.tree import _repeat_entries
 
 ARITH_CLIMB = """
@@ -75,6 +76,18 @@ def repeats(m):
     """The repeat matches of a OneOrMore match, in input order."""
     entries = _repeat_entries((m.clause, m.pos, m.len, m.alt_idx, m))
     return [engine.Match(c, p, n, s, a) for c, p, n, a, s in entries]
+
+
+def same_position_reach(clause):
+    """Every clause reachable from clause through same_position_subs; it
+    holds clause itself only if clause is on a same-position cycle."""
+    seen, todo = set(), [clause]
+    while todo:
+        for s in same_position_subs(todo.pop()):
+            if s not in seen:
+                seen.add(s)
+                todo.append(s)
+    return seen
 
 
 def shape(node):

@@ -108,7 +108,7 @@ def test_parse_file_input(tmp_path, capsys):
 
 
 def test_parse_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("5+5\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"5+5\n")))
     rc = main(["parse"])
     assert rc == 0
     assert "[0,3)" in capsys.readouterr().out
@@ -193,6 +193,25 @@ def test_closed_pipe_keeps_the_parse_exit_code(text, code, first_line):
     proc.stderr.close()
     assert proc.wait(timeout=120) == code
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "data, code", [(b"ab;\r\n", 0), (b"ab;\xff\n", 2)], ids=["crlf", "invalid-utf-8"]
+)
+def test_stdin_decodes_as_a_file_does(tmp_path, data, code):
+    # The same bytes give the same result from a file and piped to stdin:
+    # universal newlines, and strict UTF-8.
+    grammar = tmp_path / "g.peg"
+    grammar.write_text("S <- [a-z]+ ';';")
+    ipath = tmp_path / "input.txt"
+    ipath.write_bytes(data)
+    src = os.path.dirname(os.path.dirname(pikaparse.__file__))
+    cmd = [sys.executable, "-m", "pikaparse.cli", "parse", "-g", str(grammar)]
+    env = dict(os.environ, PYTHONPATH=src)
+    from_file = subprocess.run(cmd + [str(ipath)], capture_output=True, env=env, timeout=120)
+    piped = subprocess.run(cmd, input=data, capture_output=True, env=env, timeout=120)
+    assert from_file.returncode == piped.returncode == code
+    assert (from_file.stdout, from_file.stderr) == (piped.stdout, piped.stderr)
 
 
 def test_unknown_format_rejected():

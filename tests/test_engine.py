@@ -351,6 +351,18 @@ def test_lookup_outside_any_match_is_none():
     assert t.lookup(g.start_clause, 0) is None
 
 
+def test_lookup_outside_the_input_is_none():
+    # Nothing matches past either end of the text: not a clause that can
+    # match zero characters, nor a lookahead that would succeed there.
+    g = compile_grammar("A <- 'x'? 'y' !'z';")
+    t = parse(g, "y")
+    opt, _, ahead = g.rule_clause("A").sub_clauses
+    for pos in (-1, 2, 6):
+        assert t.lookup(opt, pos) is None
+        assert t.lookup(ahead, pos) is None
+    assert t.lookup(opt, 1).len == 0 and t.lookup(ahead, 1).len == 0
+
+
 def test_watermark_clean_on_random_inputs():
     g = compile_leftrec()
     rng = random.Random(7)

@@ -26,11 +26,11 @@ from pikaparse.clauses import (
 )
 from pikaparse.engine import FillPlan, parse
 from pikaparse.tree import extract_parse_tree
-from pikaparse.grammar import MAX_CLAUSE_DEPTH, assemble_grammar, depth_first
+from pikaparse.grammar import MAX_CLAUSE_DEPTH, assemble_grammar, depth_first, same_position_subs
 from pikaparse.metagrammar import compile_grammar, render_grammar
 
 import gram_gen
-from helpers import ARITH_CLIMB, ARITH_LEFTREC
+from helpers import ARITH_CLIMB, ARITH_LEFTREC, JSON_GRAMMAR, same_position_reach
 
 
 # === lowering of surface sugar ===
@@ -247,19 +247,52 @@ def test_precedence_levels_order_bottom_up():
     assert idx["E3"] < idx["E2"] < idx["E1"] < idx["E0"]
 
 
-def test_subclauses_sort_below_parents_outside_cycles():
-    g = compile_grammar(ARITH_CLIMB, start_rule="E0")
-    upward = {
-        (id(s), id(c))
+def upward_reads(g):
+    """(reader, read) for every same-position read that sorts above its
+    reader."""
+    return [
+        (c, s)
         for c in g.all_clauses
-        for s in c.sub_clauses
+        for s in same_position_subs(c)
         if s.clause_idx > c.clause_idx
-    }
-    # Exactly one edge points upward: the one re-entering the
-    # parenthesization cycle at its head, which is E4 because E4 is the
-    # first declared rule on that cycle.  A chained repetition reads its
-    # own match only to the right, through no edge, so it closes no cycle.
-    assert upward == {(id(g.rule_clause("E4")), id(g.rule_clause("E3")))}
+    ]
+
+
+def test_subclauses_sort_below_parents_outside_cycles():
+    # The fill needs a clause to sort above every clause it reads at its
+    # own start position; only a read that closes a same-position cycle
+    # may sort above its reader.  Cycles through later positions do not
+    # count: the choice (E2 / E3) sorts above E2, and the JSON grammar's
+    # sequence item:Value (...)* above Value, although E2 and Value read
+    # them further on.
+    assert upward_reads(compile_grammar(ARITH_CLIMB, start_rule="E0")) == []
+    assert upward_reads(compile_grammar(JSON_GRAMMAR)) == []
+    leftrec = compile_grammar(ARITH_LEFTREC, start_rule="E0")
+    assert {leftrec.clause_name(s) for _, s in upward_reads(leftrec)} == {"E0", "E1"}
+    rng = random.Random(14)
+    grammars = [leftrec]
+    grammars += [gram_gen.random_grammar(rng)[0] for _ in range(150)]
+    grammars += [gram_gen.random_leftrec_grammar(rng)[0] for _ in range(150)]
+    upward = 0
+    for g in grammars:
+        for c, s in upward_reads(g):
+            assert c in same_position_reach(s), (g.display_clause(c), g.display_clause(s))
+            upward += 1
+    assert upward >= 150
+
+
+def test_a_left_recursive_rule_sorts_above_its_growing_sequences():
+    # The order within a same-position cycle is the one part of the clause
+    # order that the filled table depends on.  L sorts above its growing
+    # sequences, which keep their alternatives' order, so at column 1 L
+    # grows through its first alternative, to 'b' 'bbab', and the whole
+    # text matches.  Were L 'b' tried first, L would grow to 'bbb' there,
+    # and 'bb' 'ab' could not follow it.
+    g = compile_grammar("L <- L ('bb' 'ab') / L 'b' / [b];")
+    rule = g.rule_clause("L")
+    grow_pair, grow_b, _ = rule.sub_clauses
+    assert grow_pair.clause_idx < grow_b.clause_idx < rule.clause_idx
+    assert parse(g, "bbbbab").matched_whole()
 
 
 # === nullability ===

@@ -21,7 +21,7 @@ from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
 
 from enum_oracle import all_trees, norm_match
 from gram_gen import random_leftrec_grammar, sample_short_input
-from helpers import ASSIGN, JSON_GRAMMAR, compile_leftrec, repeats, shape
+from helpers import ASSIGN, JSON_GRAMMAR, compile_leftrec, repeats, same_position_reach, shape
 
 
 def walk(m):
@@ -188,20 +188,32 @@ def test_replay_rebuilds_every_superseded_step():
     assert steps > 500
 
 
-def test_a_clause_read_before_its_operand_stores_keeps_its_first_reads(replays):
-    # C reads the nullable O, which sorts above it, and both start at a
-    # column of 'a': C is evaluated first, while O is still empty, and
-    # again after O stores, when it fails.  So its stored match holds the
-    # empty O; a rerun over the final table would read O's stored match,
-    # and only a replay of the column tells.
+def test_a_clause_reads_its_nullable_operand_after_it_stores(replays):
+    # C reads the nullable O at its own position, and both start at a
+    # column of 'a'.  O sorts below C, so C is evaluated only once O's
+    # match there is final, and a rerun over the final table reads what
+    # the fill read: C's children need no replay.
     g = compile_grammar("S <- O 'q' / C; C <- O 'a'; O <- R?; R <- 'a' C;")
     c, o = g.rule_clause("C"), g.rule_clause("O")
-    assert o.clause_idx > c.clause_idx
+    assert o.clause_idx < c.clause_idx
     for text in ("aa", "aaaa", "aaaq"):
         table = parse(g, text)
-        assert o.clause_idx in g.fill_plan.replays[c.clause_idx][0]
+        assert g.fill_plan.replays[c.clause_idx] is None
         assert full_form(table) == reference_form(reference_fill(g, text)[0]), text
-    assert len(replays) > 0
+    assert replays == []
+
+
+def test_only_clauses_on_same_position_cycles_replay():
+    rng = random.Random(14)
+    grammars = [compile_leftrec(), expression_grammar(), compile_grammar(JSON_GRAMMAR)]
+    grammars += [random_leftrec_grammar(rng)[0] for _ in range(200)]
+    replaying = 0
+    for g in grammars:
+        for c, how in zip(g.all_clauses, FillPlan(g).replays):
+            if how is not None:
+                assert c in same_position_reach(c), g.display_clause(c)
+                replaying += 1
+    assert replaying >= 200
 
 
 def test_building_matches_leaves_the_table_as_it_was(replays):
@@ -312,8 +324,7 @@ def test_plan_replays_one_left_recursive_level_at_a_time():
     for target in cyclic:
         evaluated, seeds, parents = plan.replays[target]
         # A level's replay evaluates that level's rule and its growing
-        # sequence (and the unary level's operand choice, E2 / E3, with
-        # E2); the level below is final by the time either pops.
+        # sequence; the level below is final by the time either pops.
         assert len(evaluated) == 2 and target in evaluated
         assert set(parents) == set(evaluated)
 
