@@ -17,6 +17,7 @@ stack, including the one inside json.dumps.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -124,12 +125,16 @@ def _read_input(args) -> str:
     if args.text is not None:
         return args.text
     if args.input is None or args.input == "-":
-        # Decoded as a file is: strict UTF-8, with universal newlines.
-        data = sys.stdin.buffer.read().decode("utf-8")
-        data = data.replace("\r\n", "\n").replace("\r", "\n")
+        # Stdin is decoded as a file is.  A stand-in with no descriptor,
+        # such as a StringIO from an embedding program, is text already.
+        try:
+            source = open(sys.stdin.fileno(), "r", encoding="utf-8", closefd=False)
+        except (AttributeError, io.UnsupportedOperation):
+            source = io.StringIO(sys.stdin.read())
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = fh.read()
+        source = open(args.input, "r", encoding="utf-8")
+    with source as fh:
+        data = fh.read()
     if not args.keep_trailing_newline and data.endswith("\n"):
         data = data[:-1]
     return data

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import warnings
+from itertools import chain
 from operator import attrgetter
 
 from .clauses import (
@@ -277,22 +278,24 @@ def same_position_subs(clause):
 # ---------------------------------------------------------------------------
 # topological ordering (bottom-up clause index assignment)
 
-def topo_sort_clauses(clauses):
+def topo_sort_clauses(clauses, heads):
     """Order clauses bottom-up by what the fill reads, and assign clause_idx.
 
-    clauses is the depth-first postorder over all edges from the rules.  A
-    depth-first postorder over same_position_subs puts every clause above
-    each clause it reads at its own start position, except where that read
-    closes a same-position cycle; can_match_zero_chars must be set, since
-    it decides what a sequence reads there.  Its roots are clauses in
-    reverse, top-down, so the clause of a cycle that the walk from the
-    rules reached first, normally the left-recursive rule itself, sorts
-    above the rest of its cycle.  The order within a cycle is the only part
-    of the order that the filled table depends on.  Terminals are then
+    clauses is the depth-first postorder over all edges from the rules and
+    heads the targets of its back edges, in the order found.  A depth-first
+    postorder over same_position_subs puts every clause above each clause
+    it reads at its own start position, except where that read closes a
+    same-position cycle; can_match_zero_chars must be set, since it decides
+    what a sequence reads there.  Only the order within a cycle changes the
+    filled table, and the clause a walk enters a cycle at sorts above the
+    rest of it.  So the walk is rooted at heads first: it enters a
+    left-recursive cycle where the walk from the rules closed it first,
+    normally at the rule itself, not where another rule reads into it.
+    Then it is rooted at clauses in reverse, top-down.  Terminals are then
     stably moved to the lowest indexes, so the fill's queue tries a
     column's terminals before any clause that reads them.
     """
-    ordered = depth_first(reversed(clauses), same_position_subs)
+    ordered = depth_first(chain(heads, reversed(clauses)), same_position_subs)
     final = [c for c in ordered if c.is_terminal]
     final.extend(c for c in ordered if not c.is_terminal)
     for i, c in enumerate(final):
@@ -431,9 +434,13 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
         raise GrammarError("start rule %r is not defined" % start_rule)
 
     rules = _lower_rules(rules, rewrite_repetitions)
-    clauses = depth_first(r.clause for r in rules)
+    heads = {}
+    clauses = depth_first(
+        (r.clause for r in rules),
+        on_back_edge=lambda path, sub: heads.setdefault(sub),
+    )
     compute_can_match_zero_chars(clauses)
-    all_clauses = topo_sort_clauses(clauses)
+    all_clauses = topo_sort_clauses(clauses, heads)
     _validate(rules, all_clauses)
 
     return Grammar(rules, all_clauses, start_rule)

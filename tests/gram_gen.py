@@ -177,13 +177,19 @@ def random_grammar(rng):
             return g, alphabet
 
 
-def random_leftrec_rules(rng):
+def random_leftrec_rules(rng, side_entry=False):
     """Rules whose start rule L is left-recursive, plus helper rules from
     random_rules: directly (L <- L x / y, sometimes with a second growing
     alternative) or through a second rule (L <- M x / y; M <- L z / w).
     Operands consume input: terminals, pairs of them, or references to
     helper rules that cannot match zero characters.  None if the helper
     rules do not assemble.
+
+    With side_entry, one more rule S, declared anywhere in the list, reads
+    a member of the cycle at its own start: a growing sequence (the same
+    clause once interned), L or M.  Its other alternatives reach L after a
+    terminal or read another member, so walks over the grammar can enter
+    the cycle at any of its clauses.
     """
     helpers, alphabet = random_rules(rng)
     try:
@@ -208,24 +214,35 @@ def random_leftrec_rules(rng):
         if rng.random() < 0.3:
             alts.append(grow("L"))
         rules = [Rule("L", First(tuple(alts) + (operand(),)))]
+        members = alts + [RuleRef("L")]
     else:
         rules = [
             Rule("L", First((grow("M"), operand()))),
             Rule("M", First((grow("L"), operand()))),
         ]
-    return rules + helpers, alphabet
+        members = [r.clause.sub_clauses[0] for r in rules] + [RuleRef("L"), RuleRef("M")]
+    rules += helpers
+    if side_entry:
+        def entry():
+            m = rng.choice(members)
+            return m if isinstance(m, Seq) and rng.random() < 0.5 else Seq((m, operand()))
+
+        alts = [entry(), rng.choice([entry, lambda: Seq((_terminal(rng, alphabet).clause, RuleRef("L")))])()]
+        rng.shuffle(alts)
+        rules.insert(rng.randint(0, len(rules)), Rule("S", First(tuple(alts))))
+    return rules, alphabet
 
 
-def random_leftrec_grammar(rng, max_clauses=24):
-    """An assembled left-recursive grammar, plus alphabet.  Repetitions
-    are chained or greedy at random."""
+def random_leftrec_grammar(rng, max_clauses=24, side_entry=False):
+    """An assembled left-recursive grammar with start rule L, plus
+    alphabet.  Repetitions are chained or greedy at random."""
     while True:
-        got = random_leftrec_rules(rng)
+        got = random_leftrec_rules(rng, side_entry)
         if got is None:
             continue
         rules, alphabet = got
         try:
-            g = assemble_grammar(rules, rewrite_repetitions=rng.random() < 0.7)
+            g = assemble_grammar(rules, "L", rewrite_repetitions=rng.random() < 0.7)
         except Exception:
             continue
         if len(g.all_clauses) <= max_clauses:

@@ -108,7 +108,7 @@ def test_parse_file_input(tmp_path, capsys):
 
 
 def test_parse_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"5+5\n")))
+    monkeypatch.setattr("sys.stdin", io.StringIO("5+5\n"))
     rc = main(["parse"])
     assert rc == 0
     assert "[0,3)" in capsys.readouterr().out

@@ -273,6 +273,7 @@ def test_subclauses_sort_below_parents_outside_cycles():
     grammars = [leftrec]
     grammars += [gram_gen.random_grammar(rng)[0] for _ in range(150)]
     grammars += [gram_gen.random_leftrec_grammar(rng)[0] for _ in range(150)]
+    grammars += [gram_gen.random_leftrec_grammar(rng, side_entry=True)[0] for _ in range(100)]
     upward = 0
     for g in grammars:
         for c, s in upward_reads(g):
@@ -293,6 +294,39 @@ def test_a_left_recursive_rule_sorts_above_its_growing_sequences():
     grow_pair, grow_b, _ = rule.sub_clauses
     assert grow_pair.clause_idx < grow_b.clause_idx < rule.clause_idx
     assert parse(g, "bbbbab").matched_whole()
+
+
+@pytest.mark.parametrize(
+    "entry", ["'z' L / (M ('bb' 'ab')) 'q'", "(M ('bb' 'ab')) 'q' / 'z' L"]
+)
+def test_a_rule_reading_a_cycle_elsewhere_leaves_the_rule_on_top(entry):
+    # L and M form the cycle, and S reads L's first growing sequence (the
+    # same clause once interned) at its own start, reaching L itself only
+    # after 'z'.  The walk from the rules enters the cycle at L, declared
+    # first, so L still sorts above its growing sequences and the whole
+    # text matches as above, whichever alternative of S comes first.
+    g = compile_grammar("L <- M ('bb' 'ab') / M 'b' / [b]; M <- L / 'c'; S <- %s;" % entry)
+    rule = g.rule_clause("L")
+    grow_pair, grow_b, _ = rule.sub_clauses
+    assert grow_pair.clause_idx < grow_b.clause_idx < rule.clause_idx
+    assert parse(g, "bbbbab").matched_whole()
+
+
+def test_a_rule_declared_after_a_cycle_leaves_the_cycle_order():
+    # gram_gen's side entry S reads a member of L's cycle at its own start.
+    # Declared after L, it cannot move another member of the cycle above L.
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(300):
+        g, _ = gram_gen.random_leftrec_grammar(rng, side_entry=True)
+        names = [r.name for r in g.rules]
+        if names.index("S") < names.index("L"):
+            continue
+        rule = g.rule_clause("L")
+        cycle = [c for c in same_position_reach(rule) if rule in same_position_reach(c)]
+        assert max(c.clause_idx for c in cycle) == rule.clause_idx, g
+        checked += 1
+    assert checked >= 150
 
 
 # === nullability ===
