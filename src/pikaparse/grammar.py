@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import warnings
-from itertools import chain
 from operator import attrgetter
 
 from .clauses import (
@@ -295,7 +294,7 @@ def topo_sort_clauses(clauses, heads):
     stably moved to the lowest indexes, so the fill's queue tries a
     column's terminals before any clause that reads them.
     """
-    ordered = depth_first(chain(heads, reversed(clauses)), same_position_subs)
+    ordered = depth_first([*heads, *reversed(clauses)], same_position_subs)
     final = [c for c in ordered if c.is_terminal]
     final.extend(c for c in ordered if not c.is_terminal)
     for i, c in enumerate(final):

@@ -227,7 +227,10 @@ def random_leftrec_rules(rng, side_entry=False):
             m = rng.choice(members)
             return m if isinstance(m, Seq) and rng.random() < 0.5 else Seq((m, operand()))
 
-        alts = [entry(), rng.choice([entry, lambda: Seq((_terminal(rng, alphabet).clause, RuleRef("L")))])()]
+        def after_terminal():
+            return Seq((_terminal(rng, alphabet).clause, RuleRef("L")))
+
+        alts = [entry(), rng.choice([entry, after_terminal])()]
         rng.shuffle(alts)
         rules.insert(rng.randint(0, len(rules)), Rule("S", First(tuple(alts))))
     return rules, alphabet
