@@ -9,15 +9,16 @@ synthesis.
 
 The evaluator cannot handle left recursion, so it statically rejects
 grammars where a clause can reach itself without consuming input.  The
-memo is write-once: each (clause, position) is evaluated at most once, and
+memo is write-once: each (clause, position) is stored at most once, and
 failures are memoized as None.  Like the engine's table, it holds the
 matchers' packed (length, alternative) ints, and matches are built from it
 on read, the same way.
+
+Evaluations nest at most _MAX_NESTING entries deep: a deeper demand is
+evaluated first and the chain that met it is retried, so any input length
+runs on the caller's thread within the default recursion limit.
 """
 from __future__ import annotations
-
-import sys
-import threading
 
 from .clauses import First
 from .engine import _childless, _Decoder, make_matcher
@@ -80,14 +81,23 @@ class OracleResult(_Decoder):
 
 _BUSY = object()
 
+# Entries one evaluation demands inside one another before its chain
+# unwinds: two frames each (evaluator and matcher), far inside the default
+# recursion limit wherever the parser is called from.
+_MAX_NESTING = 200
+
+
+class _TooDeep(Exception):
+    """Raised with the (clause_idx, pos) demanded past _MAX_NESTING."""
+
 
 def packrat_parse(grammar: Grammar, text: str, check_left_recursion: bool = True) -> OracleResult:
     """Parse text top-down from the grammar's start rule.
 
     Returns an OracleResult: the best match at position 0 (None on
-    failure) and the complete memo of every evaluation performed.  Suited
-    to test-scale inputs: the evaluator recurses, so it raises the
-    interpreter recursion limit in proportion to input length.
+    failure) and the complete memo of every evaluation performed.  Long
+    chains of demands are unwound and retried (see _MAX_NESTING), so an
+    entry on one may be evaluated twice, but is stored once.
     """
     start = grammar.start_clause
     if check_left_recursion:
@@ -95,11 +105,13 @@ def packrat_parse(grammar: Grammar, text: str, check_left_recursion: bool = True
     memo = {}
     clauses = grammar.all_clauses
     matchers = []
+    depth = 0
 
     def evaluator(clause):
         idx = clause.clause_idx
 
         def evaluate(pos):
+            nonlocal depth
             key = (idx, pos)
             if key in memo:
                 hit = memo[key]
@@ -111,8 +123,17 @@ def packrat_parse(grammar: Grammar, text: str, check_left_recursion: bool = True
                         "left recursion at position %d through %s" % (pos, desc)
                     )
                 return hit
+            if depth == _MAX_NESTING:
+                raise _TooDeep(key)
             memo[key] = _BUSY
-            v = memo[key] = matchers[idx](pos)
+            depth += 1
+            try:
+                v = memo[key] = matchers[idx](pos)
+            except _TooDeep:
+                del memo[key]
+                raise
+            finally:
+                depth -= 1
             return v
 
         return evaluate
@@ -122,45 +143,20 @@ def packrat_parse(grammar: Grammar, text: str, check_left_recursion: bool = True
         make_matcher(c, text, lambda sub: evaluators[sub.clause_idx], grammar.alt_shift)
         for c in clauses
     )
-    needed = min(1_000_000, 8 * len(text) + 8 * len(clauses) + 2000)
-    _call_with_frame_budget(lambda: evaluators[start.clause_idx](0), needed)
-    return OracleResult(grammar, text, memo)
-
-
-def _call_with_frame_budget(fn, frames):
-    """Call fn with room for the given number of interpreter frames.
-
-    Raising the recursion limit alone is not enough: past a few thousand
-    frames the interpreter exhausts the C stack and dies instead of raising
-    RecursionError.  Deep calls therefore run on a worker thread created
-    with a stack sized for the budget.
-    """
-    old_limit = sys.getrecursionlimit()
-    if frames <= min(old_limit, 5000):
-        return fn()
-    outcome = []
-
-    def runner():
-        sys.setrecursionlimit(frames)
+    # The demands met past the nesting bound, deepest last.  Each stays
+    # busy until it is stored, so one that its own chain demands again
+    # fails as left recursion however many unwinds lie between.
+    waiting = [(start.clause_idx, 0)]
+    while waiting:
+        key = waiting[-1]
+        memo[key] = _BUSY
         try:
-            outcome.append((True, fn()))
-        except BaseException as exc:
-            outcome.append((False, exc))
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-    old_stack = threading.stack_size()
-    threading.stack_size(min(512 * 1024 * 1024, max(32 * 1024 * 1024, 4096 * frames)))
-    try:
-        worker = threading.Thread(target=runner, name="deep-eval")
-        worker.start()
-    finally:
-        threading.stack_size(old_stack)
-    worker.join()
-    ok, value = outcome[0]
-    if not ok:
-        raise value
-    return value
+            memo[key] = matchers[key[0]](key[1])
+        except _TooDeep as deep:
+            waiting.append(deep.args[0])
+        else:
+            waiting.pop()
+    return OracleResult(grammar, text, memo)
 
 
 def same_shape(a, b) -> bool:

@@ -3,10 +3,11 @@
 A run of k operands under a left-associative level grows a left-nested
 seed at every operand's column, so its fill costs Theta(k^2) evaluations:
 that is the fixpoint the pika parser computes.  Its memory does not have to
-grow that way.  The final matches of a column still hold the growth steps
-they superseded, and the engine cuts those and rebuilds them on demand, so
-retained bytes per char stay flat across run lengths and close to those of
-a right-nested input of the same operands.
+grow that way.  The table holds one packed (length, alternative) int per
+entry and no child pointers, so a superseded growth step leaves nothing
+behind; a tree's children are built on read, replaying a column where a
+step it needs was superseded.  So retained bytes per char stay flat across
+run lengths and close to those of a right-nested input of the same operands.
 """
 
 import functools

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -106,14 +108,45 @@ def test_agreement_includes_match_length():
 
 
 def test_deep_right_recursion_without_overflow():
-    # The evaluator recurses, so it widens the interpreter stack to cover
-    # inputs far beyond the default recursion limit.
+    # The chain of demands is far deeper than the default recursion limit
+    # allows; the evaluator unwinds it in bounded pieces.
     g = compile_grammar("A <- 'a' A / 'b';")
     text = "a" * 5000 + "b"
     res = packrat_parse(g, text)
     assert res.match is not None and res.match.len == len(text)
     bottom = parse(g, text).start_match()
     assert same_shape(bottom, res.match)
+
+
+def test_parse_starts_no_thread_and_keeps_interpreter_settings(monkeypatch):
+    def refuse(self):
+        raise AssertionError("packrat_parse started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    limit, stack = sys.getrecursionlimit(), threading.stack_size()
+    g = compile_grammar("A <- 'a' A / 'b';")
+    text = "a" * 5000 + "b"
+    assert packrat_parse(g, text).match.len == len(text)
+    assert packrat_parse(compile_climb(), "a+b*c").match.len == 5
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (limit, stack)
+
+
+def test_left_recursion_past_the_nesting_bound_is_reported():
+    # L's cycle is met about 600 demands deep, so the chain that reaches it
+    # has been unwound and retried on the way.
+    g = compile_grammar("S <- 'a' S / L; L <- L 'x' / 'y';")
+    with pytest.raises(LeftRecursionError, match="position 300"):
+        packrat_parse(g, "a" * 300 + "yx", check_left_recursion=False)
+
+
+def test_left_recursive_cycle_longer_than_the_nesting_bound_is_reported():
+    # The cycle is longer than the nesting bound, so unwinds cut it before
+    # any evaluation comes round to itself: a demand that waits to be
+    # evaluated after an unwind must still count as busy.
+    n = 500
+    g = compile_grammar(" ".join("R%d <- R%d / 'x';" % (i, (i + 1) % n) for i in range(n)))
+    with pytest.raises(LeftRecursionError, match="position 0"):
+        packrat_parse(g, "x", check_left_recursion=False)
 
 
 def test_memo_is_write_once_and_complete():

@@ -122,8 +122,10 @@ def test_left_recursive_pairs_match_the_enumerator(replays):
             assert norm_match(m) == trees[0], text
     print("%d pairs, %d unique derivations, %d compared, %d replays"
           % (pairs, unique, compared, len(replays)))
-    assert unique >= 1000
-    assert compared >= 900
+    # Exact counts: a change to which whole matches the engine finds on
+    # left-recursive grammars moves compared even where every comparison
+    # it still makes agrees.
+    assert (unique, compared) == (1227, 1140)
     assert len(replays) > 0
 
 
@@ -287,7 +289,7 @@ def test_tables_are_freed_without_the_cycle_collector(replays):
         gc.enable()
 
 
-def test_json_grammar_has_nothing_to_cut(replays):
+def test_json_grammar_replays_nothing(replays):
     # No clause of the JSON grammar can be superseded in a column, so no
     # match needs a replay.
     g = compile_grammar(JSON_GRAMMAR)
