@@ -68,8 +68,9 @@ def escape_set_char(ch: str) -> str:
 class Clause:
     """Base class for all grammar clauses.
 
-    The analysis fields (clause_idx, can_match_zero_chars, zero_idx) are
-    populated by grammar assembly and are meaningless before it.
+    The analysis fields (clause_idx, can_match_zero_chars, zero_idx,
+    reaches_label) are populated by grammar assembly and are meaningless
+    before it.
     """
 
     __slots__ = (
@@ -78,6 +79,7 @@ class Clause:
         "clause_idx",
         "can_match_zero_chars",
         "zero_idx",
+        "reaches_label",
     )
 
     min_arity = 0
@@ -104,6 +106,7 @@ class Clause:
         self.clause_idx = -1
         self.can_match_zero_chars = False
         self.zero_idx = 0
+        self.reaches_label = True
 
     @classmethod
     def _arity_text(cls):

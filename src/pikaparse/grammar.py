@@ -10,7 +10,8 @@ and returns a Grammar ready for the matching engine:
    OneOrMore is marked chained so it matches right-recursively (on by
    default), structurally identical clauses are interned to single
    objects, and every RuleRef is replaced with the target rule's clause
-2. compute can_match_zero_chars (fixed point over cycles)
+2. compute can_match_zero_chars and reaches_label (fixed points over
+   cycles)
 3. order clauses bottom-up by what they read at their own start position
    and assign clause_idx
 4. validate (empty-match placement, nullable repetition bodies, lookahead
@@ -280,16 +281,18 @@ def same_position_subs(clause):
 def topo_sort_clauses(clauses, heads):
     """Order clauses bottom-up by what the fill reads, and assign clause_idx.
 
-    clauses is the depth-first postorder over all edges from the rules and
-    heads the targets of its back edges, in the order found.  A depth-first
+    clauses is the depth-first postorder over all edges from the start
+    rule and then the other rules in declaration order, and heads the
+    targets of its back edges, in the order found.  A depth-first
     postorder over same_position_subs puts every clause above each clause
     it reads at its own start position, except where that read closes a
     same-position cycle; can_match_zero_chars must be set, since it decides
     what a sequence reads there.  Only the order within a cycle changes the
     filled table, and the clause a walk enters a cycle at sorts above the
     rest of it.  So the walk is rooted at heads first: it enters a
-    left-recursive cycle where the walk from the rules closed it first,
-    normally at the rule itself, not where another rule reads into it.
+    left-recursive cycle where the walk from the start rule closed it
+    first, normally at the rule itself, not where another rule reads into
+    it, whatever order the rules are declared in.
     Then it is rooted at clauses in reverse, top-down.  Terminals are then
     stably moved to the lowest indexes, so the fill's queue tries a
     column's terminals before any clause that reads them.
@@ -337,6 +340,19 @@ def compute_can_match_zero_chars(all_clauses):
                 (i for i, s in enumerate(c.sub_clauses) if s.can_match_zero_chars),
                 0,
             )
+
+
+def compute_reaches_label(all_clauses):
+    """Fixed point of which clauses have a labeled edge below them: only
+    their parse-tree nodes can hold a labeled node below them."""
+    for c in all_clauses:
+        c.reaches_label = any(label is not None for label in c.sub_clause_labels)
+    changed = True
+    while changed:
+        changed = False
+        for c in all_clauses:
+            if not c.reaches_label and any(s.reaches_label for s in c.sub_clauses):
+                c.reaches_label = changed = True
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +451,11 @@ def assemble_grammar(rules, start_rule=None, rewrite_repetitions=True) -> Gramma
     rules = _lower_rules(rules, rewrite_repetitions)
     heads = {}
     clauses = depth_first(
-        (r.clause for r in rules),
+        (r.clause for r in sorted(rules, key=lambda r: r.name != start_rule)),
         on_back_edge=lambda path, sub: heads.setdefault(sub),
     )
     compute_can_match_zero_chars(clauses)
+    compute_reaches_label(clauses)
     all_clauses = topo_sort_clauses(clauses, heads)
     _validate(rules, all_clauses)
 

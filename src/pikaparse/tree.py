@@ -1,15 +1,18 @@
 """Parse trees and ASTs extracted from a filled memo table.
 
-Extraction never recurses: chained repetitions and left-recursive operator
-runs make match depth proportional to input length, so every walk here uses
-an explicit stack or loop.
+A tree is built on read: extraction builds the root, and each node builds
+its children from its memo entry when they are first read.  Nothing here
+recurses: chained repetitions and left-recursive operator runs make match
+depth proportional to input length, so every walk uses an explicit stack.
 
 A repetition becomes one node whose children are its repeats in input
 order, whether its match holds them flat (greedy) or nested (chained), so
 trees do not depend on how the grammar was assembled.
 
 to_ast keeps only labeled nodes.  An unlabeled node dissolves and its
-labeled descendants attach to the nearest labeled ancestor.
+labeled descendants attach to the nearest labeled ancestor.  It reads the
+children only of nodes whose clause reaches a labeled edge (see
+grammar.compute_reaches_label), so most of a tree is never built.
 """
 from __future__ import annotations
 
@@ -25,9 +28,14 @@ class ParseTreeNode:
     name is the owning rule's name when the clause is a rule body, else the
     clause's canonical text.  label is the AST label attached where this
     node was referenced, if any.  text is the covered slice of the input.
+
+    A node extracted from a memo table builds its children on their first
+    read, from the entry it keeps until then (see engine.Match), so it
+    holds the table alive until its whole subtree has been read.
     """
 
-    __slots__ = ("clause", "name", "label", "pos", "len", "source", "children")
+    __slots__ = ("clause", "name", "label", "pos", "len", "source", "children",
+                 "_entry", "_grammar")
 
     def __init__(self, clause, name, label, pos, length, source):
         self.clause = clause
@@ -37,6 +45,18 @@ class ParseTreeNode:
         self.len = length
         self.source = source
         self.children = []
+
+    def __getattr__(self, attr):
+        # Only an unset slot gets here: children of a node built by _unread,
+        # before their first read.  Build them and drop the entry.
+        if attr != "children":
+            raise AttributeError(attr)
+        entry = self._entry
+        if entry is None:  # another thread built them since
+            return self.children
+        self.children = kids = _expand(entry, self._grammar, self.source)
+        self._entry = None
+        return kids
 
     @property
     def end(self):
@@ -105,39 +125,49 @@ def _repeat_entries(entry):
     return items
 
 
-def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
-    """Build the parse tree for one match, iteratively.
+def _unread(entry, label, grammar, text):
+    """The node of an entry, its children unbuilt unless it has none."""
+    clause = entry[0]
+    node = object.__new__(ParseTreeNode)
+    node.clause = clause
+    node.name = grammar.node_name(clause)
+    node.label = label
+    node.pos = entry[1]
+    node.len = entry[2]
+    node.source = text
+    if entry[4]:
+        node._entry = entry
+        node._grammar = grammar
+    else:
+        node.children = []
+    return node
 
-    A repetition becomes a single node holding its repeats.  The walk
-    reads the matches below match as entries (see _children), without
-    building a Match for each.
+
+def _expand(entry, grammar, text):
+    """The child nodes of an entry's node, each with the label of the edge
+    it was read through.  A repetition's are its repeats."""
+    clause = entry[0]
+    kind = type(clause)
+    labels = clause.sub_clause_labels
+    if kind is OneOrMore:
+        kids = zip(_repeat_entries(entry), repeat(labels[0]))
+    elif kind is First:
+        kids = zip(_children(entry), repeat(labels[entry[3]]))
+    else:
+        kids = zip(_children(entry), labels)
+    return [_unread(e, label, grammar, text) for e, label in kids]
+
+
+def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
+    """The parse tree for one match: its root, whose children, and theirs,
+    are built on first read.
+
+    A repetition becomes a single node holding its repeats.  Children are
+    built from the matches below match read as entries (see _children),
+    without building a Match for each.
     """
-    name = grammar.node_name
     top = (match.clause, match.pos, match.len, match.alt_idx, match)
-    root = ParseTreeNode(match.clause, name(match.clause), None, match.pos, match.len, source)
-    stack = [(top, root)]
-    while stack:
-        entry, node = stack.pop()
-        clause, pos, length, alt_idx, subs = entry
-        if not subs:
-            continue
-        kind = type(clause)
-        labels = clause.sub_clause_labels
-        if kind is OneOrMore:
-            kids = [(e, labels[0]) for e in _repeat_entries(entry)]
-        else:
-            entries = subs._entries(clause, pos, length, alt_idx)
-            if kind is First:
-                kids = [(e, labels[alt_idx]) for e in entries]
-            else:
-                kids = zip(entries, labels)
-        children = node.children
-        for e, label in kids:
-            c = e[0]
-            child = ParseTreeNode(c, name(c), label, e[1], e[2], source)
-            children.append(child)
-            stack.append((e, child))
-    return root
+    return _unread(top, None, grammar, source)
 
 
 def extract_parse_tree(table: MemoTable):
@@ -171,9 +201,12 @@ def to_ast(root: ParseTreeNode):
             ast = ASTNode(node.label, node.pos, node.len, node.source, [])
             out.append(ast)
             out = ast.children
-        kids = node.children
-        if kids:
-            stack.extend(zip(reversed(kids), repeat(out)))
+        # Below a clause that reaches no labeled edge, nothing can be
+        # labeled, so its node's children are never built.
+        if node.clause.reaches_label:
+            kids = node.children
+            if kids:
+                stack.extend(zip(reversed(kids), repeat(out)))
     if not top:
         return None
     if len(top) == 1:

@@ -276,7 +276,8 @@ def test_a_match_outlives_its_table():
 def test_tables_are_freed_without_the_cycle_collector(replays):
     g = expression_grammar()
     table = parse(g, "+".join(["ab"] * 12))
-    extract_parse_tree(table)  # replays, so the replay machinery exists
+    # A whole tree replays, so the replay machinery exists.
+    shape(extract_parse_tree(table))
     assert len(replays) > 0
     ref = weakref.ref(table)
     tables = table._tables
@@ -311,7 +312,7 @@ def test_a_tree_replays_each_column_cycle_at_most_once(replays, text, replayed):
     g = compile_leftrec()
     table = parse(g, text)
     assert table.matched_whole()
-    extract_parse_tree(table)
+    shape(extract_parse_tree(table))  # builds every node's children
     assert len(replays) == len(set(replays))
     assert (len(replays) > 0) == replayed
 
@@ -351,7 +352,7 @@ def test_recovery_queries_build_no_children(monkeypatch):
     assert calls == []
     # A tree of a left-recursive run does both, so the counter counts.
     table = parse(compile_leftrec(), "a+b+c")
-    extract_parse_tree(table)
+    shape(extract_parse_tree(table))
     assert set(calls) == {"_rerun", "_replay"}
 
 

@@ -1,10 +1,16 @@
-"""Parse-tree extraction, repetition flattening, and AST projection."""
+"""Parse-tree extraction, repetition flattening, AST projection, and
+children built on first read."""
 
+import gc
 import random
+import sys
+import threading
 import warnings
+import weakref
 
 from pikaparse import (
     CharSet,
+    GrammarError,
     OneOrMore,
     Rule,
     assemble_grammar,
@@ -15,10 +21,11 @@ from pikaparse import (
     parse,
     to_ast,
 )
+from pikaparse.engine import MemoTable
 from pikaparse.tree import ASTNode, ParseTreeNode, node_from_match
 
 import gram_gen
-from helpers import ASSIGN, compile_leftrec, parse_tree
+from helpers import ASSIGN, JSON_GRAMMAR, compile_leftrec, parse_tree
 
 
 def tree_shape(node):
@@ -243,3 +250,131 @@ def test_node_from_match_standalone():
     root = node_from_match(t.start_match(), g, t.text)
     assert isinstance(root, ParseTreeNode)
     assert [c.text for c in root.children] == ["a", "b"]
+
+
+# === children built on first read ===
+
+JSON_DOCS = [
+    '{"a": [1, 2, {"b": [[3], [4, 5], "x\\u0041y"]}], "c": null, "d": -1.5e3}',
+    '[true, false, "", {}, [], 0.25, "tab\\tand \\"quote\\""]',
+    ' {"key" : {"nested": [ {"deep": [1e-7, -0, 12345678901234567890]} ]}} ',
+]
+
+
+def ast_shape(node):
+    if node is None:
+        return None
+    return (node.label, node.pos, node.len, tuple(ast_shape(c) for c in node.children))
+
+
+def labeled_leftrec_grammar(rng):
+    """gram_gen's left-recursive grammar with a random label on 30% of
+    the edges of its rule bodies, plus its alphabet."""
+    while True:
+        got = gram_gen.random_leftrec_rules(rng)
+        if got is None:
+            continue
+        rules, alphabet = got
+        stack = [r.clause for r in rules]
+        while stack:
+            c = stack.pop()
+            c.sub_clause_labels = tuple(
+                rng.choice("xy") if rng.random() < 0.3 else None for _ in c.sub_clauses)
+            stack.extend(c.sub_clauses)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                g = assemble_grammar(rules, "L", rewrite_repetitions=rng.random() < 0.7)
+            return g, alphabet
+        except GrammarError:
+            continue
+
+
+def test_to_ast_reruns_no_clause_that_reaches_no_label(monkeypatch):
+    # The JSON grammar's lexical rules hold no label, so the AST needs none
+    # of their nodes' children: String, Number, WS and Hex are never rerun.
+    g = compile_grammar(JSON_GRAMMAR)
+    lexical = [g.rule_clause(name) for name in ("String", "Number", "WS", "Hex")]
+    rerun = []
+    original = MemoTable._rerun
+
+    def recording(self, clause, pos, v):
+        rerun.append(clause)
+        return original(self, clause, pos, v)
+
+    monkeypatch.setattr(MemoTable, "_rerun", recording)
+    for text in JSON_DOCS:
+        ast = to_ast(extract_parse_tree(parse(g, text)))
+        assert ast.label == "v" and ast.len == len(text.strip())
+    assert rerun
+    assert not {id(c) for c in lexical} & {id(c) for c in rerun}
+    assert all(c.reaches_label for c in rerun)
+    assert not any(c.reaches_label for c in lexical)
+
+
+def test_a_fresh_tree_projects_as_a_tree_read_whole():
+    cases = [(compile_grammar(JSON_GRAMMAR), JSON_DOCS), (compile_leftrec(), ["a+b*-(c-d)/e"])]
+    rng = random.Random(20261018)
+    for _ in range(200):
+        g, alphabet = labeled_leftrec_grammar(rng)
+        cases.append((g, [gram_gen.sample_short_input(rng, g, alphabet) for _ in range(5)]))
+    labeled = 0
+    for g, texts in cases:
+        for text in texts:
+            table = parse(g, text)
+            whole = extract_parse_tree(table)
+            if whole is None:
+                continue
+            tree_shape(whole)  # reads every node's children
+            expected = ast_shape(to_ast(whole))
+            assert ast_shape(to_ast(extract_parse_tree(table))) == expected, text
+            labeled += expected is not None
+    assert labeled >= 300
+
+
+def test_a_tree_outlives_its_table_and_then_lets_it_go():
+    g = compile_leftrec()
+    text = "a*b+-c*(d+e)-f/g+h"
+    expected = tree_shape(parse_tree(g, text))
+    table = parse(g, text)
+    ref = weakref.ref(table)
+    root = extract_parse_tree(table)
+    del table
+    gc.collect()
+    assert ref() is not None  # unread children still need it
+    gc.disable()
+    try:
+        assert tree_shape(root) == expected
+        # Every node's entry is dropped once its children are built, so
+        # nothing refers to the table any more.
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_threads_walking_one_unread_tree_agree():
+    g = compile_leftrec()
+    text = "a*b*c+d-e*f/(g+h+i)-j*k+l" * 3
+    expected = tree_shape(parse_tree(g, text))
+    root = extract_parse_tree(parse(g, text))
+    results, errors = [], []
+
+    def walk():
+        try:
+            results.append(tree_shape(root))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * len(threads)
