@@ -51,7 +51,15 @@ step stays in the table.  Its children come from replaying that one column,
 which records the reads behind every value it stores, so one replay yields a
 whole left-nested run.  The replay is exact because the fill is deterministic
 and everything right of the column is final.  So the table stays linear in
-memory for any run length, while the fill's time per run stays Theta(k^2).
+memory for any run length.
+
+Growing a seed one operand at a time costs Theta(k^2) evaluations for a run
+of k operands.  The fill skips that growth for each left-associative level
+H <- H op Y / Y that FillPlan recognizes (the shape precedence shorthand's
+E[i,L] produces): it evaluates H once per column, from Y there and H's
+final match right of it, and stores the value growth would end at (see
+_levels), so such runs fill in linear time.  Growth steps then exist only
+in replays.  Every other left-recursive cycle grows its seed.
 """
 from __future__ import annotations
 
@@ -594,7 +602,8 @@ class MemoTable(_Decoder):
         plan = grammar.fill_plan
         if plan is None:
             plan = grammar.fill_plan = FillPlan(grammar)
-        parents = plan.parents
+        parents = plan.fill_parents
+        levels = plan.levels
         bounds = plan.bounds
         entries = plan.entries
         clauses = grammar.all_clauses
@@ -609,17 +618,29 @@ class MemoTable(_Decoder):
         def late():
             self.watermark_violations += 1
 
-        # Each clause's matcher is built on its first evaluation, by an
-        # entry that replaces itself.  The dispatch entries decide
-        # single-character terminals, which are never evaluated.
-        def build(i):
-            def first_call(pos):
-                f = matchers[i] = make_matcher(clauses[i], text, self._reader, shift, late)
-                return f(pos)
+        def fill_matcher(i):
+            clause = clauses[i]
+            if i not in levels:
+                return make_matcher(clause, text, self._reader, shift, late)
+            # A recognized level H <- S / Y: store S's final match here,
+            # Y op H with H read right of pos, then run H's own matcher.
+            s, chain = levels[i]
+            store = tables[s].__setitem__
+            grown = make_matcher(chain, text, self._reader, shift, late)
+            choose = make_matcher(clause, text, self._reader, shift, late)
 
-            return first_call
+            def level(pos):
+                v = grown(pos)
+                if v is not None:
+                    store(pos, v)
+                return choose(pos)
 
-        matchers = list(map(build, range(len(clauses))))
+            return level
+
+        # Each clause's matcher is built on its first evaluation.  The
+        # dispatch entries decide single-character terminals, which are
+        # never evaluated.
+        matchers = [None] * len(clauses)
         # An evaluation stores its value if it is the clause's first or an
         # improvement (a longer match, or an earlier alternative of an
         # ordered choice: only its values carry an alternative other than
@@ -635,7 +656,10 @@ class MemoTable(_Decoder):
             while heap:
                 idx = heappop(heap)
                 in_heap[idx] = 0
-                v = matchers[idx](pos)
+                f = matchers[idx]
+                if f is None:
+                    f = matchers[idx] = fill_matcher(idx)
+                v = f(pos)
                 if v is None:
                     continue
                 tbl = tables[idx]
@@ -647,7 +671,6 @@ class MemoTable(_Decoder):
                     if not in_heap[i]:
                         in_heap[i] = 1
                         heappush(heap, i)
-        matchers.clear()  # the entries not yet built refer to the list
 
     # -- building matches -------------------------------------------------
 
@@ -698,8 +721,9 @@ class MemoTable(_Decoder):
         """The children of clause's match at pos: from a rerun over the
         table, or from replaying the column where FillPlan.replays says
         clause needs it."""
-        how = self.grammar.fill_plan.replays[clause.clause_idx]
-        if how is None:
+        plan = self.grammar.fill_plan
+        how = plan.replays[clause.clause_idx]
+        if how is None or alt_idx and clause.clause_idx in plan.levels:
             return super()._entries(clause, pos, length, alt_idx)
         with self._lock:
             record = self._replay(how, pos)
@@ -801,9 +825,20 @@ class FillPlan:
     matcher over the filled table gives them, else what replaying a column
     needs for them (see _replay_plans).  Only a clause on a same-position
     cycle, that is, a left-recursive one, has an entry other than None.
+
+    levels maps each recognized left-associative level's clause h to
+    (s, chain): its growing sequence's index and the clause Y op H that
+    the fill matches in its place (see _levels).  The fill evaluates h once
+    per column and stores s itself, so fill_parents, the seed parents the
+    fill reschedules, is parents less s among h's.  A match of h that took
+    its alternative 1 reads no stored s and a final Y, so its children
+    come from a rerun even though replays[h] is not None.
     """
 
-    __slots__ = ("parents", "bounds", "entries", "replays", "_distinct", "_terminals")
+    __slots__ = (
+        "parents", "fill_parents", "levels", "bounds", "entries", "replays", "_distinct",
+        "_terminals",
+    )
 
     def __init__(self, grammar: Grammar):
         clauses = grammar.all_clauses
@@ -827,7 +862,13 @@ class FillPlan:
         self.bounds = sorted(bounds)
         self.entries = [None] * (len(self.bounds) + 1)
         self._distinct = {}
-        self.replays = _replay_plans(clauses, self.parents)
+        pushers, top = _pushed_through(clauses, self.parents)
+        self.replays = _replay_plans(clauses, self.parents, pushers, top)
+        self.levels = _levels(clauses, self.parents, top)
+        fill_parents = list(self.parents)
+        for h, (s, _) in self.levels.items():
+            fill_parents[h] = tuple(p for p in fill_parents[h] if p != s)
+        self.fill_parents = fill_parents
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, initial
@@ -863,17 +904,46 @@ class FillPlan:
         return e
 
 
-def _replay_plans(clauses, parents):
-    """FillPlan.replays: per clause c, None when c's matches have no
-    children or every clause c reads at its own position is final for c,
-    else (evaluated, seeds, parents) for replaying a column for c.
+def _pushed_through(clauses, parents):
+    """Each clause's pushers, and top[c]: the highest index among the
+    clauses c is pushed through, transitively (c itself if it is on a
+    cycle), or -1.
 
     A clause's pushers are its seed children except a NotFollowedBy or the
     empty clause, which the fill never stores; only a pusher's store
     schedules a clause.  Take a clause r and the clauses it is pushed
     through, transitively: only they can push one of them.  So when a
-    reader c that sorts above r and all of them pops, the heap holds none
-    of them and none is evaluated again in the column: r is final for c.
+    reader c with max(r, top[r]) < c pops, the heap holds none of them and
+    none is evaluated again in the column: r is final for c.
+    """
+    n = len(clauses)
+    pushers = [[] for _ in clauses]
+    for i, ps in enumerate(parents):
+        if type(clauses[i]) not in (NotFollowedBy, Nothing):
+            for p in ps:
+                pushers[p].append(i)
+    top = [-1] * n
+    todo = list(range(n - 1, -1, -1))  # lowest first: pushers mostly sort below
+    while todo:
+        c = todo.pop()
+        t = top[c]
+        for s in pushers[c]:
+            if s > t:
+                t = s
+            if top[s] > t:
+                t = top[s]
+        if t > top[c]:
+            top[c] = t
+            todo.extend(parents[c])
+    return pushers, top
+
+
+def _replay_plans(clauses, parents, pushers, top):
+    """FillPlan.replays: per clause c, None when c's matches have no
+    children or every clause c reads at its own position is final for c
+    (see _pushed_through), else (evaluated, seeds, parents) for replaying a
+    column for c.
+
     Assembly sorts a clause above everything it reads at its own position,
     except where a read closes a same-position cycle, so every read of a
     clause on no such cycle is final for it.  A clause whose reads are all
@@ -891,27 +961,6 @@ def _replay_plans(clauses, parents):
     evaluated clauses it pushes.  parents maps each evaluated clause to its
     parents among them.
     """
-    n = len(clauses)
-    pushers = [[] for _ in clauses]
-    for i, ps in enumerate(parents):
-        if type(clauses[i]) not in (NotFollowedBy, Nothing):
-            for p in ps:
-                pushers[p].append(i)
-    # top[c]: the highest index among the clauses c is pushed through,
-    # transitively (c itself if it is on a cycle), or -1.
-    top = [-1] * n
-    todo = list(range(n - 1, -1, -1))  # lowest first: pushers mostly sort below
-    while todo:
-        c = todo.pop()
-        t = top[c]
-        for s in pushers[c]:
-            if s > t:
-                t = s
-            if top[s] > t:
-                t = top[s]
-        if t > top[c]:
-            top[c] = t
-            todo.extend(parents[c])
     reads = [tuple(_reads(c)) for c in clauses]
 
     def plan(target):
@@ -938,6 +987,53 @@ def _replay_plans(clauses, parents):
         None if _childless(clause) or all(max(r, top[r]) < c for r in reads[c]) else plan(c)
         for c, clause in enumerate(clauses)
     ]
+
+
+def _levels(clauses, parents, top):
+    """FillPlan.levels: {h: (s, Seq((Y, op, H)))} for each left-associative
+    level H <- S / Y with S = H op Y whose fill needs no growing seed.
+
+    Where S's match at column j grows from H's, each growth step reads one
+    more operand, and the fixpoint is: if Y op H matches at j, reading H
+    right of j, S's match is that and H takes alternative 0 with S's
+    length; otherwise S has no match at j and H takes Y's as alternative
+    1.  Everything right of the column is final, so the fill evaluates H
+    once per column and stores S from Y op H; the table is the one growth
+    fills.  That needs:
+
+    - Y and op cannot match zero characters, so H is read right of j and
+      each growth step is longer than the last;
+    - Y is final for H (see _pushed_through), so both fills read one Y;
+    - H is S's only seed parent, and every other seed parent of H sorts
+      above H.  Growth starts when H first pops, when all else in the heap
+      sorts above H.  A growth step pushes H or S, which pops next, and
+      clauses above H, above S too: S reads only H at its own position, so
+      nothing sorts between H and S if S sorts above H.  So no other
+      clause is evaluated in the column while H grows, and none reads a
+      step that growth supersedes.
+
+    Every other left-recursive cycle grows its seed: indirect cycles,
+    several growing alternatives, and cycles on which another clause reads
+    H at its own position, such as a lookahead's operand.
+    """
+    levels = {}
+    for h in clauses:
+        if type(h) is not First or len(h.sub_clauses) != 2:
+            continue
+        s, y = h.sub_clauses
+        if type(s) is not Seq or len(s.sub_clauses) != 3 or s.sub_clauses[::2] != (h, y):
+            continue
+        op = s.sub_clauses[1]
+        i, j = h.clause_idx, s.clause_idx
+        if (
+            not y.can_match_zero_chars
+            and not op.can_match_zero_chars
+            and max(y.clause_idx, top[y.clause_idx]) < i
+            and parents[j] == (i,)
+            and all(p > i for p in parents[i] if p != j)
+        ):
+            levels[i] = (j, Seq((y, op, h)))
+    return levels
 
 
 def _reads(clause):

@@ -22,7 +22,8 @@ random_leftrec_grammar drops the first constraint on purpose: its start
 rule is left-recursive, directly or through a second rule, over helper
 rules from the generator above.  Only the bottom-up engine and the
 exhaustive enumerator in enum_oracle can check those, on short inputs
-from sample_short_input.
+from sample_short_input.  random_precedence_grammar writes left-recursive
+grammars in precedence shorthand, with inputs from sample_expression.
 """
 
 import random
@@ -250,6 +251,89 @@ def random_leftrec_grammar(rng, max_clauses=24, side_entry=False):
             continue
         if len(g.all_clauses) <= max_clauses:
             return g, alphabet
+
+
+# ----------------------------------------------------------------------
+# precedence shorthand
+
+PRECEDENCE_OPS = ("+", "*", "^", "+*")
+
+
+def random_precedence_grammar(rng):
+    """Grammar text in precedence shorthand, plus the operand and operator
+    tokens its inputs are made of.
+
+    One to three binary levels, each E[i,L] or E[i,R], draw their
+    operators from PRECEDENCE_OPS, so levels often share one.  A prefix
+    level ('-' E) and a parenthesis level may sit between them, and an atom
+    level is the tightest.  Some levels hold a lookahead: inside the
+    operator, before the level's first operand, or, in the atom level, one
+    that reads the loosest level at the atom's own position, which puts
+    that lookahead on every level's left-recursive cycle.  A binary level
+    sometimes has a third operand, so it is left-recursive without the
+    H <- H op Y / Y shape.
+    """
+    ops = []
+
+    def op():
+        if rng.random() < 0.3:
+            a, b = rng.sample(PRECEDENCE_OPS, 2)
+            ops.extend((a, b))
+            return "('%s' / '%s')" % (a, b)
+        a = rng.choice(PRECEDENCE_OPS)
+        ops.append(a)
+        return "'%s'" % a
+
+    def binary():
+        o = op()
+        roll = rng.random()
+        if roll < 0.12:
+            o = "(%s !'%s')" % (o, rng.choice(PRECEDENCE_OPS))
+        elif roll < 0.2:
+            return "!'x' E %s E" % o
+        elif roll < 0.28:
+            return "E %s E %s E" % (o, op())
+        return "E %s E" % o
+
+    bodies = [(binary(), rng.choice("LR")) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        bodies.append(("'-' E", None))
+    if rng.random() < 0.4:
+        bodies.append(("'(' E ')'", None))
+    rng.shuffle(bodies)
+    atom = rng.choice(["[ab]+", "'a' / 'b' 'b'", "[ab]"])
+    if rng.random() < 0.15:
+        atom = "!(E '%s' 'x') (%s)" % (rng.choice(PRECEDENCE_OPS), atom)
+    bodies.append((atom, None))
+    lines = []
+    for level, (body, assoc) in enumerate(bodies):
+        head = "E[%d,%s]" % (level, assoc) if assoc else "E[%d]" % level
+        lines.append("%s <- %s;" % (head, body))
+    return "\n".join(lines), ["a", "b", "ab", "bb"], sorted(set(ops))
+
+
+def sample_expression(rng, operands, operators, max_len=24):
+    """An input for random_precedence_grammar: operands joined by
+    operators, some under a '-' or in parentheses, sometimes mutated."""
+
+    def operand(depth):
+        roll = rng.random()
+        if depth < 2 and roll < 0.15:
+            return "(" + expression(depth + 1) + ")"
+        if roll < 0.25:
+            return "-" + operand(depth)
+        return rng.choice(operands)
+
+    def expression(depth):
+        parts = [operand(depth)]
+        for _ in range(rng.randint(0, 6)):
+            parts += [rng.choice(operators) if rng.random() < 0.95 else "x", operand(depth)]
+        return "".join(parts)
+
+    text = expression(0)
+    if rng.random() < 0.2:
+        text = _mutate(rng, text, "ab-()" + "".join(operators))
+    return text[:max_len]
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Flat left-recursive operator runs keep the memo table linear in memory.
+"""Flat left-recursive operator runs cost linear time and memory.
 
-A run of k operands under a left-associative level grows a left-nested
-seed at every operand's column, so its fill costs Theta(k^2) evaluations:
-that is the fixpoint the pika parser computes.  Its memory does not have to
-grow that way.  The table holds one packed (length, alternative) int per
-entry and no child pointers, so a superseded growth step leaves nothing
-behind; a tree's children are built on read, replaying a column where a
-step it needs was superseded.  So retained bytes per char stay flat across
-run lengths and close to those of a right-nested input of the same operands.
+A run of k operands under a left-associative level has, at every operand's
+column, a left-nested match that reaches the end of the run: the fixpoint
+the pika parser computes.  Growing that seed one operand at a time would
+cost Theta(k^2) evaluations, but the fill recognizes a level of the shape
+H <- H op Y / Y and computes each column's fixpoint in one evaluation from
+the final column to its right, so matcher calls per char stay flat across
+run lengths.  The table holds one packed (length, alternative) int per
+entry and no child pointers; a tree's children are built on read, replaying
+a column to rebuild the growth steps a left-nested run is made of.  So
+retained bytes per char stay flat too, and close to those of a right-nested
+input of the same operands.
 """
 
 import functools
@@ -70,8 +73,8 @@ def test_flat_runs_retain_linear_memory(monkeypatch):
     assert max(flat.values()) <= 2 * min(flat.values()), flat
     for k in RUNS:
         assert flat[k] <= 2 * nested, (k, flat[k], nested)
-    # The fill's work per run stays quadratic: per char it grows with k.
-    assert calls[RUNS[0]] < calls[RUNS[1]] < calls[RUNS[2]]
+    # The fill's work per run is linear: per char it does not grow with k.
+    assert max(calls.values()) <= 1.5 * min(calls.values()), calls
 
 
 def test_flat_runs_parse_as_the_left_fold():

@@ -1,0 +1,84 @@
+"""Left-associative precedence levels filled in one evaluation per column.
+
+FillPlan recognizes each level of the shape H <- H op Y / Y whose growing
+seed nothing else reads while it grows, and the fill computes H and its
+sequence once per column from the final entries to its right.  Every
+stored (clause, position, length, alternative) must be the one the growing
+seed leaves, and so must every tree built from the table.
+"""
+
+import random
+
+from pikaparse import compile_grammar, engine, parse
+from pikaparse.bench import expression_grammar
+from pikaparse.engine import FillPlan
+
+from gram_gen import random_precedence_grammar, sample_expression
+from test_replay import full_form
+
+# T reads E at its own position through a lookahead, so a step of E's
+# growth is read by the lookahead's operand, which sorts below E.
+LOOKAHEAD_ON_THE_CYCLE = "E <- E '+' T / T; T <- !(E '+' 'x') [a-z];"
+
+
+def growing(monkeypatch, text):
+    """text's grammar with the recognizer off: every level grows its seed."""
+    g = compile_grammar(text)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_levels", lambda *args: {})
+        g.fill_plan = FillPlan(g)
+    return g
+
+
+def stored(table):
+    return sorted((m.clause.clause_idx, m.pos, m.len, m.alt_idx) for m in table.all_stored())
+
+
+def test_levels_fill_the_tables_the_growing_seed_fills(monkeypatch):
+    rng = random.Random(20261019)
+    pairs = recognized = rejected = 0
+    for _ in range(400):
+        text, operands, operators = random_precedence_grammar(rng)
+        g = compile_grammar(text)
+        slow = growing(monkeypatch, text)
+        assert [slow.display_clause(c) for c in slow.all_clauses] == [
+            g.display_clause(c) for c in g.all_clauses
+        ]
+        plan = FillPlan(g)
+        recognized += bool(plan.levels)
+        rejected += not plan.levels and any(plan.replays)
+        for k in range(6):
+            expression = sample_expression(rng, operands, operators)
+            table, reference = parse(g, expression), parse(slow, expression)
+            pairs += 1
+            assert stored(table) == stored(reference), (text, expression)
+            assert table.watermark_violations == 0
+            if k == 0:  # every stored match's whole tree, built on read
+                assert full_form(table) == full_form(reference), (text, expression)
+    print("%d pairs; %d grammars with a recognized level, %d left-recursive without"
+          % (pairs, recognized, rejected))
+    assert pairs >= 2000
+    assert recognized >= 150 and rejected >= 50
+
+
+def test_only_the_plain_level_shape_is_recognized(monkeypatch):
+    g = expression_grammar()
+    names = {g.clause_name(g.all_clauses[h]) for h in FillPlan(g).levels}
+    assert names == {"E0", "E1"}
+    rejected = [
+        (LOOKAHEAD_ON_THE_CYCLE, ("a+b+x+c", "a+x", "a+b+c")),
+        # Y reads P, which reads H, so Y can change after H first pops.
+        ("Y <- P 'a' / 'a'; P <- P H / H '+' / 'b'; H <- H '+' Y / Y;", ("ba+aa+a", "a+ba+aa")),
+        # The growing sequence has another reader at its own position.
+        ("X <- (E '+' T) '!' / E; E <- E '+' T / T; T <- [a-z];", ("a+b!", "a+b+c!", "a+b")),
+        ("E <- E '+' 'n' / &(E '-') 'm' / 'n';", ("n+n-", "m+n")),  # a lookahead alternative
+        ("L <- M 'x' / 'y'; M <- L 'z' / 'w';", ("yzxzx",)),  # an indirect cycle
+        ("L <- L 'x' / L 'z' / 'y';", ("yxzx",)),  # two growing alternatives
+        ("L <- L 'x'? 'y' / 'y';", ("yxyy",)),  # an operator that can match nothing
+        ("L <- L 'x' Y / Y; Y <- 'y'?;", ("yxxy",)),  # an operand that can match nothing
+    ]
+    for text, inputs in rejected:
+        g, slow = compile_grammar(text), growing(monkeypatch, text)
+        assert FillPlan(g).levels == {}, text
+        for expression in inputs:
+            assert stored(parse(g, expression)) == stored(parse(slow, expression)), expression
