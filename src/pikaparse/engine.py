@@ -824,7 +824,9 @@ class FillPlan:
     children of clause c's matches come from: None when a rerun of c's
     matcher over the filled table gives them, else what replaying a column
     needs for them (see _replay_plans).  Only a clause on a same-position
-    cycle, that is, a left-recursive one, has an entry other than None.
+    cycle, that is, a left-recursive one, has an entry other than None, so
+    a grammar with no such cycle skips the analysis behind replays and
+    levels.
 
     levels maps each recognized left-associative level's clause h to
     (s, chain): its growing sequence's index and the clause Y op H that
@@ -846,9 +848,14 @@ class FillPlan:
             c for c in clauses if c.is_terminal and type(c) is not Nothing
         ]
         parents = [[] for _ in clauses]
+        cyclic = False
         for p in clauses:
+            subs = same_position_subs(p)
+            # Assembly sorts a clause above what it reads at its own
+            # position, except where the read closes a same-position cycle.
+            cyclic = cyclic or any(s.clause_idx >= p.clause_idx for s in subs)
             if type(p) is not NotFollowedBy:
-                for sub in dict.fromkeys(same_position_subs(p)):
+                for sub in dict.fromkeys(subs):
                     parents[sub.clause_idx].append(p.clause_idx)
         self.parents = list(map(tuple, parents))
         bounds = set()
@@ -862,9 +869,15 @@ class FillPlan:
         self.bounds = sorted(bounds)
         self.entries = [None] * (len(self.bounds) + 1)
         self._distinct = {}
-        pushers, top = _pushed_through(clauses, self.parents)
-        self.replays = _replay_plans(clauses, self.parents, pushers, top)
-        self.levels = _levels(clauses, self.parents, top)
+        if cyclic:
+            pushers, top = _pushed_through(clauses, self.parents)
+            self.replays = _replay_plans(clauses, self.parents, pushers, top)
+            self.levels = _levels(clauses, self.parents, top)
+        else:
+            # Every read is final for its reader and no level is left
+            # recursive: no clause replays, and none is a level.
+            self.replays = [None] * len(clauses)
+            self.levels = {}
         fill_parents = list(self.parents)
         for h, (s, _) in self.levels.items():
             fill_parents[h] = tuple(p for p in fill_parents[h] if p != s)

@@ -10,9 +10,11 @@ order, whether its match holds them flat (greedy) or nested (chained), so
 trees do not depend on how the grammar was assembled.
 
 to_ast keeps only labeled nodes.  An unlabeled node dissolves and its
-labeled descendants attach to the nearest labeled ancestor.  It reads the
-children only of nodes whose clause reaches a labeled edge (see
-grammar.compute_reaches_label), so most of a tree is never built.
+labeled descendants attach to the nearest labeled ancestor.  It walks the
+memo entries below a node whose children are unbuilt, with the children
+and edge labels the node would build (_kids), so it builds no parse-tree
+node and leaves the tree unread.  It reads the children only of entries
+whose clause reaches a labeled edge (see grammar.compute_reaches_label).
 """
 from __future__ import annotations
 
@@ -143,19 +145,23 @@ def _unread(entry, label, grammar, text):
     return node
 
 
-def _expand(entry, grammar, text):
-    """The child nodes of an entry's node, each with the label of the edge
-    it was read through.  A repetition's are its repeats."""
+def _kids(entry):
+    """The children of an entry's node, as (entry, label) pairs: each with
+    the label of the edge it was read through.  A repetition's are its
+    repeats."""
     clause = entry[0]
     kind = type(clause)
     labels = clause.sub_clause_labels
     if kind is OneOrMore:
-        kids = zip(_repeat_entries(entry), repeat(labels[0]))
-    elif kind is First:
-        kids = zip(_children(entry), repeat(labels[entry[3]]))
-    else:
-        kids = zip(_children(entry), labels)
-    return [_unread(e, label, grammar, text) for e, label in kids]
+        return zip(_repeat_entries(entry), repeat(labels[0]))
+    if kind is First:
+        return zip(_children(entry), repeat(labels[entry[3]]))
+    return zip(_children(entry), labels)
+
+
+def _expand(entry, grammar, text):
+    """The child nodes of an entry's node."""
+    return [_unread(e, label, grammar, text) for e, label in _kids(entry)]
 
 
 def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
@@ -182,11 +188,32 @@ def extract_parse_tree(table: MemoTable):
     return node_from_match(m, table.grammar, table.text)
 
 
+def _project(entry, out, text):
+    """Append the ASTNodes below an entry's node to out, in preorder, as
+    to_ast does for nodes, walking entries instead.  A node whose children
+    are unbuilt keeps its entry until their first read (see _unread)."""
+    stack = [(entry, None, out)]
+    while stack:
+        entry, label, out = stack.pop()
+        if label is not None:
+            ast = ASTNode(label, entry[1], entry[2], text, [])
+            out.append(ast)
+            out = ast.children
+        if entry[0].reaches_label:
+            kids = [(e, edge, out) for e, edge in _kids(entry)]
+            kids.reverse()
+            stack.extend(kids)
+
+
 def to_ast(root: ParseTreeNode):
     """Project a parse tree down to its labeled nodes.
 
     Returns None when nothing is labeled, the single ASTNode when exactly
     one survives at top level, else a synthetic unlabeled root holding them.
+
+    Below a node whose children are not built yet, the projection walks
+    memo entries (see _kids), not nodes: it builds no ParseTreeNode and
+    leaves the tree unread.  The AST refers to the text, not the table.
     """
     if root is None:
         return None
@@ -203,10 +230,13 @@ def to_ast(root: ParseTreeNode):
             out = ast.children
         # Below a clause that reaches no labeled edge, nothing can be
         # labeled, so its node's children are never built.
-        if node.clause.reaches_label:
-            kids = node.children
-            if kids:
-                stack.extend(zip(reversed(kids), repeat(out)))
+        if not node.clause.reaches_label:
+            continue
+        entry = getattr(node, "_entry", None)
+        if entry is None:
+            stack.extend(zip(reversed(node.children), repeat(out)))
+        else:
+            _project(entry, out, node.source)
     if not top:
         return None
     if len(top) == 1:

@@ -39,6 +39,15 @@ E[1,L] <- E ('*' / '/') E;
 E[0,L] <- E ('+' / '-') E;
 """
 
+# perfbench/workloads.py's expression grammar: ARITH_SHORTHAND, labeled.
+ARITH_LABELED = """
+E[4] <- '(' E ')';
+E[3] <- num:[0-9]+ / var:[a-z]+;
+E[2] <- '-' neg:E;
+E[1,L] <- l:E op:('*' / '/') r:E;
+E[0,L] <- l:E op:('+' / '-') r:E;
+"""
+
 ASSIGN = """
 Program <- Assign+;
 Assign <- lhs:[a-z]+ '=' rhs:[0-9]+ ';';

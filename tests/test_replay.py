@@ -17,11 +17,20 @@ from pikaparse import compile_grammar, extract_parse_tree, find_error_spans, par
 from pikaparse import covering_matches, next_match_after
 from pikaparse.bench import expression_grammar
 from pikaparse.clauses import Nothing, NotFollowedBy, OneOrMore
+from pikaparse import engine
 from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
 
 from enum_oracle import all_trees, norm_match
-from gram_gen import random_leftrec_grammar, sample_short_input
-from helpers import ASSIGN, JSON_GRAMMAR, compile_leftrec, repeats, same_position_reach, shape
+from gram_gen import random_grammar, random_leftrec_grammar, sample_short_input
+from helpers import (
+    ARITH_LABELED,
+    ASSIGN,
+    JSON_GRAMMAR,
+    compile_leftrec,
+    repeats,
+    same_position_reach,
+    shape,
+)
 
 
 def walk(m):
@@ -216,6 +225,41 @@ def test_only_clauses_on_same_position_cycles_replay():
                 assert c in same_position_reach(c), g.display_clause(c)
                 replaying += 1
     assert replaying >= 200
+
+
+def test_a_grammar_without_cycles_skips_the_replay_analysis(monkeypatch):
+    # FillPlan runs the analysis behind replays and levels only for a
+    # grammar with a same-position cycle; either way the plan must hold
+    # what the analysis gives.
+    rng = random.Random(35)
+    grammars = [compile_grammar(text) for text in (ARITH_LABELED, JSON_GRAMMAR, ASSIGN)]
+    grammars += [random_grammar(rng)[0] for _ in range(100)]
+    grammars += [random_leftrec_grammar(rng)[0] for _ in range(100)]
+    analyzed = []
+    pushed_through = engine._pushed_through
+
+    def counted(clauses, parents):
+        analyzed.append(clauses)
+        return pushed_through(clauses, parents)
+
+    monkeypatch.setattr(engine, "_pushed_through", counted)
+    skipped = []
+    for g in grammars:
+        del analyzed[:]
+        plan = FillPlan(g)
+        clauses = g.all_clauses
+        skipped.append(not analyzed)
+        pushers, top = pushed_through(clauses, plan.parents)
+        assert plan.replays == engine._replay_plans(clauses, plan.parents, pushers, top)
+        levels = engine._levels(clauses, plan.parents, top)
+        assert {h: (s, g.display_clause(chain)) for h, (s, chain) in plan.levels.items()} == {
+            h: (s, g.display_clause(chain)) for h, (s, chain) in levels.items()
+        }
+    # The expression grammar is analyzed and has its levels; the JSON and
+    # assignment grammars, like gram_gen's grammars without recursion, skip.
+    assert skipped[:3] == [False, True, True]
+    assert FillPlan(grammars[0]).levels
+    assert all(skipped[3:103]) and not any(skipped[103:])
 
 
 def test_building_matches_leaves_the_table_as_it_was(replays):

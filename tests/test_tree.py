@@ -22,10 +22,11 @@ from pikaparse import (
     to_ast,
 )
 from pikaparse.engine import MemoTable
+from pikaparse import tree
 from pikaparse.tree import ASTNode, ParseTreeNode, node_from_match
 
 import gram_gen
-from helpers import ASSIGN, JSON_GRAMMAR, compile_leftrec, parse_tree
+from helpers import ARITH_LABELED, ASSIGN, JSON_GRAMMAR, compile_leftrec, parse_tree
 
 
 def tree_shape(node):
@@ -312,14 +313,31 @@ def test_to_ast_reruns_no_clause_that_reaches_no_label(monkeypatch):
     assert not any(c.reaches_label for c in lexical)
 
 
-def test_a_fresh_tree_projects_as_a_tree_read_whole():
-    cases = [(compile_grammar(JSON_GRAMMAR), JSON_DOCS), (compile_leftrec(), ["a+b*-(c-d)/e"])]
+def projection_cases():
+    """(grammar, texts) pairs: JSON, the labeled expression grammar, and
+    200 labeled left-recursive grammars from gram_gen."""
+    cases = [(compile_grammar(JSON_GRAMMAR), JSON_DOCS),
+             (compile_grammar(ARITH_LABELED), ["a+b*-(c-d)/e", "1-2-3*x*y/(z+4)"]),
+             (compile_leftrec(), ["a+b*-(c-d)/e"])]
     rng = random.Random(20261018)
     for _ in range(200):
         g, alphabet = labeled_leftrec_grammar(rng)
         cases.append((g, [gram_gen.sample_short_input(rng, g, alphabet) for _ in range(5)]))
+    return cases
+
+
+def read_partly(root, rng):
+    """Read the children of about half the nodes reached, from the root."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if rng.random() < 0.5:
+            stack.extend(node.children)
+
+
+def test_a_fresh_tree_projects_as_a_tree_read_whole():
     labeled = 0
-    for g, texts in cases:
+    for g, texts in projection_cases():
         for text in texts:
             table = parse(g, text)
             whole = extract_parse_tree(table)
@@ -330,6 +348,49 @@ def test_a_fresh_tree_projects_as_a_tree_read_whole():
             assert ast_shape(to_ast(extract_parse_tree(table))) == expected, text
             labeled += expected is not None
     assert labeled >= 300
+
+
+def test_a_tree_read_partly_projects_as_a_fresh_tree():
+    rng = random.Random(18)
+    labeled = 0
+    for g, texts in projection_cases():
+        for text in texts:
+            table = parse(g, text)
+            fresh = extract_parse_tree(table)
+            if fresh is None:
+                continue
+            expected = ast_shape(to_ast(fresh))
+            partly = extract_parse_tree(table)
+            read_partly(partly, rng)
+            assert ast_shape(to_ast(partly)) == expected, text
+            # Projecting reads nothing, so the tree still reads whole as a
+            # tree never projected.
+            assert tree_shape(partly) == tree_shape(fresh), text
+            labeled += expected is not None
+    assert labeled >= 300
+
+
+def test_projecting_a_fresh_tree_builds_no_node(monkeypatch):
+    built = []
+    unread = tree._unread
+
+    def counted(*args):
+        built.append(args)
+        return unread(*args)
+
+    projected = 0
+    for g, texts in projection_cases()[:3]:
+        for text in texts:
+            root = parse_tree(g, text)
+            monkeypatch.setattr(tree, "_unread", counted)
+            ast = to_ast(root)
+            monkeypatch.setattr(tree, "_unread", unread)
+            assert built == [], text
+            assert root._entry is not None, text  # root.children is unbuilt
+            projected += ast is not None
+            assert tree_shape(root) == tree_shape(parse_tree(g, text)), text
+            assert ast_shape(to_ast(root)) == ast_shape(ast), text
+    assert projected == len(JSON_DOCS) + 2  # compile_leftrec has no label
 
 
 def test_a_tree_outlives_its_table_and_then_lets_it_go():
@@ -352,23 +413,39 @@ def test_a_tree_outlives_its_table_and_then_lets_it_go():
         gc.enable()
 
 
-def test_threads_walking_one_unread_tree_agree():
-    g = compile_leftrec()
-    text = "a*b*c+d-e*f/(g+h+i)-j*k+l" * 3
-    expected = tree_shape(parse_tree(g, text))
-    root = extract_parse_tree(parse(g, text))
+def test_an_ast_outlives_its_table():
+    g = compile_grammar(ARITH_LABELED)
+    text = "a*b+-c*(d+e)-f/g+h"
+    expected = ast_shape(to_ast(parse_tree(g, text)))
+    table = parse(g, text)
+    ref = weakref.ref(table)
+    root = extract_parse_tree(table)
+    ast = to_ast(root)
+    gc.collect()
+    gc.disable()
+    try:
+        del table, root
+        assert ref() is None
+        assert ast_shape(ast) == expected
+    finally:
+        gc.enable()
+
+
+def in_threads(read, n=6):
+    """What read() returns in each of n threads started together, with
+    the interpreter switching threads as often as it can."""
     results, errors = [], []
 
-    def walk():
+    def run():
         try:
-            results.append(tree_shape(root))
+            results.append(read())
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=walk) for _ in range(6)]
+        threads = [threading.Thread(target=run) for _ in range(n)]
         for t in threads:
             t.start()
         for t in threads:
@@ -377,4 +454,21 @@ def test_threads_walking_one_unread_tree_agree():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert results == [expected] * len(threads)
+    return results
+
+
+def test_threads_projecting_one_unread_tree_agree():
+    g = compile_grammar(ARITH_LABELED)
+    text = "a*b*c+d-e*f/(g+h+i)-j*k+l" * 3
+    expected = ast_shape(to_ast(parse_tree(g, text)))
+    root = extract_parse_tree(parse(g, text))
+    assert in_threads(lambda: ast_shape(to_ast(root))) == [expected] * 6
+    assert root._entry is not None  # projecting left the tree unread
+
+
+def test_threads_walking_one_unread_tree_agree():
+    g = compile_leftrec()
+    text = "a*b*c+d-e*f/(g+h+i)-j*k+l" * 3
+    expected = tree_shape(parse_tree(g, text))
+    root = extract_parse_tree(parse(g, text))
+    assert in_threads(lambda: tree_shape(root)) == [expected] * 6
