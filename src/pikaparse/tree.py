@@ -232,7 +232,7 @@ def to_ast(root: ParseTreeNode):
         # labeled, so its node's children are never built.
         if not node.clause.reaches_label:
             continue
-        entry = getattr(node, "_entry", None)
+        entry = getattr(node, "_entry", None)  # set until children are built
         if entry is None:
             stack.extend(zip(reversed(node.children), repeat(out)))
         else:

@@ -16,8 +16,8 @@ import pytest
 from pikaparse import compile_grammar, extract_parse_tree, find_error_spans, parse, tree
 from pikaparse import covering_matches, next_match_after
 from pikaparse.bench import expression_grammar
-from pikaparse.clauses import Nothing, NotFollowedBy, OneOrMore
 from pikaparse import engine
+from pikaparse.clauses import Nothing, NotFollowedBy, OneOrMore
 from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
 
 from enum_oracle import all_trees, norm_match

@@ -21,8 +21,8 @@ from pikaparse import (
     parse,
     to_ast,
 )
-from pikaparse.engine import MemoTable
 from pikaparse import tree
+from pikaparse.engine import MemoTable
 from pikaparse.tree import ASTNode, ParseTreeNode, node_from_match
 
 import gram_gen
