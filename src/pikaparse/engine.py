@@ -40,16 +40,18 @@ counted in watermark_violations.
 
 The queries build a Match when they read a value, and a Match builds its
 children each time they are read, in the one way the fill plan chose for its
-clause when it was built.  A clause whose reads at its own position are all
-final by the time the fill evaluates it there has its matcher run again at
-the match's position, with readers that record the matches they read: that
-reads what the fill read.  Clauses sort above what they read at their own
-position, so only a clause on a left-recursive cycle may have read a clause
-that changed after it: a left-recursive seed grows at every column it can
-start at, each growth step the left operand of the next, and only the last
-step stays in the table.  Its children come from replaying that one column,
-which records the reads behind every value it stores, so one replay yields a
-whole left-nested run.  The replay is exact because the fill is deterministic
+clause when it was built.  One decoder does so for this table and for the
+reference parser's memo of the same ints, each giving it a value lookup per
+clause.  A clause whose reads at its own position are all final by the time
+the fill evaluates it there has its matcher run again at the match's
+position, with readers that record the matches they read: that reads what
+the fill read.  Clauses sort above what they read at their own position, so
+only a clause on a left-recursive cycle may have read a clause that changed
+after it: a left-recursive seed grows at every column it can start at, each
+growth step the left operand of the next, and only the last step stays in
+the table.  Its children come from replaying that one column, which records
+the reads behind every value it stores, so one replay yields a whole
+left-nested run.  The replay is exact because the fill is deterministic
 and everything right of the column is final.  So the table stays linear in
 memory for any run length.
 
@@ -398,15 +400,15 @@ def _childless(clause):
 class _Decoder:
     """Builds matches from a memo of packed values, on read: the base of
     MemoTable and of the reference parser's result, and the source of the
-    matches they build (see Match).
+    matches they build (see Match): the one code that builds children.
 
     A built match's children are the reads its clause's matcher makes, when
-    run again at the match's position, that find a match.  Subclasses give
-    _recorder(sub), the reader that records those reads into self._log as
-    (sub, pos, value, kind), where kind says where the children of what
-    it read come from: nowhere (0), the memo (1) or a replay record (2).
-    The memo holds only ints and none of the readers refers to the memo's
-    owner, so a match can hold its owner strongly without making a cycle.
+    run again at the match's position, that find a match, or, for a clause
+    FillPlan.replays marks, what replaying the fill of its column read.  A
+    subclass gives only _values(i): clause i's value lookup, a function of
+    pos that returns its memo value there, or None.  The memo holds only
+    ints and none of the readers refers to the memo's owner, so a match can
+    hold its owner strongly without making a cycle.
     """
 
     def _init_decoding(self, grammar, text):
@@ -418,6 +420,10 @@ class _Decoder:
         self._recorders = [None] * n
         self._reruns = [None] * n
         self._lock = threading.Lock()
+        # A replay's state: the column it fills, and the values so far of
+        # the clauses it evaluates there.
+        self._col = [-1]
+        self._scratch = {}
 
     def _match(self, clause, pos, v):
         """The Match of clause's memo value v at pos."""
@@ -427,8 +433,16 @@ class _Decoder:
         )
 
     def _entries(self, clause, pos, length, alt_idx):
+        """The children of clause's match at pos: from a rerun over the
+        memo, or from replaying the column where FillPlan.replays says
+        clause needs it."""
+        plan = _plan(self.grammar)
+        how = plan.replays[clause.clause_idx]
         with self._lock:
-            return self._rerun(clause, pos, length << self._shift | alt_idx)
+            if how is None or alt_idx and clause.clause_idx in plan.levels:
+                return self._rerun(clause, pos, length << self._shift | alt_idx)
+            record = self._replay(how, pos)
+        return record._entries(clause, pos, length, alt_idx)
 
     def _rerun(self, clause, pos, v):
         """The children of clause's match v at pos, from running its matcher
@@ -445,6 +459,98 @@ class _Decoder:
         clause = self.grammar.all_clauses[i]
         f = self._reruns[i] = make_matcher(clause, self.text, self._recorder, self._shift)
         return f
+
+    def _recorder(self, sub):
+        """sub's reader for building children, recording every match it
+        reads into the log as (sub, pos, value, kind), where kind says
+        where the children of what it read come from: nowhere (0), the
+        memo (1) or the replay record (2).  It reads the memo, except at the
+        column a replay fills, where a clause the replay evaluates reads its
+        scratch value.  A lookahead's own reads are taken back out of the
+        log: its match has no children."""
+        i = sub.clause_idx
+        r = self._recorders[i]
+        if r is not None:
+            return r
+        log = self._log
+        if type(sub) is NotFollowedBy:
+            peek = make_matcher(sub, self.text, self._recorder, self._shift)
+
+            def r(pos):
+                n = len(log)
+                v = peek(pos)
+                del log[n:]
+                if v is not None:
+                    log.append((sub, pos, v, 0))
+                return v
+
+        else:
+            get = self._values(i)
+            zero = sub.zero_idx if sub.can_match_zero_chars else None
+            kind = 0 if sub.is_terminal else 1
+            col, scratch = self._col, self._scratch
+
+            def r(pos):
+                if pos == col[0] and i in scratch:
+                    v, k = scratch[i], 2
+                else:
+                    v, k = get(pos), kind
+                if v is None:
+                    if zero is None:
+                        return None
+                    v, k = zero, 0
+                log.append((sub, pos, v, k))
+                return v
+
+        self._recorders[i] = r
+        return r
+
+    def _replay(self, how, pos):
+        """Replay column pos's fill of the clauses that how, a
+        FillPlan.replays entry, evaluates, into scratch values, recording
+        the reads behind every value it stores: a _Record.
+
+        The replay evaluates those clauses in the order the fill did and
+        reads the memo everywhere else, where it is final.  A clause's
+        successive values in a column never repeat a (length, alternative)
+        pair, because a First never returns to a later alternative and
+        otherwise only a longer match is stored, so a value identifies the
+        step that stored it.  The memo is never written.  The caller holds
+        the lock.
+        """
+        evaluated, seeds, parents = how
+        matchers = {i: self._reruns[i] or self._rerun_matcher(i) for i in evaluated}
+        scratch, log = self._scratch, self._log
+        shift = self._shift
+        mask = ~(-1 << shift)
+        # A sorted list is a heap.
+        heap = sorted({i for s, ps in seeds if self._values(s)(pos) is not None for i in ps})
+        queued = set(heap)
+        record = _Record(self)
+        for i in evaluated:
+            scratch[i] = None
+        self._col[0] = pos
+        try:
+            while heap:
+                idx = heapq.heappop(heap)
+                queued.discard(idx)
+                del log[:]
+                v = matchers[idx](pos)
+                if v is None:
+                    continue
+                old = scratch[idx]
+                if old is not None and v >> shift <= old >> shift and v & mask >= old & mask:
+                    continue
+                record[idx, v] = tuple(log)
+                scratch[idx] = v
+                for i in parents[idx]:
+                    if i not in queued:
+                        queued.add(i)
+                        heapq.heappush(heap, i)
+        finally:
+            scratch.clear()
+            self._col[0] = -1
+        return record
 
     def _resolve(self, log, record=None):
         """Entries for recorded reads, each with the source of its
@@ -496,11 +602,6 @@ class MemoTable(_Decoder):
         # One reader per clause, built on first use: the same functions that
         # matchers read their subclauses through.
         self._readers = [None] * len(self._tables)
-        # A replay's state: the column it fills, the clauses it evaluates
-        # there, and their values so far.
-        self._col = [-1]
-        self._replaying = bytearray(len(self._tables))
-        self._scratch = [None] * len(self._tables)
 
     def _reader(self, clause):
         """clause's reader.  A clause that can match zero characters reads
@@ -519,6 +620,9 @@ class MemoTable(_Decoder):
                 r = self._tables[i].get
             self._readers[i] = r
         return r
+
+    def _values(self, i):
+        return self._tables[i].get
 
     # -- queries ----------------------------------------------------------
 
@@ -599,9 +703,7 @@ class MemoTable(_Decoder):
 
     def _run(self):
         grammar = self.grammar
-        plan = grammar.fill_plan
-        if plan is None:
-            plan = grammar.fill_plan = FillPlan(grammar)
+        plan = _plan(grammar)
         parents = plan.fill_parents
         levels = plan.levels
         bounds = plan.bounds
@@ -672,123 +774,6 @@ class MemoTable(_Decoder):
                         in_heap[i] = 1
                         heappush(heap, i)
 
-    # -- building matches -------------------------------------------------
-
-    def _recorder(self, sub):
-        """sub's reader for building children.  It reads the table, except
-        at the column a replay fills, where a clause the replay evaluates
-        reads its scratch slot, and it records every match it reads in the
-        log.  A lookahead's own reads are taken back out of the log: its
-        match has no children."""
-        i = sub.clause_idx
-        r = self._recorders[i]
-        if r is not None:
-            return r
-        log = self._log
-        if type(sub) is NotFollowedBy:
-            peek = make_matcher(sub, self.text, self._recorder, self._shift)
-
-            def r(pos):
-                n = len(log)
-                v = peek(pos)
-                del log[n:]
-                if v is not None:
-                    log.append((sub, pos, v, 0))
-                return v
-
-        else:
-            get = self._tables[i].get
-            zero = sub.zero_idx if sub.can_match_zero_chars else None
-            kind = 0 if sub.is_terminal else 1
-            col, replaying, scratch = self._col, self._replaying, self._scratch
-
-            def r(pos):
-                if pos == col[0] and replaying[i]:
-                    v, k = scratch[i], 2
-                else:
-                    v, k = get(pos), kind
-                if v is None:
-                    if zero is None:
-                        return None
-                    v, k = zero, 0
-                log.append((sub, pos, v, k))
-                return v
-
-        self._recorders[i] = r
-        return r
-
-    def _entries(self, clause, pos, length, alt_idx):
-        """The children of clause's match at pos: from a rerun over the
-        table, or from replaying the column where FillPlan.replays says
-        clause needs it."""
-        plan = self.grammar.fill_plan
-        how = plan.replays[clause.clause_idx]
-        if how is None or alt_idx and clause.clause_idx in plan.levels:
-            return super()._entries(clause, pos, length, alt_idx)
-        with self._lock:
-            record = self._replay(how, pos)
-        return record._entries(clause, pos, length, alt_idx)
-
-    def _replay(self, how, pos):
-        """Replay column pos's fill of the clauses that how, a
-        FillPlan.replays entry, evaluates, into scratch slots, recording
-        the reads behind every value it stores: a _Record.
-
-        The replay evaluates those clauses in the order the fill did and
-        reads the table everywhere else, where it is final.  A clause's
-        successive values in a column never repeat a (length, alternative)
-        pair, because a First never returns to a later alternative and
-        otherwise only a longer match is stored, so a value identifies the
-        step that stored it.  The per-clause dicts are never written.  The
-        caller holds the lock.
-        """
-        evaluated, seeds, parents = how
-        matchers = {i: self._reruns[i] or self._rerun_matcher(i) for i in evaluated}
-        tables, scratch, log = self._tables, self._scratch, self._log
-        shift = self._shift
-        mask = ~(-1 << shift)
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        heap = []
-        in_heap = bytearray(len(tables))
-        for s, ps in seeds:
-            if tables[s].get(pos) is not None:
-                for i in ps:
-                    if not in_heap[i]:
-                        in_heap[i] = 1
-                        heap.append(i)
-        heapq.heapify(heap)
-        record = _Record(self)
-        touched = []
-        self._col[0] = pos
-        for i in evaluated:
-            self._replaying[i] = 1
-        try:
-            while heap:
-                idx = heappop(heap)
-                in_heap[idx] = 0
-                del log[:]
-                v = matchers[idx](pos)
-                if v is None:
-                    continue
-                old = scratch[idx]
-                if old is None:
-                    touched.append(idx)
-                elif v >> shift <= old >> shift and v & mask >= old & mask:
-                    continue
-                record[idx, v] = tuple(log)
-                scratch[idx] = v
-                for i in parents[idx]:
-                    if not in_heap[i]:
-                        in_heap[i] = 1
-                        heappush(heap, i)
-        finally:
-            for i in touched:
-                scratch[i] = None
-            for i in evaluated:
-                self._replaying[i] = 0
-            self._col[0] = -1
-        return record
 
 def _or_empty(clause, get):
     """Read clause's stored value, or a childless zero-length one."""
@@ -805,7 +790,8 @@ class FillPlan:
     """What filling a grammar's table, and building its matches' children,
     needs beyond its clauses.
 
-    Built on the grammar's first parse and kept as grammar.fill_plan.
+    Built on first use, by the grammar's first parse or the first read of
+    a reference parse's children, and kept as grammar.fill_plan.
     parents[i] holds the clause indices of clause i's seed parents, the
     clauses to reschedule when it stores or improves a match: every clause
     that lists it in same_position_subs, once each, in clause order.  A
@@ -915,6 +901,14 @@ class FillPlan:
         # Intervals that start the same terminals share one entry.
         e = self.entries[k] = self._distinct.setdefault(e, e)
         return e
+
+
+def _plan(grammar):
+    """grammar's FillPlan, built on first use."""
+    plan = grammar.fill_plan
+    if plan is None:
+        plan = grammar.fill_plan = FillPlan(grammar)
+    return plan
 
 
 def _pushed_through(clauses, parents):

@@ -66,7 +66,7 @@ class Grammar:
             ((len(c.sub_clauses) - 1).bit_length() for c in all_clauses if isinstance(c, First)),
             default=0,
         )
-        # The engine's per-grammar state, built on the first parse.
+        # The engine's per-grammar state, built on first use (engine._plan).
         self.fill_plan = None
 
     def rule(self, name: str) -> Rule:
@@ -196,16 +196,19 @@ def _lower_rules(rules, rewrite_repetitions):
     by_name = {r.name: r for r in out}
 
     def target(name):
-        seen = []
+        # Each alias on the chain takes the clause it resolves to: no chain is walked twice.
+        chain = {}
         while True:
             r = by_name.get(name)
             if r is None:
                 raise GrammarError("reference to unknown rule %r" % name)
             if not isinstance(r.clause, RuleRef):
+                for alias in chain.values():
+                    alias.clause = r.clause
                 return r.clause
-            if name in seen:
+            if name in chain:
                 raise GrammarError("rule alias cycle through %r" % name)
-            seen.append(name)
+            chain[name] = r
             name = r.clause.rule_name
 
     for r in out:

@@ -11,8 +11,9 @@ The evaluator cannot handle left recursion, so it statically rejects
 grammars where a clause can reach itself without consuming input.  The
 memo is write-once: each (clause, position) is stored at most once, and
 failures are memoized as None.  Like the engine's table, it holds the
-matchers' packed (length, alternative) ints, and matches are built from it
-on read, the same way.
+matchers' packed (length, alternative) ints, and the engine's decoder
+builds matches and their children from it on read, through a per-clause
+value lookup over the memo as it stands.
 
 Evaluations nest at most _MAX_NESTING entries deep: a deeper demand is
 evaluated first and the chain that met it is retried, so any input length
@@ -21,7 +22,7 @@ runs on the caller's thread within the default recursion limit.
 from __future__ import annotations
 
 from .clauses import First
-from .engine import _childless, _Decoder, make_matcher
+from .engine import _Decoder, make_matcher
 from .grammar import Grammar, depth_first, same_position_subs
 
 
@@ -52,7 +53,8 @@ class OracleResult(_Decoder):
     """A top-down parse: match is the start rule's Match at position 0, or
     None, and memo maps every (clause_idx, pos) evaluated to the packed
     value its matcher returned (len << grammar.alt_shift | alt_idx), or
-    None.  match_at builds the Match of any memo entry."""
+    None.  match_at builds the Match of any memo entry; its children come
+    from the engine's decoder, which reads the memo through _values."""
 
     def __init__(self, grammar, text, memo):
         self._init_decoding(grammar, text)
@@ -63,20 +65,9 @@ class OracleResult(_Decoder):
         v = self.memo[clause.clause_idx, pos]
         return None if v is None else self._match(clause, pos, v)
 
-    def _recorder(self, sub):
-        i = sub.clause_idx
-        r = self._recorders[i]
-        if r is None:
-            memo, log, kind = self.memo, self._log, 0 if _childless(sub) else 1
-
-            def r(pos):
-                v = memo[i, pos]
-                if v is not None:
-                    log.append((sub, pos, v, kind))
-                return v
-
-            self._recorders[i] = r
-        return r
+    def _values(self, i):
+        memo = self.memo
+        return lambda pos: memo.get((i, pos))
 
 
 _BUSY = object()

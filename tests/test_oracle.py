@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from pikaparse import NotFollowedBy, compile_grammar, parse
+from pikaparse import NotFollowedBy, OneOrMore, compile_grammar, parse
 from pikaparse.engine import FillPlan, Match
 from pikaparse.oracle import (
     LeftRecursionError,
@@ -147,6 +147,35 @@ def test_left_recursive_cycle_longer_than_the_nesting_bound_is_reported():
     g = compile_grammar(" ".join("R%d <- R%d / 'x';" % (i, (i + 1) % n) for i in range(n)))
     with pytest.raises(LeftRecursionError, match="position 0"):
         packrat_parse(g, "x", check_left_recursion=False)
+
+
+def test_children_of_a_grammar_the_engine_never_parsed():
+    # Reading the oracle's children builds the grammar's fill plan; they
+    # must be the children the engine's table gives for the same match.
+    def fields(m):
+        # A zero-length match is a leaf: the engine synthesizes it childless.
+        kids = () if m.len == 0 else tuple(map(fields, m.sub_matches))
+        return (m.clause, m.pos, m.len, m.alt_idx, kids)
+
+    cases = [
+        ("S <- Item+ ';'?; Item <- !'#' [a-z]+ &[ ;] ' '* / '#' [0-9]*;",
+         ["ab cd ;", "ab #12 cd;", "# x", "abc "]),
+        ("S <- ('(' S ')')* !')' 'x'? '.'+;", ["((.).)x.", "(x.)..", ".", ".)", "()."]),
+    ]
+    matched = 0
+    for source, texts in cases:
+        for text in texts:
+            g = compile_grammar(source)
+            assert any(type(c) is OneOrMore and c.chained for c in g.all_clauses)
+            top = packrat_parse(g, text).match
+            assert g.fill_plan is None
+            if top is None:
+                continue
+            got = fields(top)
+            bottom = parse(g, text).start_match()
+            assert got == fields(bottom), text
+            matched += 1
+    assert matched == 8
 
 
 def test_memo_is_write_once_and_complete():

@@ -19,6 +19,7 @@ from pikaparse.bench import expression_grammar
 from pikaparse import engine
 from pikaparse.clauses import Nothing, NotFollowedBy, OneOrMore
 from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
+from pikaparse.oracle import packrat_parse
 
 from enum_oracle import all_trees, norm_match
 from gram_gen import random_grammar, random_leftrec_grammar, sample_short_input
@@ -401,20 +402,34 @@ def test_recovery_queries_build_no_children(monkeypatch):
 
 
 def test_threads_building_matches_from_one_table_agree():
-    # Building children reruns matchers into one log per table and replays
-    # into its scratch slots, under the table's lock; threads that walk the
-    # same table at once must each see the single-threaded trees.
+    # Building children reruns matchers into one log per memo and replays
+    # into its one dict of scratch values, under the memo's lock, for the
+    # engine's table and the reference parser's result alike; threads that
+    # walk the same table and the same result at once must each see the
+    # single-threaded trees.
     import threading
 
     g = compile_leftrec()
     text = "a*b*c+d-e*f/(g+h+i)-j*k+l" * 3
     table = parse(g, text)
-    expected = full_form(table)
+    j = compile_grammar(JSON_GRAMMAR)
+    doc = '{"a": [1, -2.5e3, {"b": null}], "c\\n": "d"}'
+    oracle = packrat_parse(j, "[%s]" % ", ".join([doc] * 4))
+    assert oracle.match.len == len(oracle.text)
+
+    def forms():
+        return full_form(table), [
+            norm_match(oracle.match_at(j.all_clauses[i], pos))
+            for (i, pos), v in oracle.memo.items()
+            if v is not None
+        ]
+
+    expected = forms()
     results, errors = [], []
 
     def walk_all():
         try:
-            results.append(full_form(table))
+            results.append(forms())
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
