@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from .bench import expression_grammar
+from .bench import EXPRESSION_GRAMMAR
 from .clauses import GrammarError
 from .engine import parse
 from .metagrammar import compile_grammar
@@ -114,10 +114,10 @@ _FORMATS = {
 # commands
 
 def _load_grammar(args):
-    if args.grammar is None:
-        return expression_grammar()
-    with open(args.grammar, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = EXPRESSION_GRAMMAR
+    if args.grammar is not None:
+        with open(args.grammar, "r", encoding="utf-8") as fh:
+            text = fh.read()
     return compile_grammar(text, start_rule=args.start)
 
 

@@ -1,19 +1,20 @@
 """The matching engine: a packrat memo table filled bottom-up.
 
 Instead of recursive descent, the table is populated one input position at a
-time, from the last position to the first.  Within a position, a priority
-queue drains clauses in bottom-up order (lowest clause_idx first), and every
-stored or improved match reschedules the seed parents that could start at
-the same position, and nothing else schedules a clause.  Terminals are
-dispatched on the position's character: only the terminals that can start
-with it are tried, and the character alone decides a single-character
-terminal.  A clause that can match zero characters and that nothing
-evaluated at a position reads as a zero-length match there, so the fill
-never needs to evaluate a clause only to find its empty match.  Because
-everything to the right of the current position is already final, a clause's
-match can reference cyclic (left-recursive) structure through the memo table
-without infinite regress: improvements propagate around the cycle until a
-fixed point.
+time, from the last position to the first.  Within a position, a queue
+drains clauses in bottom-up order (lowest clause_idx first): one int whose
+bit i is set while clause i is pending, popped lowest bit first.  Every
+stored or improved match schedules the seed parents that could start at the
+same position, with one OR of their mask, and nothing else schedules a
+clause.  Terminals are dispatched on the position's character: only the
+terminals that can start with it are tried, and the character alone decides
+a single-character terminal.  A clause that can match zero characters and
+that nothing evaluated at a position reads as a zero-length match there, so
+the fill never needs to evaluate a clause only to find its empty match.
+Because everything to the right of the current position is already final, a
+clause's match can reference cyclic (left-recursive) structure through the
+memo table without infinite regress: improvements propagate around the
+cycle until a fixed point.
 
 Match improvement ordering: a new match beats a stored one if the clause is
 an ordered choice and the new match uses an earlier alternative, or if the
@@ -65,7 +66,6 @@ in replays.  Every other left-recursive cycle grows its seed.
 """
 from __future__ import annotations
 
-import heapq
 import threading
 from bisect import bisect_right
 
@@ -523,17 +523,19 @@ class _Decoder:
         scratch, log = self._scratch, self._log
         shift = self._shift
         mask = ~(-1 << shift)
-        # A sorted list is a heap.
-        heap = sorted({i for s, ps in seeds if self._values(s)(pos) is not None for i in ps})
-        queued = set(heap)
+        pending = 0  # bit i set: clause i is scheduled (see MemoTable._run)
+        for s, ps in seeds:
+            if self._values(s)(pos) is not None:
+                pending |= ps
         record = _Record(self)
         for i in evaluated:
             scratch[i] = None
         self._col[0] = pos
         try:
-            while heap:
-                idx = heapq.heappop(heap)
-                queued.discard(idx)
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                idx = low.bit_length() - 1
                 del log[:]
                 v = matchers[idx](pos)
                 if v is None:
@@ -543,10 +545,7 @@ class _Decoder:
                     continue
                 record[idx, v] = tuple(log)
                 scratch[idx] = v
-                for i in parents[idx]:
-                    if i not in queued:
-                        queued.add(i)
-                        heapq.heappush(heap, i)
+                pending |= parents[idx]
         finally:
             scratch.clear()
             self._col[0] = -1
@@ -596,7 +595,7 @@ class MemoTable(_Decoder):
 
     def __init__(self, grammar: Grammar, text: str):
         self._init_decoding(grammar, text)
-        self._tables = [dict() for _ in grammar.all_clauses]
+        self._tables = [{} for _ in grammar.all_clauses]
         self._positions_cache = {}
         self.watermark_violations = 0
         # One reader per clause, built on first use: the same functions that
@@ -714,8 +713,6 @@ class MemoTable(_Decoder):
         shift = self._shift
         mask = ~(-1 << shift)
         one = 1 << shift
-        heappush = heapq.heappush
-        heappop = heapq.heappop
 
         def late():
             self.watermark_violations += 1
@@ -723,13 +720,13 @@ class MemoTable(_Decoder):
         def fill_matcher(i):
             clause = clauses[i]
             if i not in levels:
-                return make_matcher(clause, text, self._reader, shift, late)
+                return _FACTORIES[type(clause)](clause, text, self._reader, shift, late)
             # A recognized level H <- S / Y: store S's final match here,
             # Y op H with H read right of pos, then run H's own matcher.
             s, chain = levels[i]
             store = tables[s].__setitem__
-            grown = make_matcher(chain, text, self._reader, shift, late)
-            choose = make_matcher(clause, text, self._reader, shift, late)
+            grown = _seq_matcher(chain, text, self._reader, shift, late)
+            choose = _first_matcher(clause, text, self._reader, shift, late)
 
             def level(pos):
                 v = grown(pos)
@@ -743,21 +740,22 @@ class MemoTable(_Decoder):
         # dispatch entries decide single-character terminals, which are
         # never evaluated.
         matchers = [None] * len(clauses)
-        # An evaluation stores its value if it is the clause's first or an
-        # improvement (a longer match, or an earlier alternative of an
-        # ordered choice: only its values carry an alternative other than
-        # 0), and then schedules every seed parent.  Otherwise the clause's
-        # entry, and so what its parents read, is unchanged.
+        # pending is the column's queue: bit i is set while clause i is
+        # scheduled, and a pop takes the lowest.  An evaluation stores its
+        # value if it is the clause's first or an improvement (a longer
+        # match, or an earlier alternative of an ordered choice: only its
+        # values carry an alternative other than 0), and then schedules
+        # every seed parent.  Otherwise the clause's entry, and so what its
+        # parents read, is unchanged.
         for pos in range(len(text) - 1, -1, -1):
             k = bisect_right(bounds, ord(text[pos]))
-            chars, heap, in_heap = entries[k] or plan.entry(k)
-            heap = list(heap)
-            in_heap = bytearray(in_heap)
+            chars, pending = entries[k] or plan.entry(k)
             for idx in chars:
                 tables[idx][pos] = one
-            while heap:
-                idx = heappop(heap)
-                in_heap[idx] = 0
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                idx = low.bit_length() - 1
                 f = matchers[idx]
                 if f is None:
                     f = matchers[idx] = fill_matcher(idx)
@@ -769,10 +767,7 @@ class MemoTable(_Decoder):
                 if old is not None and v >> shift <= old >> shift and v & mask >= old & mask:
                     continue
                 tbl[pos] = v
-                for i in parents[idx]:
-                    if not in_heap[i]:
-                        in_heap[i] = 1
-                        heappush(heap, i)
+                pending |= parents[idx]
 
 
 def _or_empty(clause, get):
@@ -818,9 +813,10 @@ class FillPlan:
     (s, chain): its growing sequence's index and the clause Y op H that
     the fill matches in its place (see _levels).  The fill evaluates h once
     per column and stores s itself, so fill_parents, the seed parents the
-    fill reschedules, is parents less s among h's.  A match of h that took
-    its alternative 1 reads no stored s and a final Y, so its children
-    come from a rerun even though replays[h] is not None.
+    fill reschedules, is parents less s among h's, each clause's as a mask
+    with bit p set for each parent p.  A match of h that took its
+    alternative 1 reads no stored s and a final Y, so its children come
+    from a rerun even though replays[h] is not None.
     """
 
     __slots__ = (
@@ -864,14 +860,13 @@ class FillPlan:
             # recursive: no clause replays, and none is a level.
             self.replays = [None] * len(clauses)
             self.levels = {}
-        fill_parents = list(self.parents)
+        self.fill_parents = fill_parents = list(map(_mask, self.parents))
         for h, (s, _) in self.levels.items():
-            fill_parents[h] = tuple(p for p in fill_parents[h] if p != s)
-        self.fill_parents = fill_parents
+            fill_parents[h] &= ~(1 << s)
 
     def entry(self, k):
-        """Interval k's entry: (single-char terminals that match, initial
-        heap, in-heap flags).
+        """Interval k's entry: (single-char terminals that match, the mask
+        of the clauses a column of it schedules first).
 
         A terminal is decided by its own matcher on the interval's lowest
         code point (followed by the rest of a Str), so make_matcher stays
@@ -879,28 +874,33 @@ class FillPlan:
         terminals that match are stored without another call, and their
         seed parents are scheduled.  A Str that can start here is
         scheduled itself; terminals come first in clause order, so the
-        heap tries it before any clause that reads it.  A terminal the
+        fill tries it before any clause that reads it.  A terminal the
         character rules out schedules nothing.
         """
         ch = chr(self.bounds[k - 1]) if k else "\0"
-        chars, scheduled = [], set()
+        chars, scheduled = [], 0
         for t in self._terminals:
             kind = type(t)
             probe = ch + t.string[1:] if kind is Str else ch
             if make_matcher(t, probe, None, 0)(0) is None:
                 continue
             if kind is Str:
-                scheduled.add(t.clause_idx)
+                scheduled |= 1 << t.clause_idx
             else:
                 chars.append(t.clause_idx)
-                scheduled.update(self.parents[t.clause_idx])
-        in_heap = bytearray(len(self.parents))
-        for i in scheduled:
-            in_heap[i] = 1
-        e = (tuple(chars), tuple(sorted(scheduled)), bytes(in_heap))  # a sorted list is a heap
+                scheduled |= self.fill_parents[t.clause_idx]
+        e = (tuple(chars), scheduled)
         # Intervals that start the same terminals share one entry.
         e = self.entries[k] = self._distinct.setdefault(e, e)
         return e
+
+
+def _mask(indices):
+    """The int whose bit i is set for each clause index i in indices."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 def _plan(grammar):
@@ -920,7 +920,7 @@ def _pushed_through(clauses, parents):
     empty clause, which the fill never stores; only a pusher's store
     schedules a clause.  Take a clause r and the clauses it is pushed
     through, transitively: only they can push one of them.  So when a
-    reader c with max(r, top[r]) < c pops, the heap holds none of them and
+    reader c with max(r, top[r]) < c pops, none of them is pending and
     none is evaluated again in the column: r is final for c.
     """
     n = len(clauses)
@@ -965,8 +965,8 @@ def _replay_plans(clauses, parents, pushers, top):
     read but not evaluated is final where it is read, and it stores before
     a parent it pushes can pop, so the replay reads its stored match and
     schedules those parents up front: seeds pairs each such pusher with the
-    evaluated clauses it pushes.  parents maps each evaluated clause to its
-    parents among them.
+    mask of the evaluated clauses it pushes.  parents maps each evaluated
+    clause to the mask of its parents among them.
     """
     reads = [tuple(_reads(c)) for c in clauses]
 
@@ -986,8 +986,8 @@ def _replay_plans(clauses, parents, pushers, top):
                     seeds.setdefault(s, []).append(c)
         return (
             evaluated,
-            tuple((s, tuple(ps)) for s, ps in seeds.items()),
-            {c: tuple(p for p in parents[c] if p in need) for c in evaluated},
+            tuple((s, _mask(ps)) for s, ps in seeds.items()),
+            {c: _mask(p for p in parents[c] if p in need) for c in evaluated},
         )
 
     return [
@@ -1012,7 +1012,7 @@ def _levels(clauses, parents, top):
       each growth step is longer than the last;
     - Y is final for H (see _pushed_through), so both fills read one Y;
     - H is S's only seed parent, and every other seed parent of H sorts
-      above H.  Growth starts when H first pops, when all else in the heap
+      above H.  Growth starts when H first pops, when all else pending
       sorts above H.  A growth step pushes H or S, which pops next, and
       clauses above H, above S too: S reads only H at its own position, so
       nothing sorts between H and S if S sorts above H.  So no other

@@ -31,32 +31,42 @@ class ParseTreeNode:
     clause's canonical text.  label is the AST label attached where this
     node was referenced, if any.  text is the covered slice of the input.
 
-    A node extracted from a memo table builds its children on their first
-    read, from the entry it keeps until then (see engine.Match), so it
-    holds the table alive until its whole subtree has been read.
+    A node is built from a memo entry, a (clause, pos, length, alt_idx,
+    source) tuple (see engine.Match), with the label of the edge it was
+    read through.  It builds its children on their first read, from the
+    entry it keeps until then, so it holds the table alive until its whole
+    subtree has been read.
     """
 
     __slots__ = ("clause", "name", "label", "pos", "len", "source", "children",
                  "_entry", "_grammar")
 
-    def __init__(self, clause, name, label, pos, length, source):
+    def __init__(self, entry, label, grammar, text):
+        clause = entry[0]
         self.clause = clause
-        self.name = name
+        self.name = grammar.node_name(clause)
         self.label = label
-        self.pos = pos
-        self.len = length
-        self.source = source
-        self.children = []
+        self.pos = entry[1]
+        self.len = entry[2]
+        self.source = text
+        if entry[4]:
+            self._entry = entry
+            self._grammar = grammar
+        else:
+            self.children = []
 
     def __getattr__(self, attr):
-        # Only an unset slot gets here: children of a node built by _unread,
-        # before their first read.  Build them and drop the entry.
+        # Only an unset slot gets here: children of a node whose entry has
+        # some, before their first read.  Build them and drop the entry.
         if attr != "children":
             raise AttributeError(attr)
         entry = self._entry
         if entry is None:  # another thread built them since
             return self.children
-        self.children = kids = _expand(entry, self._grammar, self.source)
+        grammar, text = self._grammar, self.source
+        self.children = kids = [
+            ParseTreeNode(e, label, grammar, text) for e, label in _kids(entry)
+        ]
         self._entry = None
         return kids
 
@@ -127,24 +137,6 @@ def _repeat_entries(entry):
     return items
 
 
-def _unread(entry, label, grammar, text):
-    """The node of an entry, its children unbuilt unless it has none."""
-    clause = entry[0]
-    node = object.__new__(ParseTreeNode)
-    node.clause = clause
-    node.name = grammar.node_name(clause)
-    node.label = label
-    node.pos = entry[1]
-    node.len = entry[2]
-    node.source = text
-    if entry[4]:
-        node._entry = entry
-        node._grammar = grammar
-    else:
-        node.children = []
-    return node
-
-
 def _kids(entry):
     """The children of an entry's node, as (entry, label) pairs: each with
     the label of the edge it was read through.  A repetition's are its
@@ -159,11 +151,6 @@ def _kids(entry):
     return zip(_children(entry), labels)
 
 
-def _expand(entry, grammar, text):
-    """The child nodes of an entry's node."""
-    return [_unread(e, label, grammar, text) for e, label in _kids(entry)]
-
-
 def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
     """The parse tree for one match: its root, whose children, and theirs,
     are built on first read.
@@ -173,7 +160,7 @@ def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
     without building a Match for each.
     """
     top = (match.clause, match.pos, match.len, match.alt_idx, match)
-    return _unread(top, None, grammar, source)
+    return ParseTreeNode(top, None, grammar, source)
 
 
 def extract_parse_tree(table: MemoTable):
@@ -191,7 +178,7 @@ def extract_parse_tree(table: MemoTable):
 def _project(entry, out, text):
     """Append the ASTNodes below an entry's node to out, in preorder, as
     to_ast does for nodes, walking entries instead.  A node whose children
-    are unbuilt keeps its entry until their first read (see _unread)."""
+    are unbuilt keeps its entry until their first read (see ParseTreeNode)."""
     stack = [(entry, None, out)]
     while stack:
         entry, label, out = stack.pop()

@@ -70,6 +70,15 @@ def test_parse_grammar_file_and_start_rule(tmp_path, capsys):
     assert out.splitlines()[0].startswith("Assign [0,4)")
 
 
+def test_start_rule_applies_to_the_built_in_grammar(capsys):
+    # -s names a rule of the built-in grammar as it does one of a file's.
+    assert main(["parse", "-s", "Nope", "-t", "1+2"]) == 2
+    assert "start rule 'Nope' is not defined" in capsys.readouterr().err
+    # E3 matches only the leading '1'.
+    assert main(["parse", "-s", "E3", "-t", "1+2"]) == 1
+    assert "does not fully match rule 'E3'" in capsys.readouterr().out
+
+
 def test_parse_ast_output(tmp_path, capsys):
     gpath = tmp_path / "assign.peg"
     gpath.write_text(ASSIGN)

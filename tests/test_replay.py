@@ -88,6 +88,16 @@ def reference_fill(grammar, text):
     return tables, steps
 
 
+def keyword_list_grammar(k):
+    """A left-recursive list of k keywords and words: the keywords are
+    clauses 0 to k-1, and the list's level sorts above them all."""
+    heads = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    keywords = " / ".join("'%skw%d'" % (heads[i % len(heads)], i) for i in range(k))
+    return compile_grammar(
+        "L <- L ',' T / T;\nT <- Keyword / Word;\nKeyword <- %s;\nWord <- [a-z]+;\n" % keywords
+    )
+
+
 def reference_form(tables):
     return [norm_match(m) for tbl in tables for m in tbl.values()]
 
@@ -158,6 +168,9 @@ def test_built_matches_read_as_a_match_building_fill(replays):
         # replay that reads through that lookahead.
         (compile_grammar("E <- E '+' 'n' / &(E '-') 'm' / 'n';"), ("n+n+n", "n-", "n+n-")),
         (compile_grammar("E <- E '+' T / T; T <- !(E '+' 'x') [a-z];"), ("a+b+x+c",)),
+        # Over 300 clauses: the fill's and the replay's queues span many
+        # digits of an int.
+        (keyword_list_grammar(300), ("Akw0,Bkw37,x,Akw36,Lkw299", "Zkw25,Akw,kw,Ckw2")),
     ]
     per_grammar = []
     for g, texts in hand_written:

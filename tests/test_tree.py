@@ -372,19 +372,19 @@ def test_a_tree_read_partly_projects_as_a_fresh_tree():
 
 def test_projecting_a_fresh_tree_builds_no_node(monkeypatch):
     built = []
-    unread = tree._unread
+    init = tree.ParseTreeNode.__init__
 
-    def counted(*args):
+    def counted(self, *args):
         built.append(args)
-        return unread(*args)
+        init(self, *args)
 
     projected = 0
     for g, texts in projection_cases()[:3]:
         for text in texts:
             root = parse_tree(g, text)
-            monkeypatch.setattr(tree, "_unread", counted)
+            monkeypatch.setattr(tree.ParseTreeNode, "__init__", counted)
             ast = to_ast(root)
-            monkeypatch.setattr(tree, "_unread", unread)
+            monkeypatch.setattr(tree.ParseTreeNode, "__init__", init)
             assert built == [], text
             assert root._entry is not None, text  # root.children is unbuilt
             projected += ast is not None
