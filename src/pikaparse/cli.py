@@ -116,7 +116,8 @@ _FORMATS = {
 def _load_grammar(args):
     text = EXPRESSION_GRAMMAR
     if args.grammar is not None:
-        with open(args.grammar, "r", encoding="utf-8") as fh:
+        # A byte order mark, as some editors write, is not part of the grammar.
+        with open(args.grammar, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     return compile_grammar(text, start_rule=args.start)
 
@@ -150,7 +151,7 @@ def _cmd_parse(args):
         if args.ast:
             root = to_ast(root)
             if root is None:
-                return 0, ["(no labeled nodes)"]
+                return 0, ["null" if args.format == "json" else "(no labeled nodes)"]
         return 0, [_FORMATS[args.format](root)]
     names = args.recover.split(",") if args.recover else None
     spans = find_error_spans(table, names)

@@ -98,8 +98,7 @@ class Match:
     constructor is either the children, as a tuple, or the source they are
     built from: an object whose _entries(clause, pos, length, alt_idx)
     gives the children as (clause, pos, length, alt_idx, source) tuples,
-    source being () for a childless one.  A match is such a source for its
-    own children.
+    source being () for a childless one.
     """
 
     __slots__ = ("clause", "pos", "len", "alt_idx", "_subs")
@@ -118,12 +117,6 @@ class Match:
             return subs
         entries = subs._entries(self.clause, self.pos, self.len, self.alt_idx)
         return tuple([Match(c, p, n, s, a) for c, p, n, a, s in entries])
-
-    def _entries(self, clause, pos, length, alt_idx):
-        subs = self._subs
-        if type(subs) is not tuple:
-            return subs._entries(clause, pos, length, alt_idx)
-        return [(m.clause, m.pos, m.len, m.alt_idx, m) for m in subs]
 
     @property
     def end(self):

@@ -108,6 +108,13 @@ def test_parse_ast_without_labels(capsys):
     assert "(no labeled nodes)" in capsys.readouterr().out
 
 
+def test_parse_ast_without_labels_as_json_is_null(capsys):
+    # JSON output stays loadable when nothing is labeled.
+    rc = main(["parse", "-t", "a+b", "--ast", "-f", "json"])
+    assert rc == 0
+    assert capsys.readouterr().out == "null\n"
+
+
 def test_parse_file_input(tmp_path, capsys):
     ipath = tmp_path / "input.txt"
     ipath.write_text("7*8\n")
@@ -164,6 +171,18 @@ def test_bad_grammar_is_usage_error(tmp_path, capsys):
     rc = main(["parse", "-g", str(gpath), "-t", "a"])
     assert rc == 2
     assert "grammar error" in capsys.readouterr().err
+
+
+def test_grammar_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    gpath = tmp_path / "bom.peg"
+    gpath.write_bytes(b"\xef\xbb\xbfS <- [a-z]+;")
+    assert main(["parse", "-g", str(gpath), "-t", "abc"]) == 0
+    assert capsys.readouterr().out.startswith("S [0,3)")
+    # An input file's mark is input: its offsets are the user's.
+    ipath = tmp_path / "input.txt"
+    ipath.write_bytes(b"\xef\xbb\xbfabc")
+    assert main(["parse", "-g", str(gpath), str(ipath)]) == 1
+    assert '[0,1) "\\ufeff"' in capsys.readouterr().out
 
 
 def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):

@@ -1,17 +1,46 @@
-"""Property-based agreement between the bottom-up engine and the top-down
-reference parser, with hypothesis.
+"""Property-based tests with hypothesis.
 
-Each example draws a generated grammar without left recursion and an
-input.  Every (clause, position) the reference parser evaluated must read
-from the engine's table with the same length and alternative, and the two
-start matches must have the same shape.  The run is derandomized, so it
-draws the same examples every time.
+The first draws a generated grammar without left recursion and an input.
+Every (clause, position) the reference parser evaluated must read from the
+engine's table with the same length and alternative, and the two start
+matches must have the same shape.
+
+The second builds clause graphs in code, of every clause class, with none
+of gram_gen's constraints, and checks that assembly either succeeds or
+raises GrammarError, and that every grammar it accepts parses, reads and
+projects soundly.
+
+The runs are derandomized, so they draw the same examples every time.
 """
+
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pikaparse import parse
+from pikaparse import (
+    Char,
+    CharSet,
+    First,
+    FollowedBy,
+    GrammarError,
+    Nothing,
+    NotFollowedBy,
+    OneOrMore,
+    Optional,
+    Rule,
+    RuleRef,
+    Seq,
+    Str,
+    ZeroOrMore,
+    assemble_grammar,
+    covering_matches,
+    extract_parse_tree,
+    find_error_spans,
+    parse,
+    render_grammar,
+    to_ast,
+)
 from pikaparse.oracle import describe_match, packrat_parse, same_shape
 
 from gram_gen import random_grammar, sample_input
@@ -40,3 +69,90 @@ def test_every_oracle_entry_reads_the_same_from_the_table(data):
     bottom, top = table.start_match(), res.match
     assert same_shape(bottom, top), (describe_match(bottom), describe_match(top))
     assert table.watermark_violations == 0
+
+
+COMPOSITES = (Seq, First, OneOrMore, NotFollowedBy, FollowedBy, Optional, ZeroOrMore)
+# Nothing is rarer than the other leaves: assembly rejects most places it lands.
+LEAVES = (Char, Char, CharSet, Str, RuleRef, RuleRef, RuleRef, Nothing)
+
+
+def random_rule_set(rng):
+    """1 to 4 rules over the alphabet "ab", built from every clause class:
+    labels on half the edges, clauses shared by several parents (the same
+    object), and references to any rule, itself included."""
+    names = ["R%d" % i for i in range(rng.randint(1, 4))]
+    built = []
+
+    def clause(depth):
+        if built and rng.random() < 0.15:
+            return rng.choice(built)
+        # A rule's body is composite, and clauses three levels down are leaves.
+        kinds = COMPOSITES if depth == 0 else LEAVES if depth == 3 else COMPOSITES + LEAVES
+        kind = rng.choice(kinds)
+        if kind is Char:
+            c = Char(rng.choice("ab"))
+        elif kind is CharSet:
+            c = CharSet.of(rng.choice(("a", "ab")), negated=rng.random() < 0.3)
+        elif kind is Str:
+            c = Str(rng.choice(("ab", "ba", "aa")))
+        elif kind is Nothing:
+            c = Nothing()
+        elif kind is RuleRef:
+            c = RuleRef(rng.choice(names))
+        else:
+            subs = [clause(depth + 1) for _ in range(rng.randint(kind.min_arity, kind.max_arity or 3))]
+            c = kind(subs, [rng.choice("xy") if rng.random() < 0.5 else None for _ in subs])
+        built.append(c)
+        return c
+
+    return [Rule(name, clause(0)) for name in names]
+
+
+def read_whole(root):
+    """Read every node's children, checking that they tile their parent."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        at = node.pos
+        for child in node.children:
+            assert child.pos == at, (node, child)
+            at = child.end
+        assert not node.children or at == node.end, node
+        stack.extend(node.children)
+
+
+def ast_rows(ast):
+    """An AST as (label, pos, len, child count) rows in preorder."""
+    rows, stack = [], [ast] if ast is not None else []
+    while stack:
+        node = stack.pop()
+        rows.append((node.label, node.pos, node.len, len(node.children)))
+        stack.extend(reversed(node.children))
+    return rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(rng=randoms, chained=st.booleans(),
+       texts=st.lists(st.text(alphabet="ab", max_size=8), min_size=1, max_size=3))
+def test_clause_graphs_built_in_code_assemble_parse_and_project(rng, chained, texts):
+    rules = random_rule_set(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            g = assemble_grammar(rules, rewrite_repetitions=chained)
+        except GrammarError:
+            return
+        again = assemble_grammar(rules, rewrite_repetitions=chained)
+    assert render_grammar(again) == render_grammar(g)
+    for text in texts:
+        table = parse(g, text)
+        assert table.watermark_violations == 0
+        fresh = extract_parse_tree(table)
+        if fresh is not None:
+            whole = extract_parse_tree(table)
+            read_whole(whole)
+            assert ast_rows(to_ast(fresh)) == ast_rows(to_ast(whole)), text
+        find_error_spans(table)
+        covering_matches(table)
+        for m in table.all_stored():
+            m.sub_matches  # builds the match's children

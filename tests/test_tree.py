@@ -224,6 +224,14 @@ def test_ast_single_label_is_returned_directly():
     assert ast.label == "v" and ast.text == "42"
 
 
+def test_tree_and_ast_nodes_are_distinct_types():
+    # The two share their span fields, but neither is the other.
+    root = parse_tree(compile_grammar(ASSIGN), "ab=12;")
+    ast = to_ast(root)
+    assert not isinstance(root, ASTNode) and not isinstance(ast, ParseTreeNode)
+    assert (ast.pos, ast.end, ast.text) == (root.pos, root.end, root.text)
+
+
 def test_ast_without_labels_is_none():
     g = compile_grammar("S <- 'a' 'b';")
     assert to_ast(parse_tree(g, "ab")) is None
