@@ -40,18 +40,22 @@ matchers only at the column it fills, so a read left of the column is
 counted in watermark_violations.
 
 The queries build a Match when they read a value, and a Match builds its
-children each time they are read, in the one way the fill plan chose for its
-clause when it was built.  One decoder does so for this table and for the
-reference parser's memo of the same ints, each giving it a value lookup per
-clause.  A clause whose reads at its own position are all final by the time
-the fill evaluates it there has its matcher run again at the match's
-position, with readers that record the matches they read: that reads what
-the fill read.  Clauses sort above what they read at their own position, so
+children each time they are read, in the one of three ways the fill plan
+chose for its clause when it was built: select, rerun or replay.  One
+decoder does so for this table and for the reference parser's memo of the
+same ints, each giving it a value lookup per clause.  Take a clause whose
+reads at its own position are all final by the time the fill evaluates it
+there.  If it is an ordered choice, its value names the alternative that
+matched, at the same position and with the same length, so its one child is
+selected: read from the memo, with no matcher run.  Any other such clause
+has its matcher run again at the match's position, with readers that
+record the matches they read as finished children: that reads what the
+fill read.  Clauses sort above what they read at their own position, so
 only a clause on a left-recursive cycle may have read a clause that changed
 after it: a left-recursive seed grows at every column it can start at, each
 growth step the left operand of the next, and only the last step stays in
 the table.  Its children come from replaying that one column, which records
-the reads behind every value it stores, so one replay yields a whole
+the children of every value it stores, so one replay yields a whole
 left-nested run.  The replay is exact because the fill is deterministic
 and everything right of the column is final.  So the table stays linear in
 memory for any run length.
@@ -62,7 +66,9 @@ H <- H op Y / Y that FillPlan recognizes (the shape precedence shorthand's
 E[i,L] produces): it evaluates H once per column, from Y there and H's
 final match right of it, and stores the value growth would end at (see
 _levels), so such runs fill in linear time.  Growth steps then exist only
-in replays.  Every other left-recursive cycle grows its seed.
+in replays.  A match of H through Y read only final values, so its child
+is selected like any other choice's.  Every other left-recursive cycle
+grows its seed.
 """
 from __future__ import annotations
 
@@ -96,9 +102,9 @@ class Match:
     children, each time sub_matches is read: two reads of one entry give
     equal matches, not the same object.  sub_matches given to the
     constructor is either the children, as a tuple, or the source they are
-    built from: an object whose _entries(clause, pos, length, alt_idx)
-    gives the children as (clause, pos, length, alt_idx, source) tuples,
-    source being () for a childless one.
+    built from: an object, not a plain tuple, whose _entries(clause, pos,
+    length, alt_idx) gives the children as (clause, pos, length, alt_idx,
+    source) tuples, source being () for a childless one.
     """
 
     __slots__ = ("clause", "pos", "len", "alt_idx", "_subs")
@@ -395,11 +401,19 @@ class _Decoder:
     MemoTable and of the reference parser's result, and the source of the
     matches they build (see Match): the one code that builds children.
 
-    A built match's children are the reads its clause's matcher makes, when
-    run again at the match's position, that find a match, or, for a clause
-    FillPlan.replays marks, what replaying the fill of its column read.  A
-    subclass gives only _values(i): clause i's value lookup, a function of
-    pos that returns its memo value there, or None.  The memo holds only
+    A built match's children come from one of three places, as FillPlan
+    chose for its clause and alternative (see _entries):
+
+    - select: a First whose reads were final when the fill evaluated it
+      has one child, its chosen alternative at the same position and of
+      the same length, read from the memo;
+    - rerun: the reads its clause's matcher makes, when run again at the
+      match's position, that find a match;
+    - replay: for a clause FillPlan.replays marks, what replaying the fill
+      of its column read.
+
+    A subclass gives only _values(i): clause i's value lookup, a function
+    of pos that returns its memo value there, or None.  The memo holds only
     ints and none of the readers refers to the memo's owner, so a match can
     hold its owner strongly without making a cycle.
     """
@@ -413,8 +427,12 @@ class _Decoder:
         self._recorders = [None] * n
         self._reruns = [None] * n
         self._lock = threading.Lock()
-        # A replay's state: the column it fills, and the values so far of
-        # the clauses it evaluates there.
+        # The source the log's entries of memo matches carry: this decoder
+        # while a rerun or replay runs, else None, so that no reader refers
+        # to it in between.
+        self._memo = [None]
+        # A replay's state: the column it fills, and the value so far of
+        # each clause it evaluates there with that value's children.
         self._col = [-1]
         self._scratch = {}
 
@@ -426,27 +444,50 @@ class _Decoder:
         )
 
     def _entries(self, clause, pos, length, alt_idx):
-        """The children of clause's match at pos: from a rerun over the
-        memo, or from replaying the column where FillPlan.replays says
-        clause needs it."""
+        """The children of clause's match at pos, from where FillPlan says:
+        selected from the memo when selects has the alternative's bit, else
+        from a rerun over the memo, or from replaying the column where
+        replays says clause needs it."""
         plan = _plan(self.grammar)
-        how = plan.replays[clause.clause_idx]
+        i = clause.clause_idx
+        if plan.selects[i] >> alt_idx & 1:
+            return (self._select(clause, pos, length, alt_idx),)
+        how = plan.replays[i]
         with self._lock:
-            if how is None or alt_idx and clause.clause_idx in plan.levels:
+            if how is None:
                 return self._rerun(clause, pos, length << self._shift | alt_idx)
             record = self._replay(how, pos)
         return record._entries(clause, pos, length, alt_idx)
 
+    def _select(self, clause, pos, length, alt_idx):
+        """The one child of a First's match at pos through alternative
+        alt_idx, read from the memo as the rerun's reader would read it: a
+        clause that can match zero characters and has nothing stored there
+        reads as a childless zero-length match, which is how a lookahead
+        reads in this table.  It runs no matcher and needs no lock."""
+        sub = clause.sub_clauses[alt_idx]
+        v = self._values(sub.clause_idx)(pos)
+        source = () if _childless(sub) else self
+        if v is None and sub.can_match_zero_chars:
+            v, source = sub.zero_idx, ()
+        shift = self._shift
+        if v is None or v >> shift != length:
+            raise RuntimeError("%r does not match at %d as its memo entry says" % (clause, pos))
+        return (sub, pos, length, v & ~(-1 << shift), source)
+
     def _rerun(self, clause, pos, v):
         """The children of clause's match v at pos, from running its matcher
         again there.  The caller holds the lock."""
-        log = self._log
-        del log[:]
+        log, memo = self._log, self._memo
         i = clause.clause_idx
-        got = (self._reruns[i] or self._rerun_matcher(i))(pos)
-        if got != v:
-            raise RuntimeError("%r does not match at %d as its memo entry says" % (clause, pos))
-        return self._resolve(log)
+        memo[0] = self
+        try:
+            if (self._reruns[i] or self._rerun_matcher(i))(pos) != v:
+                raise RuntimeError("%r does not match at %d as its memo entry says" % (clause, pos))
+            return log[:]
+        finally:
+            memo[0] = None
+            del log[:]
 
     def _rerun_matcher(self, i):
         clause = self.grammar.all_clauses[i]
@@ -454,13 +495,13 @@ class _Decoder:
         return f
 
     def _recorder(self, sub):
-        """sub's reader for building children, recording every match it
-        reads into the log as (sub, pos, value, kind), where kind says
-        where the children of what it read come from: nowhere (0), the
-        memo (1) or the replay record (2).  It reads the memo, except at the
-        column a replay fills, where a clause the replay evaluates reads its
-        scratch value.  A lookahead's own reads are taken back out of the
-        log: its match has no children."""
+        """sub's reader for building children, appending every match it
+        reads to the log as a finished (sub, pos, length, alt_idx, source)
+        entry, source being where its children come from: () for none, or
+        the memo.  It reads the memo, except at the column a replay fills,
+        where a clause the replay evaluates reads its scratch value, whose
+        children are known: they are its source.  A lookahead's own reads
+        are taken back out of the log: its match has no children."""
         i = sub.clause_idx
         r = self._recorders[i]
         if r is not None:
@@ -474,25 +515,28 @@ class _Decoder:
                 v = peek(pos)
                 del log[n:]
                 if v is not None:
-                    log.append((sub, pos, v, 0))
+                    log.append((sub, pos, 0, 0, ()))
                 return v
 
         else:
             get = self._values(i)
             zero = sub.zero_idx if sub.can_match_zero_chars else None
-            kind = 0 if sub.is_terminal else 1
+            # A terminal's matches are childless wherever they are read.
+            memo = ((),) if sub.is_terminal else self._memo
             col, scratch = self._col, self._scratch
+            shift = self._shift
+            mask = ~(-1 << shift)
 
             def r(pos):
                 if pos == col[0] and i in scratch:
-                    v, k = scratch[i], 2
+                    v, source = scratch[i]
                 else:
-                    v, k = get(pos), kind
+                    v, source = get(pos), memo[0]
                 if v is None:
                     if zero is None:
                         return None
-                    v, k = zero, 0
-                log.append((sub, pos, v, k))
+                    v, source = zero, ()
+                log.append((sub, pos, v >> shift, v & mask, source))
                 return v
 
         self._recorders[i] = r
@@ -501,7 +545,7 @@ class _Decoder:
     def _replay(self, how, pos):
         """Replay column pos's fill of the clauses that how, a
         FillPlan.replays entry, evaluates, into scratch values, recording
-        the reads behind every value it stores: a _Record.
+        the children of every value it stores: a _Record.
 
         The replay evaluates those clauses in the order the fill did and
         reads the memo everywhere else, where it is final.  A clause's
@@ -513,17 +557,18 @@ class _Decoder:
         """
         evaluated, seeds, parents = how
         matchers = {i: self._reruns[i] or self._rerun_matcher(i) for i in evaluated}
-        scratch, log = self._scratch, self._log
+        scratch, log, memo = self._scratch, self._log, self._memo
         shift = self._shift
         mask = ~(-1 << shift)
         pending = 0  # bit i set: clause i is scheduled (see MemoTable._run)
         for s, ps in seeds:
             if self._values(s)(pos) is not None:
                 pending |= ps
-        record = _Record(self)
-        for i in evaluated:
-            scratch[i] = None
+        record = _Record(shift)
+        for i in evaluated:  # no match yet in this column
+            scratch[i] = (None, ())
         self._col[0] = pos
+        memo[0] = self
         try:
             while pending:
                 low = pending & -pending
@@ -533,41 +578,48 @@ class _Decoder:
                 v = matchers[idx](pos)
                 if v is None:
                     continue
-                old = scratch[idx]
+                old = scratch[idx][0]
                 if old is not None and v >> shift <= old >> shift and v & mask >= old & mask:
                     continue
-                record[idx, v] = tuple(log)
-                scratch[idx] = v
+                steps = record[idx, v] = _Steps(log)
+                scratch[idx] = (v, steps)
                 pending |= parents[idx]
         finally:
             scratch.clear()
+            del log[:]
+            memo[0] = None
             self._col[0] = -1
         return record
 
-    def _resolve(self, log, record=None):
-        """Entries for recorded reads, each with the source of its
-        children: (), this memo, or the replay record they came from."""
-        shift = self._shift
-        mask = ~(-1 << shift)
-        sources = ((), self, record)
-        return [(c, q, v >> shift, v & mask, sources[k]) for c, q, v, k in log]
+
+class _Steps(tuple):
+    """The children a replay recorded for one value it stored, as entries,
+    and the source of those children: a replayed match holds them.  An
+    entry naming the _Record as its source would put each record on a
+    reference cycle, which would keep the table alive until the cycle
+    collector ran; a _Steps refers only to steps stored before it."""
+
+    __slots__ = ()
+
+    def _entries(self, clause, pos, length, alt_idx):
+        return self
 
 
 class _Record(dict):
     """What one replay of a column stored: (clause index, value) -> the
-    reads behind it, as the decoder's log records them."""
+    value's children, a _Steps."""
 
-    __slots__ = ("table",)
+    __slots__ = ("shift",)
 
-    def __init__(self, table):
+    def __init__(self, shift):
         super().__init__()
-        self.table = table
+        self.shift = shift
 
     def _entries(self, clause, pos, length, alt_idx):
-        log = self.get((clause.clause_idx, length << self.table._shift | alt_idx))
-        if log is None:
+        steps = self.get((clause.clause_idx, length << self.shift | alt_idx))
+        if steps is None:
             raise RuntimeError("replaying column %d did not rebuild %r" % (pos, clause))
-        return self.table._resolve(log, self)
+        return steps
 
 
 # ---------------------------------------------------------------------------
@@ -794,13 +846,15 @@ class FillPlan:
     first time a column's character falls in its interval, so the plan
     grows with the grammar, never with the texts parsed.
 
-    replays is built whole with the plan.  replays[c] says where the
-    children of clause c's matches come from: None when a rerun of c's
-    matcher over the filled table gives them, else what replaying a column
-    needs for them (see _replay_plans).  Only a clause on a same-position
-    cycle, that is, a left-recursive one, has an entry other than None, so
-    a grammar with no such cycle skips the analysis behind replays and
-    levels.
+    selects and replays are built whole with the plan, and say where the
+    children of clause c's matches come from (see _Decoder).  Bit k of
+    selects[c] is set when the child of c's match through alternative k is
+    selected from the memo: c is a First whose reads are final for it.
+    Otherwise replays[c] is None when a rerun of c's matcher over the
+    filled table gives them, else what replaying a column needs for them
+    (see _replay_plans).  Only a clause on a same-position cycle, that is,
+    a left-recursive one, has a replays entry other than None, so a grammar
+    with no such cycle skips the analysis behind replays and levels.
 
     levels maps each recognized left-associative level's clause h to
     (s, chain): its growing sequence's index and the clause Y op H that
@@ -808,13 +862,13 @@ class FillPlan:
     per column and stores s itself, so fill_parents, the seed parents the
     fill reschedules, is parents less s among h's, each clause's as a mask
     with bit p set for each parent p.  A match of h that took its
-    alternative 1 reads no stored s and a final Y, so its children come
-    from a rerun even though replays[h] is not None.
+    alternative 1 read no stored s and a final Y, so its child is selected
+    although replays[h] is not None: selects[h] has bit 1 alone.
     """
 
     __slots__ = (
-        "parents", "fill_parents", "levels", "bounds", "entries", "replays", "_distinct",
-        "_terminals",
+        "parents", "fill_parents", "levels", "bounds", "entries", "selects", "replays",
+        "_distinct", "_terminals",
     )
 
     def __init__(self, grammar: Grammar):
@@ -854,8 +908,13 @@ class FillPlan:
             self.replays = [None] * len(clauses)
             self.levels = {}
         self.fill_parents = fill_parents = list(map(_mask, self.parents))
+        self.selects = selects = [
+            -1 if type(c) is First and how is None else 0
+            for c, how in zip(clauses, self.replays)
+        ]
         for h, (s, _) in self.levels.items():
             fill_parents[h] &= ~(1 << s)
+            selects[h] = 2
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, the mask

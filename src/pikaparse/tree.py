@@ -112,15 +112,31 @@ class ASTNode(_Node):
         )
 
 
+class _Given(tuple):
+    """A Match's own tuple of children, as a source of entries."""
+
+    __slots__ = ()
+
+    def _entries(self, clause, pos, length, alt_idx):
+        return [_match_entry(m) for m in self]
+
+
+def _match_entry(m):
+    """A Match as a (clause, pos, length, alt_idx, source) entry."""
+    source = m._subs
+    if type(source) is tuple and source:
+        source = _Given(source)
+    return (m.clause, m.pos, m.len, m.alt_idx, source)
+
+
 def _children(entry):
     """The children of a (clause, pos, length, alt_idx, source) entry, as
-    entries.  source is a Match's tuple of children, () for none, or the
-    decoder or one of its replay records, which builds them on every read
-    (see engine.Match), so each node's are read once."""
+    entries.  source is () for none, or an object that gives them: the
+    decoder, one of its replayed steps, or a Match's children (see
+    _match_entry).  The decoder builds them on every read (see
+    engine.Match), so each node's are read once."""
     clause, pos, length, alt_idx, source = entry
-    if type(source) is tuple:
-        return [(m.clause, m.pos, m.len, m.alt_idx, m._subs) for m in source]
-    return source._entries(clause, pos, length, alt_idx)
+    return source._entries(clause, pos, length, alt_idx) if source else ()
 
 
 def _kids(entry):
@@ -150,11 +166,10 @@ def node_from_match(match: Match, grammar, source: str) -> ParseTreeNode:
     are built on first read.
 
     A repetition becomes a single node holding its repeats.  Children are
-    built from the matches below match read as entries (see _children),
+    built from the matches below match read as entries (see _match_entry),
     without building a Match for each.
     """
-    top = (match.clause, match.pos, match.len, match.alt_idx, match._subs)
-    return ParseTreeNode(top, None, grammar, source)
+    return ParseTreeNode(_match_entry(match), None, grammar, source)
 
 
 def extract_parse_tree(table: MemoTable):
@@ -169,6 +184,17 @@ def extract_parse_tree(table: MemoTable):
     return node_from_match(m, table.grammar, table.text)
 
 
+def _item(node, label, out):
+    """A node's to_ast stack item: (entry, label, out, node).  A node keeps
+    its entry until its children are built; read it once, since another
+    thread may build them meanwhile.  A node without one is walked as a
+    node, with its span in an entry's shape."""
+    entry = getattr(node, "_entry", None)
+    if entry:
+        return entry, label, out, None
+    return (node.clause, node.pos, node.len, 0, None), label, out, node
+
+
 def to_ast(root: ParseTreeNode):
     """Project a parse tree down to its labeled nodes.
 
@@ -178,38 +204,45 @@ def to_ast(root: ParseTreeNode):
     A node whose children are built has them walked as nodes.  Below a node
     whose children are not built yet, the projection walks the entries
     _kids gives instead: it builds no ParseTreeNode and leaves the tree
-    unread.  The AST refers to the text, not the table.
+    unread.  A First has one child, so where its chosen edge is unlabeled
+    the walk steps down to that child in place: a chain of choices whose
+    children the memo names (see engine._Decoder) costs no push.  The AST
+    refers to the text, not the table.
     """
     if root is None:
         return None
     text = root.source
-    # Preorder over nodes and entries, each paired with its edge label and
-    # the list its labeled descendants go to: a labeled one appends itself
+    # Preorder over items, each an entry paired with its edge label and the
+    # list its labeled descendants go to: a labeled one appends itself
     # there and hands its own children list down; an unlabeled one hands
     # its list through.
     top = []
-    stack = [(root, root.label, top)]
+    stack = [_item(root, root.label, top)]
     while stack:
-        item, label, out = stack.pop()
-        if type(item) is tuple:
-            entry = item
-        else:
-            # A node keeps its entry until its children are built: read it
-            # once, since another thread may build them meanwhile.  A node
-            # without one takes an entry's shape, with None for a source.
-            entry = getattr(item, "_entry", None) or (item.clause, item.pos, item.len, 0, None)
+        entry, label, out, node = stack.pop()
         if label is not None:
             ast = ASTNode(label, entry[1], entry[2], text, [])
             out.append(ast)
             out = ast.children
+        clause, pos, length, alt_idx, source = entry
+        # Step down a chain of unlabeled choice edges in place.  A node's
+        # stand-in entry has no source, so it never steps.
+        while (
+            type(clause) is First
+            and source
+            and clause.reaches_label
+            and clause.sub_clause_labels[alt_idx] is None
+        ):
+            entry = source._entries(clause, pos, length, alt_idx)[0]
+            clause, pos, length, alt_idx, source = entry
         # Below a clause that reaches no labeled edge, nothing can be
         # labeled, so its children are never read.
-        if not entry[0].reaches_label:
+        if not clause.reaches_label:
             continue
-        if entry[4] is None:  # a node whose children are built
-            kids = [(c, c.label, out) for c in item.children]
+        if node is None:
+            kids = [(e, edge, out, None) for e, edge in _kids(entry)]
         else:
-            kids = [(e, edge, out) for e, edge in _kids(entry)]
+            kids = [_item(c, c.label, out) for c in node.children]
         kids.reverse()
         stack.extend(kids)
     if not top:

@@ -13,7 +13,7 @@ add/sub), encoded three ways:
 
 from pikaparse import compile_grammar, engine, extract_parse_tree, parse
 from pikaparse.grammar import same_position_subs
-from pikaparse.tree import _kids
+from pikaparse.tree import _kids, _match_entry
 
 ARITH_CLIMB = """
 E4 <- '(' E0 ')';
@@ -83,7 +83,7 @@ def parse_tree(grammar, text):
 
 def repeats(m):
     """The repeat matches of a OneOrMore match, in input order."""
-    kids = _kids((m.clause, m.pos, m.len, m.alt_idx, m._subs))
+    kids = _kids(_match_entry(m))
     return [engine.Match(c, p, n, s, a) for (c, p, n, a, s), _ in kids]
 
 

@@ -9,6 +9,7 @@ import gc
 import heapq
 import random
 import sys
+import warnings
 import weakref
 
 import pytest
@@ -17,9 +18,9 @@ from pikaparse import compile_grammar, extract_parse_tree, find_error_spans, par
 from pikaparse import covering_matches, next_match_after
 from pikaparse.bench import expression_grammar
 from pikaparse import engine
-from pikaparse.clauses import Nothing, NotFollowedBy, OneOrMore
+from pikaparse.clauses import First, GrammarWarning, Nothing, NotFollowedBy, OneOrMore
 from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
-from pikaparse.oracle import packrat_parse
+from pikaparse.oracle import OracleResult, packrat_parse
 
 from enum_oracle import all_trees, norm_match
 from gram_gen import random_grammar, random_leftrec_grammar, sample_short_input
@@ -184,6 +185,146 @@ def test_built_matches_read_as_a_match_building_fill(replays):
     assert all(per_grammar[1:])  # each lookahead grammar replays a column
     print("%d tables replayed a column" % replayed)
     assert replayed >= 50
+
+
+@pytest.fixture
+def selects(monkeypatch):
+    """Records how each child the decoder selects was found: 'level' for a
+    recognized level's alternative 1, 'unstored' for a clause read as its
+    empty match, else the kind of the clause read."""
+    seen = []
+
+    def spy(cls):
+        select = cls._select
+
+        def counted(self, clause, pos, length, alt_idx):
+            sub = clause.sub_clauses[alt_idx]
+            if clause.clause_idx in self.grammar.fill_plan.levels:
+                seen.append("level")
+            elif self._values(sub.clause_idx)(pos) is None:
+                seen.append("unstored")
+            else:
+                seen.append(type(sub).__name__)
+            return select(self, clause, pos, length, alt_idx)
+
+        monkeypatch.setattr(cls, "_select", counted)
+
+    spy(MemoTable)
+    spy(OracleResult)
+    return seen
+
+
+def choice_children(m):
+    """The children of a First's match, each as its fields and its own
+    children in normalized form (a zero-length child has none)."""
+    return [
+        (c.clause, c.pos, c.len, c.alt_idx, tuple(map(norm_match, c.sub_matches)))
+        for c in m.sub_matches
+    ]
+
+
+# Choices whose chosen alternative is a string, a nullable clause with
+# nothing stored where it matched, and a recognized level's alternative 1.
+# No First ever chooses a lookahead: assembly rejects a First whose empty
+# match would take one, and otherwise an earlier alternative always matches.
+SELECTING = [
+    ("S <- T+; T <- 'ab' / 'a' / 'c';", ("abac", "aab", "cabaab"), "Str"),
+    ("S <- C 'x'; C <- 'q' / N / 'x'; N <- 'n'*;", ("x", "nnx"), "unstored"),
+    (ARITH_LABELED, ("1+2*3", "a-b-c", "-(a)"), "level"),
+]
+
+
+def test_selected_children_read_as_a_match_building_fill(monkeypatch, replays, selects):
+    rerun = []
+    original = MemoTable._rerun
+
+    def recording(self, clause, pos, v):
+        rerun.append(clause)
+        return original(self, clause, pos, v)
+
+    monkeypatch.setattr(MemoTable, "_rerun", recording)
+    for source, texts, kind in SELECTING:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GrammarWarning)  # an unreachable alternative
+            g = compile_grammar(source)
+        del selects[:]
+        for text in texts:
+            table = parse(g, text)
+            assert table.matched_whole(), text
+            ref_tables, _ = reference_fill(g, text)
+            choices = [m for m in table.all_stored() if type(m.clause) is First]
+            assert choices, text
+            for m in choices:
+                twin = ref_tables[m.clause.clause_idx][m.pos]
+                assert choice_children(m) == choice_children(twin), (text, m)
+            assert full_form(table) == reference_form(ref_tables), text
+        assert kind in selects, source
+    # A selected terminal is childless: nothing reruns its matcher.
+    assert rerun and not [c for c in rerun if c.is_terminal]
+
+
+def test_selected_children_of_the_reference_parser(selects):
+    # The reference parser's memo is read through the same decoder, even
+    # for a grammar the engine never parsed; its choices' selected children
+    # must be the match-building fill's too.
+    compared = 0
+    for source, texts, _ in SELECTING[:2]:
+        for text in texts:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GrammarWarning)
+                g = compile_grammar(source)
+            oracle = packrat_parse(g, text)
+            assert g.fill_plan is None
+            ref_tables, _ = reference_fill(g, text)
+            for (i, pos), v in oracle.memo.items():
+                twin = ref_tables[i].get(pos)
+                if v is None or type(g.all_clauses[i]) is not First or twin is None:
+                    continue
+                m = oracle.match_at(g.all_clauses[i], pos)
+                assert (m.len, m.alt_idx) == (twin.len, twin.alt_idx)
+                # A zero-length child is a leaf: the top-down parser
+                # evaluated it, with children, where the fill reads it as
+                # a childless empty match.
+                got = [f if f[2] else f[:4] + ((),) for f in choice_children(m)]
+                assert got == choice_children(twin), (text, m)
+                compared += 1
+    assert compared >= 10
+    assert "Str" in selects
+
+
+@pytest.mark.parametrize("corrupt", ["shorter", "missing"])
+def test_a_selected_child_the_memo_contradicts_raises(monkeypatch, corrupt):
+    # A choice's child is read from the memo, so a stored value that does
+    # not give the choice's length, or none at all, contradicts the choice's
+    # own entry, and building its children fails instead of guessing.
+    g = compile_grammar("S <- A / 'x'; A <- 'a' 'b';")
+    s, a = g.rule_clause("S"), g.rule_clause("A")
+    table = parse(g, "ab")
+    m = table.stored(s, 0)
+    if corrupt == "shorter":
+        table._tables[a.clause_idx][0] = 1 << g.alt_shift
+    else:
+        del table._tables[a.clause_idx][0]
+    rerun = []
+    monkeypatch.setattr(MemoTable, "_rerun", lambda self, *args: rerun.append(args))
+    with pytest.raises(RuntimeError, match="does not match at 0 as its memo entry says"):
+        m.sub_matches
+    assert rerun == []  # the select path raised, not a rerun
+
+
+def test_a_rerun_the_memo_contradicts_raises():
+    # A sequence's children come from rerunning its matcher, which must
+    # give the value stored for it: it cannot once a value it reads is gone.
+    g = compile_grammar("S <- A / 'x'; A <- 'a' 'b';")
+    a = g.rule_clause("A")
+    table = parse(g, "ab")
+    m = table.stored(a, 0)
+    del table._tables[a.sub_clauses[1].clause_idx][1]
+    with pytest.raises(RuntimeError, match="does not match at 0 as its memo entry says"):
+        m.sub_matches
+    assert not table._lock.locked()
+    table._tables[a.sub_clauses[1].clause_idx][1] = 1 << g.alt_shift
+    assert [c.len for c in m.sub_matches] == [1, 1]
 
 
 def test_replay_rebuilds_every_superseded_step():

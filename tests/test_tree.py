@@ -10,6 +10,7 @@ import weakref
 
 from pikaparse import (
     CharSet,
+    First,
     GrammarError,
     OneOrMore,
     Rule,
@@ -319,6 +320,27 @@ def test_to_ast_reruns_no_clause_that_reaches_no_label(monkeypatch):
     assert not {id(c) for c in lexical} & {id(c) for c in rerun}
     assert all(c.reaches_label for c in rerun)
     assert not any(c.reaches_label for c in lexical)
+
+
+def test_the_labeled_expression_ast_reruns_no_choice(monkeypatch):
+    # Each choice of the labeled expression grammar read final values when
+    # the fill evaluated it, a level's operand alternative included, so its
+    # child is selected from the memo: building the AST reruns only
+    # sequences.
+    g = compile_grammar(ARITH_LABELED)
+    rerun = []
+    original = MemoTable._rerun
+
+    def recording(self, clause, pos, v):
+        rerun.append(clause)
+        return original(self, clause, pos, v)
+
+    monkeypatch.setattr(MemoTable, "_rerun", recording)
+    for text in ("a+b*-(c-d)/e", "1-2-3*x*y/(z+4)", "--a", "((a))", "7"):
+        ast = to_ast(extract_parse_tree(parse(g, text)))
+        assert ast is not None, text
+    assert rerun
+    assert not [c for c in rerun if type(c) is First]
 
 
 def projection_cases():
