@@ -12,7 +12,9 @@ pipe early does not change the code.
 
 All tree serializers build output iteratively: parse trees of deeply nested
 inputs (a long left-nested sum, say) exceed any recursive serializer's
-stack, including the one inside json.dumps.
+stack, including the one inside json.dumps.  They yield their output in
+pieces, which main prints as the walk goes: the indented rendering of a
+tree d levels deep is about d^2 characters, more than the tree itself.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import io
 import json
 import os
 import sys
+from itertools import chain
 
 from .bench import EXPRESSION_GRAMMAR
 from .clauses import GrammarError
@@ -34,8 +37,7 @@ from .tree import extract_parse_tree, to_ast
 # serializers (all iterative; see module docstring)
 
 def tree_lines(node, max_text: int = 40):
-    """Indented text rendering, one line per node."""
-    lines = []
+    """Indented text rendering, one line per node, yielded in preorder."""
     stack = [(node, 0)]
     while stack:
         n, depth = stack.pop()
@@ -47,11 +49,8 @@ def tree_lines(node, max_text: int = 40):
             if len(t) > max_text:
                 t = t[: max_text - 3] + "..."
             snippet = " %s" % json.dumps(t)
-        lines.append(
-            "%s%s%s [%d,%d)%s" % ("  " * depth, head, name, n.pos, n.end, snippet)
-        )
+        yield "%s%s%s [%d,%d)%s" % ("  " * depth, head, name, n.pos, n.end, snippet)
         stack.extend((c, depth + 1) for c in reversed(n.children))
-    return lines
 
 
 def _name_of(node):
@@ -59,24 +58,22 @@ def _name_of(node):
     return getattr(node, "name", None) or node.label or "ast"
 
 
-def _serialize(node, opening, sep, close) -> str:
+def _serialize(node, opening, sep, close):
     """Each node of the tree at node as opening(n), then its children with
-    sep between them, then close."""
-    out = []
+    sep between them, then close, yielded piece by piece."""
     stack = [node]
     while stack:
         v = stack.pop()
         if isinstance(v, str):
-            out.append(v)
+            yield v
             continue
-        out.append(opening(v))
+        yield opening(v)
         stack.append(close)
         for c in reversed(v.children):
             stack.append(c)
             stack.append(sep)
         if v.children:
             stack.pop()  # no separator before the first child
-    return "".join(out)
 
 
 def _json_opening(v):
@@ -86,9 +83,13 @@ def _json_opening(v):
     )
 
 
+def _json_pieces(node):
+    return _serialize(node, _json_opening, ",", "]}")
+
+
 def tree_to_json(node) -> str:
     """Compact JSON: name, label, start, end, children; text on leaves."""
-    return _serialize(node, _json_opening, ",", "]}")
+    return "".join(_json_pieces(node))
 
 
 def _sexpr_opening(v):
@@ -98,15 +99,20 @@ def _sexpr_opening(v):
     return "(%s %s" % (name, "" if v.children else json.dumps(v.text))
 
 
-def tree_to_sexpr(node) -> str:
-    """S-expression rendering: (name child ...) with quoted leaf text."""
+def _sexpr_pieces(node):
     return _serialize(node, _sexpr_opening, " ", ")")
 
 
+def tree_to_sexpr(node) -> str:
+    """S-expression rendering: (name child ...) with quoted leaf text."""
+    return "".join(_sexpr_pieces(node))
+
+
+# Each format's whole output for a tree, newline-terminated, in pieces.
 _FORMATS = {
-    "tree": lambda n: "\n".join(tree_lines(n)),
-    "json": tree_to_json,
-    "sexpr": tree_to_sexpr,
+    "tree": lambda n: ("%s\n" % line for line in tree_lines(n)),
+    "json": lambda n: chain(_json_pieces(n), ("\n",)),
+    "sexpr": lambda n: chain(_sexpr_pieces(n), ("\n",)),
 }
 
 
@@ -142,7 +148,9 @@ def _read_input(args) -> str:
 
 
 def _cmd_parse(args):
-    """Parse as args say; returns (exit code, lines to print)."""
+    """Parse as args say; returns the exit code and the output, as pieces
+    of text to print in turn.  A tree's pieces are rendered as they are
+    taken, after the parse."""
     grammar = _load_grammar(args)
     text = _read_input(args)
     table = parse(grammar, text)
@@ -151,8 +159,8 @@ def _cmd_parse(args):
         if args.ast:
             root = to_ast(root)
             if root is None:
-                return 0, ["null" if args.format == "json" else "(no labeled nodes)"]
-        return 0, [_FORMATS[args.format](root)]
+                return 0, ["null\n" if args.format == "json" else "(no labeled nodes)\n"]
+        return 0, _FORMATS[args.format](root)
     names = args.recover.split(",") if args.recover else None
     spans = find_error_spans(table, names)
     out = ["input does not fully match rule %r" % grammar.start_rule, "error spans:"]
@@ -175,7 +183,7 @@ def _cmd_parse(args):
                 "  %s [%d,%d) %s"
                 % (grammar.node_name(m.clause), m.pos, m.pos + m.len, json.dumps(t))
             )
-    return 1, out
+    return 1, ["%s\n" % line for line in out]
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -212,7 +220,7 @@ def main(argv=None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
-        code, lines = _cmd_parse(args)
+        code, pieces = _cmd_parse(args)
     except GrammarError as exc:
         print("grammar error: %s" % exc, file=sys.stderr)
         return 2
@@ -223,8 +231,9 @@ def main(argv=None) -> int:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
     try:
-        for line in lines:
-            print(line)
+        write = sys.stdout.write
+        for piece in pieces:
+            write(piece)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (`| head`, say).  The parse is done, so
@@ -234,6 +243,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # raised while rendering the tree
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
     return code
 
 

@@ -40,35 +40,38 @@ matchers only at the column it fills, so a read left of the column is
 counted in watermark_violations.
 
 The queries build a Match when they read a value, and a Match builds its
-children each time they are read, in the one of three ways the fill plan
-chose for its clause when it was built: select, rerun or replay.  One
+children each time they are read, in the one of four ways the fill plan
+chose for its clause when it was built: select, walk, rerun or replay.  One
 decoder does so for this table and for the reference parser's memo of the
 same ints, each giving it a value lookup per clause.  Take a clause whose
 reads at its own position are all final by the time the fill evaluates it
 there.  If it is an ordered choice, its value names the alternative that
 matched, at the same position and with the same length, so its one child is
-selected: read from the memo, with no matcher run.  Any other such clause
-has its matcher run again at the match's position, with readers that
-record the matches they read as finished children: that reads what the
-fill read.  Clauses sort above what they read at their own position, so
-only a clause on a left-recursive cycle may have read a clause that changed
-after it: a left-recursive seed grows at every column it can start at, each
-growth step the left operand of the next, and only the last step stays in
-the table.  Its children come from replaying that one column, which records
-the children of every value it stores, so one replay yields a whole
-left-nested run.  The replay is exact because the fill is deterministic
-and everything right of the column is final.  So the table stays linear in
-memory for any run length.
+selected: read from the memo, with no matcher run.  A sequence's children
+are selected too, each read where the one before it ends.  Any other such
+clause, a repetition, has its matcher run again at the match's position,
+with readers that record the matches they read as finished children: that
+reads what the fill read.  Clauses sort above what they read at their own
+position, so only a clause on a left-recursive cycle may have read a clause
+that changed after it: a left-recursive seed grows at every column it can
+start at, each growth step the left operand of the next, and only the last
+step stays in the table.  Its children come from replaying that one column,
+which records the children of every value it stores, so one replay yields
+a whole left-nested run.  The replay is exact because the fill is
+deterministic and everything right of the column is final.  So the table
+stays linear in memory for any run length.
 
 Growing a seed one operand at a time costs Theta(k^2) evaluations for a run
 of k operands.  The fill skips that growth for each left-associative level
 H <- H op Y / Y that FillPlan recognizes (the shape precedence shorthand's
 E[i,L] produces): it evaluates H once per column, from Y there and H's
 final match right of it, and stores the value growth would end at (see
-_levels), so such runs fill in linear time.  Growth steps then exist only
-in replays.  A match of H through Y read only final values, so its child
-is selected like any other choice's.  Every other left-recursive cycle
-grows its seed.
+_levels), so such runs fill in linear time.  A match of H through Y read
+only final values, so its child is selected like any other choice's.  The
+growth steps of H's other matches, and of its sequence's, are walked: each
+is the last step, then op and Y read from the memo where it ends, so they
+are rebuilt from the memo with no matcher run and no replay.  Every other
+left-recursive cycle grows its seed, and its children come from replays.
 """
 from __future__ import annotations
 
@@ -401,12 +404,13 @@ class _Decoder:
     MemoTable and of the reference parser's result, and the source of the
     matches they build (see Match): the one code that builds children.
 
-    A built match's children come from one of three places, as FillPlan
+    A built match's children come from one of four places, as FillPlan
     chose for its clause and alternative (see _entries):
 
-    - select: a First whose reads were final when the fill evaluated it
-      has one child, its chosen alternative at the same position and of
-      the same length, read from the memo;
+    - select: a First or Seq whose reads were final when the fill evaluated
+      it has its children read from the memo (see _select);
+    - walk: a recognized level's rule or growing sequence has its column's
+      growth steps rebuilt from the memo by their shape (see _walk);
     - rerun: the reads its clause's matcher makes, when run again at the
       match's position, that find a match;
     - replay: for a clause FillPlan.replays marks, what replaying the fill
@@ -446,12 +450,16 @@ class _Decoder:
     def _entries(self, clause, pos, length, alt_idx):
         """The children of clause's match at pos, from where FillPlan says:
         selected from the memo when selects has the alternative's bit, else
-        from a rerun over the memo, or from replaying the column where
-        replays says clause needs it."""
+        walked where walks names clause's level, else from a rerun over the
+        memo, or from replaying the column where replays says clause needs
+        it."""
         plan = _plan(self.grammar)
         i = clause.clause_idx
         if plan.selects[i] >> alt_idx & 1:
-            return (self._select(clause, pos, length, alt_idx),)
+            return self._select(clause, pos, length, alt_idx)
+        level = plan.walks[i]
+        if level is not None:
+            return self._walk(level, clause, pos, length, alt_idx)
         how = plan.replays[i]
         with self._lock:
             if how is None:
@@ -460,20 +468,74 @@ class _Decoder:
         return record._entries(clause, pos, length, alt_idx)
 
     def _select(self, clause, pos, length, alt_idx):
-        """The one child of a First's match at pos through alternative
-        alt_idx, read from the memo as the rerun's reader would read it: a
+        """The children of a First's match at pos through alternative
+        alt_idx, or of a Seq's, read from the memo as the rerun's readers
+        would read them: each subclause where the one before it ends, and a
         clause that can match zero characters and has nothing stored there
-        reads as a childless zero-length match, which is how a lookahead
-        reads in this table.  It runs no matcher and needs no lock."""
-        sub = clause.sub_clauses[alt_idx]
-        v = self._values(sub.clause_idx)(pos)
-        source = () if _childless(sub) else self
-        if v is None and sub.can_match_zero_chars:
-            v, source = sub.zero_idx, ()
+        as a childless zero-length match, which is how a lookahead reads in
+        this table.  The children's lengths must add up to the match's.  It
+        runs no matcher and needs no lock."""
         shift = self._shift
-        if v is None or v >> shift != length:
-            raise RuntimeError("%r does not match at %d as its memo entry says" % (clause, pos))
-        return (sub, pos, length, v & ~(-1 << shift), source)
+        mask = ~(-1 << shift)
+        subs = clause.sub_clauses
+        if type(clause) is First:
+            subs = (subs[alt_idx],)
+        entries = []
+        at = pos
+        for sub in subs:
+            v = self._values(sub.clause_idx)(at)
+            source = () if _childless(sub) else self
+            if v is None:
+                if not sub.can_match_zero_chars:
+                    raise _contradicted(clause, pos)
+                v, source = sub.zero_idx, ()
+            entries.append((sub, at, v >> shift, v & mask, source))
+            at += v >> shift
+        if at - pos != length:
+            raise _contradicted(clause, pos)
+        return entries
+
+    def _walk(self, level, clause, pos, length, alt_idx):
+        """The children of a recognized level's match at pos, clause being
+        its rule H or its growing sequence S = H op Y (see _levels): the
+        growth steps of column pos, rebuilt from the memo and ended at the
+        requested match, each step's children a _Steps as a replay records
+        them.  H's first step is Y's match at pos, as alternative 1; each
+        later step is S, from the last step's H, then op where it ends and
+        Y where op ends, and then H through S as alternative 0.  Y and op
+        cannot match zero characters and are read right of the column, or
+        are final at it, so every read is one the fill made.  It runs no
+        matcher and needs no lock."""
+        h, s, y, op = level
+        shift = self._shift
+        mask = ~(-1 << shift)
+        y_at, op_at = self._values(y.clause_idx), self._values(op.clause_idx)
+        y_source = () if _childless(y) else self
+        op_source = () if _childless(op) else self
+        v = y_at(pos)
+        if v is not None:
+            n, alt = v >> shift, 1
+            steps = _Steps(((y, pos, n, v & mask, y_source),))
+            while n <= length:
+                if clause is h and n == length and alt == alt_idx:
+                    return steps
+                at = pos + n
+                v = op_at(at)
+                if v is None:
+                    break
+                step = (op, at, v >> shift, v & mask, op_source)
+                at += v >> shift
+                v = y_at(at)
+                if v is None:
+                    break
+                grown = _Steps(
+                    ((h, pos, n, alt, steps), step, (y, at, v >> shift, v & mask, y_source))
+                )
+                n, alt = at + (v >> shift) - pos, 0
+                if clause is s and n == length:
+                    return grown
+                steps = _Steps(((s, pos, n, 0, grown),))
+        raise _contradicted(clause, pos)
 
     def _rerun(self, clause, pos, v):
         """The children of clause's match v at pos, from running its matcher
@@ -483,7 +545,7 @@ class _Decoder:
         memo[0] = self
         try:
             if (self._reruns[i] or self._rerun_matcher(i))(pos) != v:
-                raise RuntimeError("%r does not match at %d as its memo entry says" % (clause, pos))
+                raise _contradicted(clause, pos)
             return log[:]
         finally:
             memo[0] = None
@@ -592,12 +654,19 @@ class _Decoder:
         return record
 
 
+def _contradicted(clause, pos):
+    """The error for a match of clause at pos whose children the memo does
+    not give."""
+    return RuntimeError("%r does not match at %d as its memo entry says" % (clause, pos))
+
+
 class _Steps(tuple):
-    """The children a replay recorded for one value it stored, as entries,
-    and the source of those children: a replayed match holds them.  An
-    entry naming the _Record as its source would put each record on a
-    reference cycle, which would keep the table alive until the cycle
-    collector ran; a _Steps refers only to steps stored before it."""
+    """The children a replay recorded, or a walk rebuilt, for one value a
+    column stored, as entries, and the source of those children: a
+    replayed or walked match holds them.  An entry naming the _Record as
+    its source would put each record on a reference cycle, which would keep
+    the table alive until the cycle collector ran; a _Steps refers only to
+    steps stored before it."""
 
     __slots__ = ()
 
@@ -846,15 +915,18 @@ class FillPlan:
     first time a column's character falls in its interval, so the plan
     grows with the grammar, never with the texts parsed.
 
-    selects and replays are built whole with the plan, and say where the
-    children of clause c's matches come from (see _Decoder).  Bit k of
-    selects[c] is set when the child of c's match through alternative k is
-    selected from the memo: c is a First whose reads are final for it.
+    selects, walks and replays are built whole with the plan, and say
+    where the children of clause c's matches come from (see _Decoder), in
+    that order.  Bit k of selects[c] is set when the children of c's match
+    through alternative k are selected from the memo: c is a First or a Seq
+    whose reads are final for it, and no level's.  Otherwise walks[c] is
+    (h, s, Y, op), the clauses of the recognized level c belongs to, when
+    c is its rule h or its growing sequence s: the growth steps are walked.
     Otherwise replays[c] is None when a rerun of c's matcher over the
     filled table gives them, else what replaying a column needs for them
     (see _replay_plans).  Only a clause on a same-position cycle, that is,
-    a left-recursive one, has a replays entry other than None, so a grammar
-    with no such cycle skips the analysis behind replays and levels.
+    a left-recursive one, has a walks or replays entry other than None, so
+    a grammar with no such cycle skips the analysis behind them and levels.
 
     levels maps each recognized left-associative level's clause h to
     (s, chain): its growing sequence's index and the clause Y op H that
@@ -862,12 +934,12 @@ class FillPlan:
     per column and stores s itself, so fill_parents, the seed parents the
     fill reschedules, is parents less s among h's, each clause's as a mask
     with bit p set for each parent p.  A match of h that took its
-    alternative 1 read no stored s and a final Y, so its child is selected
-    although replays[h] is not None: selects[h] has bit 1 alone.
+    alternative 1 read no stored s and a final Y, so its child is selected:
+    selects[h] has bit 1 alone, and h's other matches, and s's, are walked.
     """
 
     __slots__ = (
-        "parents", "fill_parents", "levels", "bounds", "entries", "selects", "replays",
+        "parents", "fill_parents", "levels", "bounds", "entries", "selects", "walks", "replays",
         "_distinct", "_terminals",
     )
 
@@ -898,10 +970,14 @@ class FillPlan:
         self.bounds = sorted(bounds)
         self.entries = [None] * (len(self.bounds) + 1)
         self._distinct = {}
+        self.walks = walks = [None] * len(clauses)
         if cyclic:
             pushers, top = _pushed_through(clauses, self.parents)
-            self.replays = _replay_plans(clauses, self.parents, pushers, top)
             self.levels = _levels(clauses, self.parents, top)
+            for h, (s, chain) in self.levels.items():
+                y, op, _ = chain.sub_clauses
+                walks[h] = walks[s] = (clauses[h], clauses[s], y, op)
+            self.replays = _replay_plans(clauses, self.parents, pushers, top, walks)
         else:
             # Every read is final for its reader and no level is left
             # recursive: no clause replays, and none is a level.
@@ -909,8 +985,8 @@ class FillPlan:
             self.levels = {}
         self.fill_parents = fill_parents = list(map(_mask, self.parents))
         self.selects = selects = [
-            -1 if type(c) is First and how is None else 0
-            for c, how in zip(clauses, self.replays)
+            -1 if type(c) in (First, Seq) and how is None and walk is None else 0
+            for c, how, walk in zip(clauses, self.replays, walks)
         ]
         for h, (s, _) in self.levels.items():
             fill_parents[h] &= ~(1 << s)
@@ -997,11 +1073,11 @@ def _pushed_through(clauses, parents):
     return pushers, top
 
 
-def _replay_plans(clauses, parents, pushers, top):
+def _replay_plans(clauses, parents, pushers, top, walks):
     """FillPlan.replays: per clause c, None when c's matches have no
-    children or every clause c reads at its own position is final for c
-    (see _pushed_through), else (evaluated, seeds, parents) for replaying a
-    column for c.
+    children, when walks[c] says they are walked, or when every clause c
+    reads at its own position is final for c (see _pushed_through), else
+    (evaluated, seeds, parents) for replaying a column for c.
 
     Assembly sorts a clause above everything it reads at its own position,
     except where a read closes a same-position cycle, so every read of a
@@ -1043,8 +1119,10 @@ def _replay_plans(clauses, parents, pushers, top):
         )
 
     return [
-        None if _childless(clause) or all(max(r, top[r]) < c for r in reads[c]) else plan(c)
-        for c, clause in enumerate(clauses)
+        None
+        if _childless(clause) or walk is not None or all(max(r, top[r]) < c for r in reads[c])
+        else plan(c)
+        for c, (clause, walk) in enumerate(zip(clauses, walks))
     ]
 
 
@@ -1070,6 +1148,14 @@ def _levels(clauses, parents, top):
       nothing sorts between H and S if S sorts above H.  So no other
       clause is evaluated in the column while H grows, and none reads a
       step that growth supersedes.
+
+    The same conditions let a match's children skip the replay of its
+    column.  Growth there starts from Y's match at j, as H's alternative 1;
+    each step after it is S, from the last step's H, op where that ends and
+    Y where op ends, then H through S as alternative 0, and it stops where
+    op or Y misses.  Every one of those reads is final, Y at j included, so
+    the steps are rebuilt from the memo alone (see _Decoder._walk), and no
+    clause of the level has a replay plan.
 
     Every other left-recursive cycle grows its seed: indirect cycles,
     several growing alternatives, and cycles on which another clause reads

@@ -132,7 +132,7 @@ def _match_entry(m):
 def _children(entry):
     """The children of a (clause, pos, length, alt_idx, source) entry, as
     entries.  source is () for none, or an object that gives them: the
-    decoder, one of its replayed steps, or a Match's children (see
+    decoder, one of its replayed or walked steps, or a Match's children (see
     _match_entry).  The decoder builds them on every read (see
     engine.Match), so each node's are read once."""
     clause, pos, length, alt_idx, source = entry

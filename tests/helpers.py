@@ -9,6 +9,12 @@ add/sub), encoded three ways:
 - ARITH_LEFTREC:  left-recursive at the binary-operator levels, so runs
                   parse left-associated and '-' / parens self-nest
 - ARITH_SHORTHAND: bracket notation that expands to ARITH_LEFTREC
+
+ARITH_POSTFIX is ARITH_LEFTREC with a second growing alternative at each
+binary level, a postfix operator.  No level of it has the shape FillPlan
+recognizes, so every run grows its seed and its matches' children come
+from replays; an input without the postfix operators parses as it does
+under ARITH_LEFTREC.
 """
 
 from pikaparse import compile_grammar, engine, extract_parse_tree, parse
@@ -29,6 +35,14 @@ E3 <- ([0-9]+ / [a-z]+) / E4;
 E2 <- ('-' (E2 / E3)) / E3;
 E1 <- (E1 ('*' / '/') E2) / E2;
 E0 <- (E0 ('+' / '-') E1) / E1;
+"""
+
+ARITH_POSTFIX = """
+E4 <- '(' E0 ')';
+E3 <- ([0-9]+ / [a-z]+) / E4;
+E2 <- ('-' (E2 / E3)) / E3;
+E1 <- E1 ('*' / '/') E2 / E1 '!' / E2;
+E0 <- E0 ('+' / '-') E1 / E0 '?' / E1;
 """
 
 ARITH_SHORTHAND = """
@@ -70,6 +84,10 @@ WS <- [ \t\n\r]*;
 
 def compile_leftrec():
     return compile_grammar(ARITH_LEFTREC, start_rule="E0")
+
+
+def compile_postfix():
+    return compile_grammar(ARITH_POSTFIX, start_rule="E0")
 
 
 def compile_climb():

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import pikaparse
 from pikaparse.cli import main, tree_lines, tree_to_json, tree_to_sexpr
 
-from helpers import ASSIGN, compile_leftrec, parse_tree
+from helpers import ARITH_LABELED, ASSIGN, compile_leftrec, parse_tree
 
 
 # === parse command ===
@@ -196,6 +197,51 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     assert "internal error: RuntimeError: engine fault" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_a_failure_while_rendering_is_an_internal_error(monkeypatch, capsys, error):
+    # The tree is rendered as it is printed, after the parse: a fault
+    # there is still the tool's, whatever its type.
+    def boom(node):
+        raise error("renderer fault")
+
+    monkeypatch.setattr("pikaparse.cli._name_of", boom)
+    assert main(["parse", "-t", "1+2"]) == 3
+    assert "internal error: %s: renderer fault" % error.__name__ in capsys.readouterr().err
+
+
+class CountingStdout:
+    """A stdout that keeps only the number of bytes written to it."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_deep_tree_is_printed_as_it_is_rendered(tmp_path, monkeypatch):
+    # The indented rendering of a prefix run d deep is about d^2 chars, far
+    # more than the tree: main prints each line as the walk reaches its
+    # node, so the memory it holds at once is the table's and the tree's.
+    grammar = tmp_path / "expr.peg"
+    grammar.write_text(ARITH_LABELED)
+    sink = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        rc = main(["parse", "-g", str(grammar), "--text=" + "-" * 1000 + "a"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert sink.bytes > 10_000_000
+    assert peak < sink.bytes / 4
+
+
 @pytest.mark.parametrize(
     "text, code, first_line",
     [
@@ -277,7 +323,7 @@ def test_serializers_handle_deep_left_nesting():
     g = compile_leftrec()
     text = "a" + "+b" * 2000
     root = parse_tree(g, text)
-    assert len(tree_lines(root)) > 4000
+    assert len(list(tree_lines(root))) > 4000
     emitted = tree_to_json(root)
     # The serializer is iterative; the stdlib decoder is not, so give the
     # round-trip check a deeper interpreter stack.

@@ -4,7 +4,8 @@ FillPlan recognizes each level of the shape H <- H op Y / Y whose growing
 seed nothing else reads while it grows, and the fill computes H and its
 sequence once per column from the final entries to its right.  Every
 stored (clause, position, length, alternative) must be the one the growing
-seed leaves, and so must every tree built from the table.
+seed leaves, and so must every tree built from the table, whose growth
+steps are walked from the memo instead of replayed.
 """
 
 import random
@@ -14,6 +15,7 @@ from pikaparse.bench import expression_grammar
 from pikaparse.engine import FillPlan
 
 from gram_gen import random_precedence_grammar, sample_expression
+from helpers import compile_leftrec
 from test_replay import full_form
 
 # T reads E at its own position through a lookahead, so a step of E's
@@ -82,3 +84,47 @@ def test_only_the_plain_level_shape_is_recognized(monkeypatch):
         assert FillPlan(g).levels == {}, text
         for expression in inputs:
             assert stored(parse(g, expression)) == stored(parse(slow, expression)), expression
+
+
+def test_walked_steps_are_the_replayed_steps():
+    # At every column where a level's rule is stored, a replay of the
+    # column, as the fill plan would make it without the level, records
+    # every growth step of the rule and its sequence; walking to each of
+    # those steps must give the replay's children, step for step.
+    rng = random.Random(20261020)
+    cases = [
+        (compile_leftrec(), ["1+2*3-4/5+x*y*z-7", "a*b*c*d+e*f*g-(h-i-j-k)/l/m", "--a-b"]),
+        # A terminal operand: its entries, like the operator's, are childless.
+        (compile_grammar("L <- L ',' [a-z] / [a-z];"), ["a,b,c,d", "x", "a,b,"]),
+    ]
+    for _ in range(250):
+        text, operands, operators = random_precedence_grammar(rng)
+        expressions = [sample_expression(rng, operands, operators) for _ in range(3)]
+        cases.append((compile_grammar(text), expressions))
+    grammars = steps = 0
+    for g, expressions in cases:
+        plan = FillPlan(g)
+        if not plan.levels:
+            continue
+        grammars += 1
+        clauses, shift = g.all_clauses, g.alt_shift
+        pushers, top = engine._pushed_through(clauses, plan.parents)
+        replays = engine._replay_plans(clauses, plan.parents, pushers, top, [None] * len(clauses))
+        for expression in expressions:
+            table = parse(g, expression)
+            for h, (s, _) in plan.levels.items():
+                assert replays[h] is not None and plan.replays[h] is None
+                for pos in table.match_positions(clauses[h]):
+                    with table._lock:
+                        record = table._replay(replays[h], pos)
+                    assert {i for i, _ in record} <= {h, s}
+                    final = table._tables[h][pos]
+                    assert (h, final) in record
+                    for (i, v), replayed in record.items():
+                        walked = table._walk(
+                            plan.walks[i], clauses[i], pos, v >> shift, v & ~(-1 << shift)
+                        )
+                        assert walked == replayed, (expression, pos, i, v)
+                        steps += 1
+    print("%d grammars with a level, %d steps compared" % (grammars, steps))
+    assert grammars >= 100 and steps >= 5000

@@ -1,8 +1,9 @@
 """Matches built on read: the memo table holds packed (length, alternative)
-ints, and a match's children are rebuilt when read, by running its clause's
-matcher again at its position or, for a clause on a same-position cycle, by
-replaying that one column.  Every tree read this way must be the one a fill
-that builds a Match for every evaluation keeps.
+ints, and a match's children are rebuilt when read: selected from the memo,
+walked through a recognized level's growth steps, rebuilt by running the
+clause's matcher again at its position or, for another clause on a
+same-position cycle, by replaying that one column.  Every tree read this
+way must be the one a fill that builds a Match for every evaluation keeps.
 """
 
 import gc
@@ -18,7 +19,7 @@ from pikaparse import compile_grammar, extract_parse_tree, find_error_spans, par
 from pikaparse import covering_matches, next_match_after
 from pikaparse.bench import expression_grammar
 from pikaparse import engine
-from pikaparse.clauses import First, GrammarWarning, Nothing, NotFollowedBy, OneOrMore
+from pikaparse.clauses import First, GrammarWarning, Nothing, NotFollowedBy, OneOrMore, Seq
 from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
 from pikaparse.oracle import OracleResult, packrat_parse
 
@@ -29,6 +30,7 @@ from helpers import (
     ASSIGN,
     JSON_GRAMMAR,
     compile_leftrec,
+    compile_postfix,
     repeats,
     same_position_reach,
     shape,
@@ -90,12 +92,15 @@ def reference_fill(grammar, text):
 
 
 def keyword_list_grammar(k):
-    """A left-recursive list of k keywords and words: the keywords are
-    clauses 0 to k-1, and the list's level sorts above them all."""
+    """A left-recursive list of k keywords and words, separated by ',' or
+    ';': the keywords are clauses 0 to k-1, and the list's rule sorts above
+    them all.  Its two growing alternatives make it no recognized level, so
+    its columns replay."""
     heads = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
     keywords = " / ".join("'%skw%d'" % (heads[i % len(heads)], i) for i in range(k))
     return compile_grammar(
-        "L <- L ',' T / T;\nT <- Keyword / Word;\nKeyword <- %s;\nWord <- [a-z]+;\n" % keywords
+        "L <- L ',' T / L ';' T / T;\nT <- Keyword / Word;\nKeyword <- %s;\nWord <- [a-z]+;\n"
+        % keywords
     )
 
 
@@ -114,6 +119,20 @@ def replays(monkeypatch):
         return replay(self, how, pos)
 
     monkeypatch.setattr(MemoTable, "_replay", counted)
+    return seen
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Records (column, clause index) for every walk a table makes."""
+    seen = []
+    walk_steps = MemoTable._walk
+
+    def counted(self, level, clause, pos, length, alt_idx):
+        seen.append((pos, clause.clause_idx))
+        return walk_steps(self, level, clause, pos, length, alt_idx)
+
+    monkeypatch.setattr(MemoTable, "_walk", counted)
     return seen
 
 
@@ -150,7 +169,7 @@ def test_left_recursive_pairs_match_the_enumerator(replays):
     assert len(replays) > 0
 
 
-def test_built_matches_read_as_a_match_building_fill(replays):
+def test_built_matches_read_as_a_match_building_fill(replays, walks):
     rng = random.Random(77)
     replayed = 0
     for _ in range(120):
@@ -163,7 +182,10 @@ def test_built_matches_read_as_a_match_building_fill(replays):
             replayed += len(replays) > before
             assert table.watermark_violations == 0
     hand_written = [
+        # Recognized levels: their children are walked, never replayed.
         (compile_leftrec(), ("1+2*3-4/5+x*y*z-7", "a*b*c*d+e*f*g-(h-i-j-k)/l/m", "--a-b-c*d")),
+        # The same levels with a postfix alternative each replay.
+        (compile_postfix(), ("1+2*3-4/5+x*y*z-7", "a*b!*c*d+e!?-(h-i-j-k)/l/m", "--a-b-c*d?")),
         # Lookahead inside a left-recursive cycle: a clause on the cycle
         # reads its cycle through a lookahead, so its children come from a
         # replay that reads through that lookahead.
@@ -171,27 +193,29 @@ def test_built_matches_read_as_a_match_building_fill(replays):
         (compile_grammar("E <- E '+' T / T; T <- !(E '+' 'x') [a-z];"), ("a+b+x+c",)),
         # Over 300 clauses: the fill's and the replay's queues span many
         # digits of an int.
-        (keyword_list_grammar(300), ("Akw0,Bkw37,x,Akw36,Lkw299", "Zkw25,Akw,kw,Ckw2")),
+        (keyword_list_grammar(300), ("Akw0,Bkw37;x,Akw36,Lkw299", "Zkw25;Akw,kw,Ckw2")),
     ]
     per_grammar = []
     for g, texts in hand_written:
-        first = len(replays)
+        first, walked = len(replays), len(walks)
         for text in texts:
             table = parse(g, text)
             before = len(replays)
             assert full_form(table) == reference_form(reference_fill(g, text)[0]), text
             replayed += len(replays) > before
-        per_grammar.append(len(replays) - first)
-    assert all(per_grammar[1:])  # each lookahead grammar replays a column
+        per_grammar.append((len(replays) - first, len(walks) - walked))
+    assert per_grammar[0][0] == 0 and per_grammar[0][1] > 0
+    # Each other grammar, the lookahead ones included, replays a column.
+    assert all(r and not w for r, w in per_grammar[1:])
     print("%d tables replayed a column" % replayed)
     assert replayed >= 50
 
 
 @pytest.fixture
 def selects(monkeypatch):
-    """Records how each child the decoder selects was found: 'level' for a
-    recognized level's alternative 1, 'unstored' for a clause read as its
-    empty match, else the kind of the clause read."""
+    """Records how each choice's child the decoder selects was found:
+    'level' for a recognized level's alternative 1, 'unstored' for a
+    clause read as its empty match, else the kind of the clause read."""
     seen = []
 
     def spy(cls):
@@ -199,7 +223,9 @@ def selects(monkeypatch):
 
         def counted(self, clause, pos, length, alt_idx):
             sub = clause.sub_clauses[alt_idx]
-            if clause.clause_idx in self.grammar.fill_plan.levels:
+            if type(clause) is not First:  # a sequence's children
+                pass
+            elif clause.clause_idx in self.grammar.fill_plan.levels:
                 seen.append("level")
             elif self._values(sub.clause_idx)(pos) is None:
                 seen.append("unstored")
@@ -312,18 +338,114 @@ def test_a_selected_child_the_memo_contradicts_raises(monkeypatch, corrupt):
     assert rerun == []  # the select path raised, not a rerun
 
 
+# A sequence holding a lookahead and a nullable member that stores nothing
+# where it matches empty, in a grammar with no cycle.
+LOOKAHEAD_AND_NULLABLE = "S <- (A / B)+; A <- !'ab' 'a' N 'c'; B <- 'a' 'b' N; N <- 'n'*;"
+
+
+def test_selected_sequences_are_their_reruns():
+    # A sequence whose reads were final has its children selected from the
+    # memo, each member where the one before it ends.  On every stored
+    # sequence they must be what rerunning its matcher records, for the
+    # engine's table and for the reference parser's memo.
+    rng = random.Random(41)
+    cases = [
+        (compile_grammar(LOOKAHEAD_AND_NULLABLE), ("aca", "abnnacabacab", "anncab")),
+        (compile_grammar(JSON_GRAMMAR), ('{"a": [1, -2.5e3, {"b\\u0041": null}], "c\\n": "d"}',)),
+        (compile_grammar(ARITH_LABELED), ("a+b*-(c-d)/e", "1-2-3*x*y/(z+4)")),
+    ]
+    for _ in range(200):
+        g, alphabet = random_grammar(rng)
+        cases.append((g, [sample_short_input(rng, g, alphabet) for _ in range(4)]))
+    compared = lookaheads = unstored = 0
+    for g, texts in cases:
+        plan = FillPlan(g)
+        for text in texts:
+            table = parse(g, text)
+            sources = [(table, table.all_stored())]
+            if not any(plan.replays) and not plan.levels:  # no left recursion
+                oracle = packrat_parse(g, text)
+                sources.append((oracle, (
+                    oracle.match_at(g.all_clauses[i], pos)
+                    for (i, pos), v in oracle.memo.items() if v is not None
+                )))
+            for memo, matches in sources:
+                for m in matches:
+                    clause = m.clause
+                    if type(clause) is not Seq:
+                        continue
+                    i = clause.clause_idx
+                    selected = plan.replays[i] is None and plan.walks[i] is None
+                    assert bool(plan.selects[i]) == selected
+                    if not selected:
+                        continue
+                    with memo._lock:
+                        rerun = memo._rerun(clause, m.pos, m.len << g.alt_shift)
+                    assert memo._select(clause, m.pos, m.len, 0) == rerun, (text, m)
+                    compared += 1
+                    lookaheads += any(type(e[0]) is NotFollowedBy for e in rerun)
+                    unstored += any(
+                        e[2] == 0 and memo._values(e[0].clause_idx)(e[1]) is None
+                        and type(e[0]) is not NotFollowedBy
+                        for e in rerun
+                    )
+    print("%d sequences compared, %d with a lookahead, %d with an unstored empty member"
+          % (compared, lookaheads, unstored))
+    assert compared >= 1000 and lookaheads >= 20 and unstored >= 20
+
+
+@pytest.mark.parametrize("how", ["shorter", "longer", "missing"])
+@pytest.mark.parametrize("corrupt", ["Y", "op", "member"])
+def test_a_walked_or_selected_sequence_the_memo_contradicts_raises(monkeypatch, corrupt, how):
+    # A walk reads each growth step's op and Y from the memo, and a
+    # selected sequence each of its members: a value the fill read that
+    # is now shorter, longer or gone contradicts the match's own entry, and
+    # building its children fails instead of guessing.
+    g = compile_leftrec()
+    text = "a+(b)+c"
+    table = parse(g, text)
+    plan = g.fill_plan
+    e0 = g.rule_clause("E0")
+    _, _, y, op = plan.walks[e0.clause_idx]
+    # E0 at 0 walks the steps a, a+(b), a+(b)+c, and its last operand and
+    # E4's last member, at 2 '(' E0 ')', are the ones only the length of
+    # the match itself can contradict.
+    e4 = g.rule_clause("E4")
+    target, read, at = {
+        "Y": (e0, y, 6),
+        "op": (e0, op, 1),
+        "member": (e4, e4.sub_clauses[2], 4),
+    }[corrupt]
+    m = table.stored(target, 0 if target is e0 else 2)
+    assert m.len == (7 if target is e0 else 3)
+    values = table._tables[read.clause_idx]
+    if how == "missing":
+        del values[at]
+    else:
+        values[at] += (1 if how == "longer" else -1) << g.alt_shift
+    calls = []
+    monkeypatch.setattr(MemoTable, "_rerun", lambda self, *args: calls.append(args))
+    monkeypatch.setattr(MemoTable, "_replay", lambda self, *args: calls.append(args))
+    with pytest.raises(RuntimeError, match="does not match at %d as its memo entry says" % m.pos):
+        m.sub_matches
+    assert calls == []
+
+
 def test_a_rerun_the_memo_contradicts_raises():
-    # A sequence's children come from rerunning its matcher, which must
+    # A repetition's children come from rerunning its matcher, which must
     # give the value stored for it: it cannot once a value it reads is gone.
-    g = compile_grammar("S <- A / 'x'; A <- 'a' 'b';")
+    g = compile_grammar("S <- A / 'x'; A <- 'a'+;")
     a = g.rule_clause("A")
-    table = parse(g, "ab")
+    table = parse(g, "aa")
     m = table.stored(a, 0)
-    del table._tables[a.sub_clauses[1].clause_idx][1]
+    # What the matcher reads at 1: a chained repetition's rest, or a
+    # greedy one's second repeat.
+    read = table._tables[(a if a.chained else a.sub_clauses[0]).clause_idx]
+    del read[1]
     with pytest.raises(RuntimeError, match="does not match at 0 as its memo entry says"):
         m.sub_matches
     assert not table._lock.locked()
-    table._tables[a.sub_clauses[1].clause_idx][1] = 1 << g.alt_shift
+    read[1] = 1 << g.alt_shift
     assert [c.len for c in m.sub_matches] == [1, 1]
 
 
@@ -383,7 +505,7 @@ def test_only_clauses_on_same_position_cycles_replay():
 
 
 def test_a_grammar_without_cycles_skips_the_replay_analysis(monkeypatch):
-    # FillPlan runs the analysis behind replays and levels only for a
+    # FillPlan runs the analysis behind replays, walks and levels only for a
     # grammar with a same-position cycle; either way the plan must hold
     # what the analysis gives.
     rng = random.Random(35)
@@ -405,11 +527,15 @@ def test_a_grammar_without_cycles_skips_the_replay_analysis(monkeypatch):
         clauses = g.all_clauses
         skipped.append(not analyzed)
         pushers, top = pushed_through(clauses, plan.parents)
-        assert plan.replays == engine._replay_plans(clauses, plan.parents, pushers, top)
+        assert plan.replays == engine._replay_plans(clauses, plan.parents, pushers, top, plan.walks)
         levels = engine._levels(clauses, plan.parents, top)
         assert {h: (s, g.display_clause(chain)) for h, (s, chain) in plan.levels.items()} == {
             h: (s, g.display_clause(chain)) for h, (s, chain) in levels.items()
         }
+        # Each level's rule and growing sequence are walked, and nothing else.
+        assert [i for i, level in enumerate(plan.walks) if level] == sorted(
+            i for h, (s, _) in levels.items() for i in (h, s)
+        )
     # The expression grammar is analyzed and has its levels; the JSON and
     # assignment grammars, like gram_gen's grammars without recursion, skip.
     assert skipped[:3] == [False, True, True]
@@ -417,24 +543,27 @@ def test_a_grammar_without_cycles_skips_the_replay_analysis(monkeypatch):
     assert all(skipped[3:103]) and not any(skipped[103:])
 
 
-def test_building_matches_leaves_the_table_as_it_was(replays):
-    g = expression_grammar()
+def test_building_matches_leaves_the_table_as_it_was(replays, walks):
     text = "+".join(["ab"] * 30) + "*" + "*".join(["cd"] * 20)
-    table = parse(g, text)
-    stored = [(m.clause, m.pos, m.len, m.alt_idx) for m in table.all_stored()]
-    positions = {id(c): list(table.match_positions(c)) for c in g.all_clauses}
-    seen = 0
-    # Building children while iterating all_stored() must not disturb it.
-    for m in table.all_stored():
-        seen += len(walk(m))
-    assert seen > len(stored)
-    assert len(replays) > 0
-    assert [(m.clause, m.pos, m.len, m.alt_idx) for m in table.all_stored()] == stored
-    assert table.stored_count == len(stored)
-    for c in g.all_clauses:
-        assert list(table._tables[c.clause_idx]) == positions[id(c)]
-        assert table.match_positions(c) == positions[id(c)]
-    assert table.watermark_violations == 0
+    # The expression grammar's levels are walked, the postfix grammar's
+    # replayed.
+    for g, built in ((expression_grammar(), walks), (compile_postfix(), replays)):
+        table = parse(g, text)
+        stored = [(m.clause, m.pos, m.len, m.alt_idx) for m in table.all_stored()]
+        positions = {id(c): list(table.match_positions(c)) for c in g.all_clauses}
+        seen = 0
+        del replays[:], walks[:]
+        # Building children while iterating all_stored() must not disturb it.
+        for m in table.all_stored():
+            seen += len(walk(m))
+        assert seen > len(stored)
+        assert len(built) > 0 and len(replays) + len(walks) == len(built)
+        assert [(m.clause, m.pos, m.len, m.alt_idx) for m in table.all_stored()] == stored
+        assert table.stored_count == len(stored)
+        for c in g.all_clauses:
+            assert list(table._tables[c.clause_idx]) == positions[id(c)]
+            assert table.match_positions(c) == positions[id(c)]
+        assert table.watermark_violations == 0
 
 
 def test_a_repetition_on_a_cycle_replays_once_per_link(replays):
@@ -472,21 +601,23 @@ def test_a_match_outlives_its_table():
     assert norm_match(m) == expected
 
 
-def test_tables_are_freed_without_the_cycle_collector(replays):
-    g = expression_grammar()
-    table = parse(g, "+".join(["ab"] * 12))
-    # A whole tree replays, so the replay machinery exists.
-    shape(extract_parse_tree(table))
-    assert len(replays) > 0
-    ref = weakref.ref(table)
-    tables = table._tables
-    gc.disable()
-    try:
-        del table
-        assert ref() is None
-        assert sys.getrefcount(tables) == 2  # this name and the argument
-    finally:
-        gc.enable()
+def test_tables_are_freed_without_the_cycle_collector(replays, walks):
+    # A whole tree of the expression grammar walks its levels' steps, and
+    # one of the postfix grammar replays them, so either machinery exists.
+    for g, built in ((expression_grammar(), walks), (compile_postfix(), replays)):
+        table = parse(g, "+".join(["ab"] * 12))
+        shape(extract_parse_tree(table))
+        assert len(built) > 0
+        ref = weakref.ref(table)
+        tables = table._tables
+        gc.disable()
+        try:
+            del table
+            assert ref() is None
+            assert sys.getrefcount(tables) == 2  # this name and the argument
+        finally:
+            gc.enable()
+        del tables
 
 
 def test_json_grammar_replays_nothing(replays):
@@ -501,41 +632,77 @@ def test_json_grammar_replays_nothing(replays):
     assert replays == []
 
 
+# Even a lone operand replays: a choice on a cycle that is no recognized
+# level has no alternative whose child is selected.
 @pytest.mark.parametrize("text, replayed", [
-    ("a", False), ("a*b", True), ("a+b", True), ("a*b-c", True),
+    ("a", True), ("a*b", True), ("a+b", True), ("a*b-c", True),
     ("a+b+c", True), ("-a*b*c+d*e/f-(g+h+i)*j", True),
 ])
-def test_a_tree_replays_each_column_cycle_at_most_once(replays, text, replayed):
+def test_a_tree_replays_each_column_cycle_at_most_once(replays, walks, text, replayed):
     # A replay records every step of its column, so the left-nested run it
     # rebuilds needs no other replay of that column for that cycle.
-    g = compile_leftrec()
+    g = compile_postfix()
     table = parse(g, text)
     assert table.matched_whole()
     shape(extract_parse_tree(table))  # builds every node's children
     assert len(replays) == len(set(replays))
     assert (len(replays) > 0) == replayed
+    assert walks == []
+
+
+@pytest.mark.parametrize("text, walked", [
+    ("a", False), ("a*b", True), ("a+b", True), ("a*b-c", True),
+    ("a+b+c", True), ("-a*b*c+d*e/f-(g+h+i)*j", True),
+])
+def test_a_tree_walks_each_column_level_at_most_once(replays, walks, text, walked):
+    # A walk rebuilds every step of its column up to the match read, each
+    # step holding the last, so the left-nested run needs no other walk of
+    # that column for that level, and no replay.
+    g = compile_leftrec()
+    table = parse(g, text)
+    assert table.matched_whole()
+    shape(extract_parse_tree(table))
+    assert len(walks) == len(set(walks))
+    assert (len(walks) > 0) == walked
+    assert replays == []
 
 
 def test_plan_replays_one_left_recursive_level_at_a_time():
-    g = compile_leftrec()
+    g = compile_postfix()
     plan = FillPlan(g)
     name = g.clause_name
     cyclic = [i for i, how in enumerate(plan.replays) if how]
     levels = {name(g.all_clauses[i]) for i in cyclic if name(g.all_clauses[i])}
     assert levels == {"E0", "E1"}
+    assert plan.levels == {} and not any(plan.walks)
     for target in cyclic:
         evaluated, seeds, parents = plan.replays[target]
-        # A level's replay evaluates that level's rule and its growing
-        # sequence; the level below is final by the time either pops.
-        assert len(evaluated) == 2 and target in evaluated
+        # A level's replay evaluates that level's rule and its two growing
+        # sequences; the level below is final by the time any of them pops.
+        assert len(evaluated) == 3 and target in evaluated
         assert set(parents) == set(evaluated)
 
 
+def test_plan_walks_each_recognized_level():
+    # Each recognized level's rule and growing sequence are walked, and
+    # nothing of the grammar replays.
+    g = compile_leftrec()
+    plan = FillPlan(g)
+    assert not any(plan.replays)
+    walked = [i for i, level in enumerate(plan.walks) if level]
+    assert {g.clause_name(g.all_clauses[i]) for i in walked} == {"E0", "E1", None}
+    assert len(walked) == 2 * len(plan.levels) == 4
+    for h, (s, chain) in plan.levels.items():
+        y, op, _ = chain.sub_clauses
+        assert plan.walks[h] == plan.walks[s] == (g.all_clauses[h], g.all_clauses[s], y, op)
+        assert plan.selects[h] == 2 and plan.selects[s] == 0
+
+
 def test_recovery_queries_build_no_children(monkeypatch):
-    # Recovery reads lengths and positions only: it neither reruns a
-    # matcher nor replays a column.
+    # Recovery reads lengths and positions only: it neither selects, walks
+    # nor reruns children, nor replays a column.
     calls = []
-    for name in ("_rerun", "_replay"):
+    for name in ("_select", "_walk", "_rerun", "_replay"):
         method = getattr(MemoTable, name)
 
         def counted(self, *args, name=name, method=method):
@@ -549,30 +716,31 @@ def test_recovery_queries_build_no_children(monkeypatch):
     assert spans and covering_matches(table, "Assign")
     assert next_match_after(table, "Assign", spans[0].end) is not None
     assert calls == []
-    # A tree of a left-recursive run does both, so the counter counts.
-    table = parse(compile_leftrec(), "a+b+c")
-    shape(extract_parse_tree(table))
-    assert set(calls) == {"_rerun", "_replay"}
+    # Trees of left-recursive runs do each, so the counter counts.
+    shape(extract_parse_tree(parse(compile_leftrec(), "a+b+c")))
+    assert set(calls) == {"_select", "_walk", "_rerun"}
+    shape(extract_parse_tree(parse(compile_postfix(), "a+b+c")))
+    assert set(calls) == {"_select", "_walk", "_rerun", "_replay"}
 
 
 def test_threads_building_matches_from_one_table_agree():
     # Building children reruns matchers into one log per memo and replays
     # into its one dict of scratch values, under the memo's lock, for the
-    # engine's table and the reference parser's result alike; threads that
-    # walk the same table and the same result at once must each see the
-    # single-threaded trees.
+    # engine's table and the reference parser's result alike, and selects
+    # and walks take no lock; threads that read a table whose levels are
+    # walked, one whose columns replay and the same result at once must
+    # each see the single-threaded trees.
     import threading
 
-    g = compile_leftrec()
     text = "a*b*c+d-e*f/(g+h+i)-j*k+l" * 3
-    table = parse(g, text)
+    walked, replayed = parse(compile_leftrec(), text), parse(compile_postfix(), text)
     j = compile_grammar(JSON_GRAMMAR)
     doc = '{"a": [1, -2.5e3, {"b": null}], "c\\n": "d"}'
     oracle = packrat_parse(j, "[%s]" % ", ".join([doc] * 4))
     assert oracle.match.len == len(oracle.text)
 
     def forms():
-        return full_form(table), [
+        return full_form(walked), full_form(replayed), [
             norm_match(oracle.match_at(j.all_clauses[i], pos))
             for (i, pos), v in oracle.memo.items()
             if v is not None

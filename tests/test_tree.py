@@ -323,24 +323,25 @@ def test_to_ast_reruns_no_clause_that_reaches_no_label(monkeypatch):
 
 
 def test_the_labeled_expression_ast_reruns_no_choice(monkeypatch):
-    # Each choice of the labeled expression grammar read final values when
-    # the fill evaluated it, a level's operand alternative included, so its
-    # child is selected from the memo: building the AST reruns only
-    # sequences.
+    # Each choice and sequence of the labeled expression grammar read
+    # final values when the fill evaluated it, a level's operand
+    # alternative included, so its children are selected from the memo,
+    # and each level's growth steps are walked: building the AST reruns
+    # nothing and replays nothing.
     g = compile_grammar(ARITH_LABELED)
-    rerun = []
-    original = MemoTable._rerun
+    calls = []
+    for name in ("_rerun", "_replay", "_walk"):
+        method = getattr(MemoTable, name)
 
-    def recording(self, clause, pos, v):
-        rerun.append(clause)
-        return original(self, clause, pos, v)
+        def counted(self, *args, name=name, method=method):
+            calls.append(name)
+            return method(self, *args)
 
-    monkeypatch.setattr(MemoTable, "_rerun", recording)
+        monkeypatch.setattr(MemoTable, name, counted)
     for text in ("a+b*-(c-d)/e", "1-2-3*x*y/(z+4)", "--a", "((a))", "7"):
         ast = to_ast(extract_parse_tree(parse(g, text)))
         assert ast is not None, text
-    assert rerun
-    assert not [c for c in rerun if type(c) is First]
+    assert set(calls) == {"_walk"}
 
 
 def projection_cases():
