@@ -48,16 +48,18 @@ reads at its own position are all final by the time the fill evaluates it
 there.  If it is an ordered choice, its value names the alternative that
 matched, at the same position and with the same length, so its one child is
 selected: read from the memo, with no matcher run.  A sequence's children
-are selected too, each read where the one before it ends.  Any other such
-clause, a repetition, has its matcher run again at the match's position,
-with readers that record the matches they read as finished children: that
-reads what the fill read.  Clauses sort above what they read at their own
-position, so only a clause on a left-recursive cycle may have read a clause
-that changed after it: a left-recursive seed grows at every column it can
-start at, each growth step the left operand of the next, and only the last
-step stays in the table.  Its children come from replaying that one column,
-which records the children of every value it stores, so one replay yields
-a whole left-nested run.  The replay is exact because the fill is
+are selected too, each read where the one before it ends, and so are a
+chained repetition's: its first repeat, then its own match where that ends,
+if one is stored.  Any other such clause, a greedy repetition or one whose
+operand can match zero characters, has its matcher run again at the match's
+position, with readers that record the matches they read as finished
+children: that reads what the fill read.  Clauses sort above what they read
+at their own position, so only a clause on a left-recursive cycle may have
+read a clause that changed after it: a left-recursive seed grows at every
+column it can start at, each growth step the left operand of the next, and
+only the last step stays in the table.  Its children come from replaying
+that one column, which records the children of every value it stores, so
+one replay yields a whole left-nested run.  The replay is exact because the fill is
 deterministic and everything right of the column is final.  So the table
 stays linear in memory for any run length.
 
@@ -407,8 +409,9 @@ class _Decoder:
     A built match's children come from one of four places, as FillPlan
     chose for its clause and alternative (see _entries):
 
-    - select: a First or Seq whose reads were final when the fill evaluated
-      it has its children read from the memo (see _select);
+    - select: a First, a Seq or a chained OneOrMore whose reads were final
+      when the fill evaluated it has its children read from the memo, as
+      FillPlan.selects lists them (see _select);
     - walk: a recognized level's rule or growing sequence has its column's
       growth steps rebuilt from the memo by their shape (see _walk);
     - rerun: the reads its clause's matcher makes, when run again at the
@@ -416,10 +419,11 @@ class _Decoder:
     - replay: for a clause FillPlan.replays marks, what replaying the fill
       of its column read.
 
-    A subclass gives only _values(i): clause i's value lookup, a function
-    of pos that returns its memo value there, or None.  The memo holds only
-    ints and none of the readers refers to the memo's owner, so a match can
-    hold its owner strongly without making a cycle.
+    A subclass gives only _lookup(i): clause i's value lookup, a function
+    of pos that returns its memo value there, or None.  _values(i) builds
+    it on first use and keeps it in _getters.  The memo holds only ints and
+    none of the readers refers to the memo's owner, so a match can hold its
+    owner strongly without making a cycle.
     """
 
     def _init_decoding(self, grammar, text):
@@ -427,6 +431,9 @@ class _Decoder:
         self.grammar = grammar
         self.text = text
         self._shift = grammar.alt_shift
+        # The grammar's FillPlan, held once read (see _read_plan).
+        self._fill_plan = grammar.fill_plan
+        self._getters = [None] * n
         self._log = []
         self._recorders = [None] * n
         self._reruns = [None] * n
@@ -440,6 +447,19 @@ class _Decoder:
         self._col = [-1]
         self._scratch = {}
 
+    def _read_plan(self):
+        """The grammar's FillPlan, built on the first read of children if
+        no parse built it."""
+        plan = self._fill_plan = _plan(self.grammar)
+        return plan
+
+    def _values(self, i):
+        """Clause i's value lookup (see _lookup), built once per decoder."""
+        get = self._getters[i]
+        if get is None:
+            get = self._getters[i] = self._lookup(i)
+        return get
+
     def _match(self, clause, pos, v):
         """The Match of clause's memo value v at pos."""
         shift = self._shift
@@ -449,13 +469,14 @@ class _Decoder:
 
     def _entries(self, clause, pos, length, alt_idx):
         """The children of clause's match at pos, from where FillPlan says:
-        selected from the memo when selects has the alternative's bit, else
-        walked where walks names clause's level, else from a rerun over the
-        memo, or from replaying the column where replays says clause needs
-        it."""
-        plan = _plan(self.grammar)
+        selected from the memo when selects lists the alternative's reads,
+        else walked where walks names clause's level, else from a rerun over
+        the memo, or from replaying the column where replays says clause
+        needs it."""
+        plan = self._fill_plan or self._read_plan()
         i = clause.clause_idx
-        if plan.selects[i] >> alt_idx & 1:
+        reads = plan.selects[i]
+        if reads is not None and reads[alt_idx] is not None:
             return self._select(clause, pos, length, alt_idx)
         level = plan.walks[i]
         if level is not None:
@@ -468,27 +489,28 @@ class _Decoder:
         return record._entries(clause, pos, length, alt_idx)
 
     def _select(self, clause, pos, length, alt_idx):
-        """The children of a First's match at pos through alternative
-        alt_idx, or of a Seq's, read from the memo as the rerun's readers
-        would read them: each subclause where the one before it ends, and a
-        clause that can match zero characters and has nothing stored there
-        as a childless zero-length match, which is how a lookahead reads in
-        this table.  The children's lengths must add up to the match's.  It
-        runs no matcher and needs no lock."""
+        """The children of clause's match at pos through alternative
+        alt_idx, read from the memo as FillPlan.selects lists them, which
+        is how the rerun's readers would read them: each member where the
+        one before it ends, a member with nothing stored there as its
+        childless zero-length match if it has one (which is how a lookahead
+        reads in this table), as no child if it is a chained repetition's
+        rest, and otherwise as a contradiction.  The children's lengths must
+        add up to the match's.  It runs no matcher and needs no lock."""
         shift = self._shift
         mask = ~(-1 << shift)
-        subs = clause.sub_clauses
-        if type(clause) is First:
-            subs = (subs[alt_idx],)
+        plan = self._fill_plan or self._read_plan()
         entries = []
         at = pos
-        for sub in subs:
+        for sub, kids, zero in plan.selects[clause.clause_idx][alt_idx]:
             v = self._values(sub.clause_idx)(at)
-            source = () if _childless(sub) else self
+            source = self if kids else ()
             if v is None:
-                if not sub.can_match_zero_chars:
+                if zero is None:
                     raise _contradicted(clause, pos)
-                v, source = sub.zero_idx, ()
+                if zero == _ABSENT:
+                    continue
+                v, source = zero, ()
             entries.append((sub, at, v >> shift, v & mask, source))
             at += v >> shift
         if at - pos != length:
@@ -734,7 +756,7 @@ class MemoTable(_Decoder):
             self._readers[i] = r
         return r
 
-    def _values(self, i):
+    def _lookup(self, i):
         return self._tables[i].get
 
     # -- queries ----------------------------------------------------------
@@ -816,7 +838,7 @@ class MemoTable(_Decoder):
 
     def _run(self):
         grammar = self.grammar
-        plan = _plan(grammar)
+        plan = self._read_plan()
         parents = plan.fill_parents
         levels = plan.levels
         bounds = plan.bounds
@@ -917,9 +939,11 @@ class FillPlan:
 
     selects, walks and replays are built whole with the plan, and say
     where the children of clause c's matches come from (see _Decoder), in
-    that order.  Bit k of selects[c] is set when the children of c's match
-    through alternative k are selected from the memo: c is a First or a Seq
-    whose reads are final for it, and no level's.  Otherwise walks[c] is
+    that order.  selects[c][k] lists what a select reads for c's match
+    through alternative k, when its children are selected from the memo:
+    c is a First, a Seq or a chained OneOrMore whose operand cannot match
+    zero characters, its reads are final for it, and it is no level's (see
+    _selects).  Otherwise walks[c] is
     (h, s, Y, op), the clauses of the recognized level c belongs to, when
     c is its rule h or its growing sequence s: the growth steps are walked.
     Otherwise replays[c] is None when a rerun of c's matcher over the
@@ -935,7 +959,8 @@ class FillPlan:
     fill reschedules, is parents less s among h's, each clause's as a mask
     with bit p set for each parent p.  A match of h that took its
     alternative 1 read no stored s and a final Y, so its child is selected:
-    selects[h] has bit 1 alone, and h's other matches, and s's, are walked.
+    selects[h] lists alternative 1's reads alone, and h's other matches,
+    and s's, are walked.
     """
 
     __slots__ = (
@@ -984,13 +1009,10 @@ class FillPlan:
             self.replays = [None] * len(clauses)
             self.levels = {}
         self.fill_parents = fill_parents = list(map(_mask, self.parents))
-        self.selects = selects = [
-            -1 if type(c) in (First, Seq) and how is None and walk is None else 0
-            for c, how, walk in zip(clauses, self.replays, walks)
-        ]
-        for h, (s, _) in self.levels.items():
+        self.selects = _selects(clauses, self.replays, walks)
+        for h, (s, chain) in self.levels.items():
             fill_parents[h] &= ~(1 << s)
-            selects[h] = 2
+            self.selects[h] = (None, (_member(chain.sub_clauses[0]),))
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, the mask
@@ -1021,6 +1043,47 @@ class FillPlan:
         # Intervals that start the same terminals share one entry.
         e = self.entries[k] = self._distinct.setdefault(e, e)
         return e
+
+
+# A select's member that reads as no child where nothing is stored: a
+# chained repetition's rest.
+_ABSENT = -1
+
+
+def _member(sub, zero=None):
+    """What a select reads for one member, sub: (sub, whether its matches
+    have children, the value it reads as where nothing is stored, or None
+    when that contradicts the memo).  A clause that can match zero
+    characters reads as its childless zero-length match there."""
+    if sub.can_match_zero_chars:
+        zero = sub.zero_idx
+    return (sub, not _childless(sub), zero)
+
+
+def _selects(clauses, replays, walks):
+    """FillPlan.selects, but for the levels: per clause c whose reads are
+    final for it (replays[c] and walks[c] are None), a tuple with one item
+    per alternative, each what a select reads for c's match through it:
+    the alternative's clause for a First, every member for a Seq, and for
+    a chained OneOrMore whose operand cannot match zero characters the
+    first repeat and then c's own match where that ends, if one is stored.
+    None for every other clause: its children are walked, rerun or
+    replayed, or it has none."""
+    selects = []
+    for c, how, walk in zip(clauses, replays, walks):
+        kind, subs = type(c), c.sub_clauses
+        if how is not None or walk is not None:
+            reads = None
+        elif kind is First:
+            reads = tuple((_member(s),) for s in subs)
+        elif kind is Seq:
+            reads = (tuple(map(_member, subs)),)
+        elif kind is OneOrMore and c.chained and not subs[0].can_match_zero_chars:
+            reads = ((_member(subs[0]), _member(c, _ABSENT)),)
+        else:
+            reads = None
+        selects.append(reads)
+    return selects
 
 
 def _mask(indices):

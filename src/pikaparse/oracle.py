@@ -54,7 +54,7 @@ class OracleResult(_Decoder):
     None, and memo maps every (clause_idx, pos) evaluated to the packed
     value its matcher returned (len << grammar.alt_shift | alt_idx), or
     None.  match_at builds the Match of any memo entry; its children come
-    from the engine's decoder, which reads the memo through _values."""
+    from the engine's decoder, which reads the memo through _lookup."""
 
     def __init__(self, grammar, text, memo):
         self._init_decoding(grammar, text)
@@ -65,7 +65,7 @@ class OracleResult(_Decoder):
         v = self.memo[clause.clause_idx, pos]
         return None if v is None else self._match(clause, pos, v)
 
-    def _values(self, i):
+    def _lookup(self, i):
         memo = self.memo
         return lambda pos: memo.get((i, pos))
 

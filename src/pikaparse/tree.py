@@ -14,14 +14,15 @@ labeled descendants attach to the nearest labeled ancestor.  Below a node
 whose children are unbuilt it walks the entries _kids gives, so it builds
 no parse-tree node and leaves the tree unread.  It reads the children only
 of entries whose clause reaches a labeled edge (see
-grammar.compute_reaches_label).
+grammar.compute_reaches_label), and where the fill plan selects an entry's
+children from its table's memo it reads them there itself.
 """
 from __future__ import annotations
 
 from itertools import repeat
 
-from .clauses import First, OneOrMore
-from .engine import Match, MemoTable
+from .clauses import First, OneOrMore, Seq
+from .engine import Match, MemoTable, _contradicted, _Decoder
 
 
 class _Node:
@@ -192,7 +193,7 @@ def _item(node, label, out):
     entry = getattr(node, "_entry", None)
     if entry:
         return entry, label, out, None
-    return (node.clause, node.pos, node.len, 0, None), label, out, node
+    return (node.clause, node.pos, node.len, 0, ()), label, out, node
 
 
 def to_ast(root: ParseTreeNode):
@@ -208,16 +209,32 @@ def to_ast(root: ParseTreeNode):
     the walk steps down to that child in place: a chain of choices whose
     children the memo names (see engine._Decoder) costs no push.  The AST
     refers to the text, not the table.
+
+    Where an entry's source is the root's table and the fill plan selects
+    its children (engine.FillPlan.selects), a choice's step and a
+    sequence's members are read from the memo here, one value lookup each,
+    with the checks engine._Decoder._select makes; a member that is
+    unlabeled and reaches no label is not pushed.  Every other source gives
+    its entries as _kids does.
     """
     if root is None:
         return None
     text = root.source
+    top = []
+    item = _item(root, root.label, top)
+    table = item[0][4]
+    if isinstance(table, _Decoder):
+        selects = (table._fill_plan or table._read_plan()).selects
+        getters, values = table._getters, table._values
+        shift = table._shift
+        mask = ~(-1 << shift)
+    else:
+        table = None  # an entry's source is never None
     # Preorder over items, each an entry paired with its edge label and the
     # list its labeled descendants go to: a labeled one appends itself
     # there and hands its own children list down; an unlabeled one hands
     # its list through.
-    top = []
-    stack = [_item(root, root.label, top)]
+    stack = [item]
     while stack:
         entry, label, out, node = stack.pop()
         if label is not None:
@@ -233,16 +250,45 @@ def to_ast(root: ParseTreeNode):
             and clause.reaches_label
             and clause.sub_clause_labels[alt_idx] is None
         ):
-            entry = source._entries(clause, pos, length, alt_idx)[0]
-            clause, pos, length, alt_idx, source = entry
+            if source is table and (reads := selects[clause.clause_idx]) and reads[alt_idx]:
+                ((sub, has_kids, zero),) = reads[alt_idx]
+                v = (getters[sub.clause_idx] or values(sub.clause_idx))(pos)
+                if v is None:
+                    if zero is None:
+                        raise _contradicted(clause, pos)
+                    v, has_kids = zero, False
+                if v >> shift != length:
+                    raise _contradicted(clause, pos)
+                clause, alt_idx, source = sub, v & mask, table if has_kids else ()
+            else:
+                clause, pos, length, alt_idx, source = source._entries(
+                    clause, pos, length, alt_idx
+                )[0]
         # Below a clause that reaches no labeled edge, nothing can be
         # labeled, so its children are never read.
         if not clause.reaches_label:
             continue
-        if node is None:
-            kids = [(e, edge, out, None) for e, edge in _kids(entry)]
-        else:
+        if node is not None:
             kids = [_item(c, c.label, out) for c in node.children]
+        elif source is table and type(clause) is Seq and (reads := selects[clause.clause_idx]):
+            kids = []
+            at = pos
+            for (sub, has_kids, zero), edge in zip(reads[0], clause.sub_clause_labels):
+                v = (getters[sub.clause_idx] or values(sub.clause_idx))(at)
+                if v is None:
+                    if zero is None:
+                        raise _contradicted(clause, pos)
+                    v, has_kids = zero, False
+                if edge is not None or sub.reaches_label:
+                    kids.append(
+                        ((sub, at, v >> shift, v & mask, table if has_kids else ()), edge, out, None)
+                    )
+                at += v >> shift
+            if at - pos != length:
+                raise _contradicted(clause, pos)
+        else:
+            entry = clause, pos, length, alt_idx, source
+            kids = [(e, edge, out, None) for e, edge in _kids(entry)]
         kids.reverse()
         stack.extend(kids)
     if not top:

@@ -17,6 +17,8 @@ from replays; an input without the postfix operators parses as it does
 under ARITH_LEFTREC.
 """
 
+import json
+
 from pikaparse import compile_grammar, engine, extract_parse_tree, parse
 from pikaparse.grammar import same_position_subs
 from pikaparse.tree import _kids, _match_entry
@@ -80,6 +82,46 @@ Hex <- [0-9a-fA-F];
 Number <- '-'? ('0' / [1-9] [0-9]*) ('.' [0-9]+)? ([eE] ('+' / '-')? [0-9]+)?;
 WS <- [ \t\n\r]*;
 """
+
+
+def expression_doc(rng, depth=0):
+    """A document for ARITH_LABELED: an operator run of up to 40 operands
+    (6 below the top), each a number, a name, a negation or, above depth
+    3, a parenthesized expression."""
+    parts = []
+    for i in range(rng.randint(1, 6 if depth else 40)):
+        if i:
+            parts.append(rng.choice("+-*/"))
+        r = rng.random()
+        if r < 0.15 and depth < 3:
+            parts.append("(%s)" % expression_doc(rng, depth + 1))
+        elif r < 0.3:
+            parts.append("-" * rng.randint(1, 3) + rng.choice(["a", "7", "(b)"]))
+        elif r < 0.65:
+            parts.append(str(rng.randint(0, 999)))
+        else:
+            parts.append("".join(rng.choice("xyz") for _ in range(rng.randint(1, 3))))
+    return "".join(parts)
+
+
+def json_doc(rng):
+    """A document for JSON_GRAMMAR: a random array or object up to 4
+    levels deep, with escapes (non-ASCII characters as \\u escapes) and,
+    in half of them, line breaks and indentation."""
+
+    def value(depth):
+        kind = rng.randrange(5, 8) if depth == 0 else rng.randrange(8 if depth < 4 else 5)
+        if kind == 0:
+            return rng.choice([True, False, None])
+        if kind == 1:
+            return rng.choice([0, -1, 12345678901234567890, 0.25, -1.5e-7])
+        if kind < 5:
+            return "".join(rng.choice('ab "\\/\n\t\u00e9') for _ in range(rng.randint(0, 6)))
+        if kind < 7:
+            return [value(depth + 1) for _ in range(rng.randint(0, 5))]
+        return {"k%d" % i: value(depth + 1) for i in range(rng.randint(0, 5))}
+
+    return json.dumps(value(0), indent=rng.choice([None, 1]))
 
 
 def compile_leftrec():

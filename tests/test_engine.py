@@ -143,6 +143,42 @@ def test_deep_left_nesting():
     assert m.alt_idx == 1
 
 
+# A known divergence (README, "Known divergences"): a rule with two growing
+# alternatives.  For each text, what E matches at 0 here and what bounded
+# left recursion (Warth, Douglass & Millstein 2008) grows there.  Bounded
+# growth re-runs E's whole choice on each step, so after a+b it tries
+# E '+' T, fails at '-', and grows through E '-' T to (a+b)-c.  The pika
+# fill keeps E '+' T's stored a+b at column 0, and E's ordered choice
+# reads that alternative 0 before alternative 1's longer a+b-c; an earlier
+# alternative beats a longer later one, so E stops at a+b.
+TWO_GROWING = "E <- l:E op:'+' r:T / l:E op:'-' r:T / T; T <- v:[a-z]+;"
+TWO_GROWING_MATCHES = {
+    # text: (pika, bounded left recursion)
+    "a+b-c": ("a+b", "a+b-c"),
+    "a-b+c": ("a-b+c", "a-b+c"),
+    "a+b+c": ("a+b+c", "a+b+c"),
+}
+
+
+@pytest.mark.parametrize("text", sorted(TWO_GROWING_MATCHES))
+def test_two_growing_alternatives_diverge_from_bounded_left_recursion(text):
+    pika, bounded = TWO_GROWING_MATCHES[text]
+    assert bounded == text  # bounded left recursion matches each whole
+    t = parse(compile_grammar(TWO_GROWING), text)
+    m = t.start_match()
+    assert text[m.pos : m.end] == pika
+    assert t.matched_whole() == (pika == text)
+    # The divergence is the choice reading its first alternative's stored
+    # sequence: a+b through alternative 0, with a+b-c stored for its second.
+    if pika != text:
+        minus = t.grammar.rule_clause("E").sub_clauses[1]  # E '-' T
+        assert m.alt_idx == 0 and t.stored(minus, 0).len == len(text)
+    # One growing alternative, the operators a choice inside it, grows as
+    # bounded left recursion does.
+    one = compile_grammar("E <- l:E op:('+' / '-') r:T / T; T <- v:[a-z]+;")
+    assert parse(one, text).matched_whole()
+
+
 # === zero-length economy ===
 
 def test_nothing_is_never_stored():

@@ -10,6 +10,10 @@ of gram_gen's constraints, and checks that assembly either succeeds or
 raises GrammarError, and that every grammar it accepts parses, reads and
 projects soundly.
 
+The last two write grammar text, from metagrammar tokens and by editing
+valid grammars, and check that compile_grammar returns a Grammar or raises
+GrammarError, never any other exception.
+
 The runs are derandomized, so they draw the same examples every time.
 """
 
@@ -33,7 +37,9 @@ from pikaparse import (
     Seq,
     Str,
     ZeroOrMore,
+    Grammar,
     assemble_grammar,
+    compile_grammar,
     covering_matches,
     extract_parse_tree,
     find_error_spans,
@@ -44,6 +50,7 @@ from pikaparse import (
 from pikaparse.oracle import describe_match, packrat_parse, same_shape
 
 from gram_gen import random_grammar, sample_input
+from helpers import ARITH_LABELED, ARITH_LEFTREC, ASSIGN, JSON_GRAMMAR
 
 randoms = st.randoms(use_true_random=False)
 
@@ -156,3 +163,83 @@ def test_clause_graphs_built_in_code_assemble_parse_and_project(rng, chained, te
         covering_matches(table)
         for m in table.all_stored():
             m.sub_matches  # builds the match's children
+
+
+# Pieces of grammar text: names, the arrow and the end of a rule, the
+# operators, literals and character sets with each escape, precedence
+# tiers, comments and white space, and pieces that are wrong on their own.
+TOKENS = (
+    "A", "B", "E", "x1", "_", "<-", "<", ";", "/", "(", ")", "()", "?", "*", "+", "!", "&",
+    ":", "l:", "'a'", "''", "'ab'", "'\\n'", "'\\u0041'", "'\\q'", "'\\u12'", "[a-z]",
+    "[^]", "[^a]", "[z-a]", "[\\]]", "[\\u0041-\\u005a]", "[", "]", "'", '"', "\\",
+    "[0]", "[1,L]", "[2,R]", "[1,X]", "[-1]", "[99999999999999999999]", "#c\n", " ", "\n",
+    "\ufeff", "\u00e9", "\x00", "-", ",",
+)
+ATOMS = ("A", "B", "E", "'a'", "''", "[a-z]", "[^]", "()", "'\\u0041'", "[ab]")
+RULE_NAMES = ("A", "B", "E[0]", "E[1,L]", "E[2,R]", "E[3]")
+
+expressions = st.recursive(
+    st.sampled_from(ATOMS),
+    lambda e: st.one_of(
+        st.tuples(e, e).map(" ".join),
+        st.tuples(e, e).map(" / ".join),
+        e.map("({})".format),
+        st.tuples(e, st.sampled_from("?*+")).map("".join),
+        st.tuples(st.sampled_from("!&"), e).map("".join),
+        e.map("l:{}".format),
+    ),
+    max_leaves=8,
+)
+
+
+def grammar_text(rules):
+    """(name, expression) rules as grammar text, with a rule added for each
+    name they read but do not define.  A tier with associativity reads its
+    rule on both sides of the expression, as an infix operator."""
+    defined = {name.split("[")[0] for name, _ in rules}
+    lines = [
+        ("%s <- E %s E;" if "," in name else "%s <- %s;") % (name, e) for name, e in rules
+    ]
+    lines += ["%s <- '%s';" % (n, n.lower()) for n in "ABE" if n not in defined]
+    return "\n".join(lines)
+
+
+grammar_texts = st.lists(
+    st.tuples(st.sampled_from(RULE_NAMES), expressions),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda rule: rule[0],
+).map(grammar_text)
+VALID = (JSON_GRAMMAR, ARITH_LABELED, ARITH_LEFTREC, ASSIGN, "S <- (k:[a-z] v:[0-9])+;")
+
+
+def compiles_or_is_rejected(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            g = compile_grammar(text)
+        except GrammarError:
+            return
+    assert isinstance(g, Grammar)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+@given(text=st.one_of(
+    st.lists(st.sampled_from(TOKENS), max_size=30).map("".join),
+    grammar_texts,
+))
+def test_grammar_text_compiles_or_is_rejected(text):
+    compiles_or_is_rejected(text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+@given(data=st.data())
+def test_edited_grammar_text_compiles_or_is_rejected(data):
+    # Small edits of a valid or generated grammar: each replaces up to 6
+    # characters at a random place with a token, or with nothing.
+    text = data.draw(st.one_of(st.sampled_from(VALID), grammar_texts), label="grammar")
+    for _ in range(data.draw(st.integers(1, 4), label="edits")):
+        i = data.draw(st.integers(0, len(text)), label="at")
+        j = data.draw(st.integers(i, min(len(text), i + 6)), label="to")
+        text = text[:i] + data.draw(st.sampled_from(TOKENS + ("",)), label="token") + text[j:]
+    compiles_or_is_rejected(text)

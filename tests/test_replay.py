@@ -27,10 +27,12 @@ from enum_oracle import all_trees, norm_match
 from gram_gen import random_grammar, random_leftrec_grammar, sample_short_input
 from helpers import (
     ARITH_LABELED,
+    ARITH_LEFTREC,
     ASSIGN,
     JSON_GRAMMAR,
     compile_leftrec,
     compile_postfix,
+    json_doc,
     repeats,
     same_position_reach,
     shape,
@@ -285,8 +287,9 @@ def test_selected_children_read_as_a_match_building_fill(monkeypatch, replays, s
                 assert choice_children(m) == choice_children(twin), (text, m)
             assert full_form(table) == reference_form(ref_tables), text
         assert kind in selects, source
-    # A selected terminal is childless: nothing reruns its matcher.
-    assert rerun and not [c for c in rerun if c.is_terminal]
+    # Every child here is selected, a chained repetition's too, so nothing
+    # reruns a matcher, and a selected terminal is childless.
+    assert rerun == []
 
 
 def test_selected_children_of_the_reference_parser(selects):
@@ -431,16 +434,82 @@ def test_a_walked_or_selected_sequence_the_memo_contradicts_raises(monkeypatch, 
     assert calls == []
 
 
-def test_a_rerun_the_memo_contradicts_raises():
-    # A repetition's children come from rerunning its matcher, which must
-    # give the value stored for it: it cannot once a value it reads is gone.
+def test_selected_repetitions_are_their_reruns():
+    # A chained repetition whose operand cannot match zero characters has
+    # its children selected: its first repeat, then its own match where
+    # that ends if one is stored.  At every chained entry of JSON documents,
+    # in the table and in the reference parser's memo, they must be what
+    # rerunning its matcher reads.
+    g = compile_grammar(JSON_GRAMMAR)
+    rng = random.Random(61)
+    compared = rests = 0
+    for text in [json_doc(rng) for _ in range(30)]:
+        table, oracle = parse(g, text), packrat_parse(g, text)
+        assert table.matched_whole(), text
+        plan = g.fill_plan
+        oracle_matches = (
+            oracle.match_at(g.all_clauses[i], pos)
+            for (i, pos), v in oracle.memo.items()
+            if v is not None
+        )
+        for memo, matches in ((table, table.all_stored()), (oracle, oracle_matches)):
+            for m in matches:
+                clause = m.clause
+                if type(clause) is not OneOrMore:
+                    continue
+                assert clause.chained
+                selected = not clause.sub_clauses[0].can_match_zero_chars
+                assert bool(plan.selects[clause.clause_idx]) == selected
+                if not selected:
+                    continue
+                with memo._lock:
+                    rerun = memo._rerun(clause, m.pos, m.len << g.alt_shift)
+                assert memo._select(clause, m.pos, m.len, 0) == rerun, (text, m)
+                compared += 1
+                rests += len(rerun) == 2
+    print("%d chained repetitions compared, %d with a rest" % (compared, rests))
+    assert compared >= 1000 and rests >= 300
+
+
+@pytest.mark.parametrize("how", ["shorter", "longer", "missing", "added", "first"])
+def test_a_selected_repetition_the_memo_contradicts_raises(monkeypatch, how):
+    # A chained repetition reads its first repeat and its own match where
+    # that ends: a rest the fill read that is now shorter, longer or gone,
+    # one stored where the fill read none, or a first repeat gone,
+    # contradicts the match's own entry, with no rerun.
     g = compile_grammar("S <- A / 'x'; A <- 'a'+;")
+    a = g.rule_clause("A")
+    table = parse(g, "aaa")
+    assert g.fill_plan.selects[a.clause_idx]
+    pos = 2 if how == "added" else 0
+    m = table.stored(a, pos)
+    values = table._tables[a.clause_idx]
+    if how == "first":
+        del table._tables[a.sub_clauses[0].clause_idx][0]
+    elif how == "missing":
+        del values[1]
+    elif how == "added":
+        values[3] = 1 << g.alt_shift
+    else:
+        values[1] += (1 if how == "longer" else -1) << g.alt_shift
+    calls = []
+    monkeypatch.setattr(MemoTable, "_rerun", lambda self, *args: calls.append(args))
+    with pytest.raises(RuntimeError, match="does not match at %d as its memo entry says" % pos):
+        m.sub_matches
+    assert calls == []
+
+
+def test_a_rerun_the_memo_contradicts_raises():
+    # A greedy repetition's children come from rerunning its matcher, which
+    # must give the value stored for it: it cannot once a value it reads is
+    # gone.
+    g = compile_grammar("S <- A / 'x'; A <- 'a'+;", rewrite_repetitions=False)
     a = g.rule_clause("A")
     table = parse(g, "aa")
     m = table.stored(a, 0)
-    # What the matcher reads at 1: a chained repetition's rest, or a
-    # greedy one's second repeat.
-    read = table._tables[(a if a.chained else a.sub_clauses[0]).clause_idx]
+    assert not g.fill_plan.selects[a.clause_idx]
+    # What the matcher reads at 1: the second repeat.
+    read = table._tables[a.sub_clauses[0].clause_idx]
     del read[1]
     with pytest.raises(RuntimeError, match="does not match at 0 as its memo entry says"):
         m.sub_matches
@@ -695,7 +764,9 @@ def test_plan_walks_each_recognized_level():
     for h, (s, chain) in plan.levels.items():
         y, op, _ = chain.sub_clauses
         assert plan.walks[h] == plan.walks[s] == (g.all_clauses[h], g.all_clauses[s], y, op)
-        assert plan.selects[h] == 2 and plan.selects[s] == 0
+        # Only H's alternative 1, Y at the column, is selected; Y here is a
+        # rule with children and cannot match zero characters.
+        assert plan.selects[h] == (None, ((y, True, None),)) and plan.selects[s] is None
 
 
 def test_recovery_queries_build_no_children(monkeypatch):
@@ -716,8 +787,12 @@ def test_recovery_queries_build_no_children(monkeypatch):
     assert spans and covering_matches(table, "Assign")
     assert next_match_after(table, "Assign", spans[0].end) is not None
     assert calls == []
-    # Trees of left-recursive runs do each, so the counter counts.
+    # Trees of left-recursive runs do each, so the counter counts: a
+    # greedy repetition reruns.
     shape(extract_parse_tree(parse(compile_leftrec(), "a+b+c")))
+    assert set(calls) == {"_select", "_walk"}
+    greedy = compile_grammar(ARITH_LEFTREC, "E0", rewrite_repetitions=False)
+    shape(extract_parse_tree(parse(greedy, "a+b+c")))
     assert set(calls) == {"_select", "_walk", "_rerun"}
     shape(extract_parse_tree(parse(compile_postfix(), "a+b+c")))
     assert set(calls) == {"_select", "_walk", "_rerun", "_replay"}

@@ -8,6 +8,8 @@ import threading
 import warnings
 import weakref
 
+import pytest
+
 from pikaparse import (
     CharSet,
     First,
@@ -27,7 +29,15 @@ from pikaparse.engine import MemoTable
 from pikaparse.tree import ASTNode, ParseTreeNode, node_from_match
 
 import gram_gen
-from helpers import ARITH_LABELED, ASSIGN, JSON_GRAMMAR, compile_leftrec, parse_tree
+from helpers import (
+    ARITH_LABELED,
+    ASSIGN,
+    JSON_GRAMMAR,
+    compile_leftrec,
+    expression_doc,
+    json_doc,
+    parse_tree,
+)
 
 
 def tree_shape(node):
@@ -300,11 +310,8 @@ def labeled_leftrec_grammar(rng):
             continue
 
 
-def test_to_ast_reruns_no_clause_that_reaches_no_label(monkeypatch):
-    # The JSON grammar's lexical rules hold no label, so the AST needs none
-    # of their nodes' children: String, Number, WS and Hex are never rerun.
-    g = compile_grammar(JSON_GRAMMAR)
-    lexical = [g.rule_clause(name) for name in ("String", "Number", "WS", "Hex")]
+def json_ast_reruns(monkeypatch, g):
+    """The clauses whose matchers projecting JSON_DOCS under g reruns."""
     rerun = []
     original = MemoTable._rerun
 
@@ -316,10 +323,26 @@ def test_to_ast_reruns_no_clause_that_reaches_no_label(monkeypatch):
     for text in JSON_DOCS:
         ast = to_ast(extract_parse_tree(parse(g, text)))
         assert ast.label == "v" and ast.len == len(text.strip())
+    return rerun
+
+
+def test_to_ast_reruns_no_clause_that_reaches_no_label(monkeypatch):
+    # The JSON grammar's lexical rules hold no label, so the AST needs none
+    # of their nodes' children: String, Number, WS and Hex are never rerun.
+    # Greedy repetitions rerun; chained ones are selected (below).
+    g = compile_grammar(JSON_GRAMMAR, rewrite_repetitions=False)
+    lexical = [g.rule_clause(name) for name in ("String", "Number", "WS", "Hex")]
+    rerun = json_ast_reruns(monkeypatch, g)
     assert rerun
     assert not {id(c) for c in lexical} & {id(c) for c in rerun}
     assert all(c.reaches_label for c in rerun)
     assert not any(c.reaches_label for c in lexical)
+
+
+def test_the_json_ast_reruns_nothing(monkeypatch):
+    # With chained repetitions every child the JSON AST reads is selected
+    # from the memo, a repetition's too.
+    assert json_ast_reruns(monkeypatch, compile_grammar(JSON_GRAMMAR)) == []
 
 
 def test_the_labeled_expression_ast_reruns_no_choice(monkeypatch):
@@ -345,12 +368,16 @@ def test_the_labeled_expression_ast_reruns_no_choice(monkeypatch):
 
 
 def projection_cases():
-    """(grammar, texts) pairs: JSON, the labeled expression grammar, and
-    200 labeled left-recursive grammars from gram_gen."""
+    """(grammar, texts) pairs: JSON, the labeled expression grammar, both
+    again on generated documents, and 200 labeled left-recursive grammars
+    from gram_gen."""
     cases = [(compile_grammar(JSON_GRAMMAR), JSON_DOCS),
              (compile_grammar(ARITH_LABELED), ["a+b*-(c-d)/e", "1-2-3*x*y/(z+4)"]),
              (compile_leftrec(), ["a+b*-(c-d)/e"])]
     rng = random.Random(20261018)
+    # The benchmark's two tree grammars on generated documents.
+    cases.append((cases[0][0], [json_doc(rng) for _ in range(25)]))
+    cases.append((cases[1][0], [expression_doc(rng) for _ in range(25)]))
     for _ in range(200):
         g, alphabet = labeled_leftrec_grammar(rng)
         cases.append((g, [gram_gen.sample_short_input(rng, g, alphabet) for _ in range(5)]))
@@ -379,6 +406,45 @@ def test_a_fresh_tree_projects_as_a_tree_read_whole():
             assert ast_shape(to_ast(extract_parse_tree(table))) == expected, text
             labeled += expected is not None
     assert labeled >= 300
+
+
+INLINE = "S <- A / 'q'; A <- k:'a' v:'b';"
+
+
+@pytest.mark.parametrize("how", ["shorter", "longer", "missing"])
+@pytest.mark.parametrize("corrupt", ["choice", "member"])
+def test_to_ast_raises_where_the_memo_contradicts_an_inline_read(monkeypatch, corrupt, how):
+    # S's unlabeled edge to A is a choice step and A's members a sequence
+    # that to_ast reads from the memo itself, calling no decoder; a stored
+    # value that does not give the length its parent's entry says raises
+    # the error the decoder's select raises for that entry.
+    g = compile_grammar(INLINE)
+    s, a = g.rule_clause("S"), g.rule_clause("A")
+    table = parse(g, "ab")
+    calls = []
+    entries = MemoTable._entries
+
+    def counted(self, *args):
+        calls.append(args)
+        return entries(self, *args)
+
+    monkeypatch.setattr(MemoTable, "_entries", counted)
+    ast = to_ast(extract_parse_tree(table))
+    assert ast_shape(ast) == (None, 0, 2, (("k", 0, 1, ()), ("v", 1, 1, ())))
+    assert calls == []
+    target, read, at = {"choice": (s, a, 0), "member": (a, a.sub_clauses[1], 1)}[corrupt]
+    values = table._tables[read.clause_idx]
+    if how == "missing":
+        del values[at]
+    else:
+        values[at] += (1 if how == "longer" else -1) << g.alt_shift
+    with pytest.raises(RuntimeError) as selected:
+        table.stored(target, 0).sub_matches
+    assert "does not match at 0 as its memo entry says" in str(selected.value)
+    with pytest.raises(RuntimeError) as inline:
+        to_ast(extract_parse_tree(table))
+    assert str(inline.value) == str(selected.value)
+    assert len(calls) == 1  # only the decoder's own select above
 
 
 def test_a_tree_read_partly_projects_as_a_fresh_tree():
