@@ -3,12 +3,17 @@
 Instead of recursive descent, the table is populated one input position at a
 time, from the last position to the first.  Within a position, a queue
 drains clauses in bottom-up order (lowest clause_idx first): one int whose
-bit i is set while clause i is pending, popped lowest bit first.  Every
-stored or improved match schedules the seed parents that could start at the
-same position, with one OR of their mask, and nothing else schedules a
-clause.  Terminals are dispatched on the position's character: only the
-terminals that can start with it are tried, and the character alone decides
-a single-character terminal.  A clause that can match zero characters and
+bit n-1-i is set while clause i of n is pending, so that the lowest pending
+clause is the highest set bit, which one bit_length finds.  Every stored or
+improved match schedules the seed parents that could start at the same
+position, with one OR of their mask, and nothing else schedules a clause.
+Only a clause that can be scheduled again in a column after it pops there
+(FillPlan.rescheduled) has a new value compared with its stored one; every
+other clause pops at most once per column, so what it matches is stored as
+is.  Without left recursion, or with none but the recognized levels below,
+no clause is checked.  Terminals are dispatched on the position's
+character: only the terminals that can start with it are tried, and the
+character alone decides a single-character terminal.  A clause that can match zero characters and
 that nothing evaluated at a position reads as a zero-length match there, so
 the fill never needs to evaluate a clause only to find its empty match.
 Because everything to the right of the current position is already final, a
@@ -641,10 +646,12 @@ class _Decoder:
         """
         evaluated, seeds, parents = how
         matchers = {i: self._reruns[i] or self._rerun_matcher(i) for i in evaluated}
+        bits = (self._fill_plan or self._read_plan()).bits
+        n = len(bits)
         scratch, log, memo = self._scratch, self._log, self._memo
         shift = self._shift
         mask = ~(-1 << shift)
-        pending = 0  # bit i set: clause i is scheduled (see MemoTable._run)
+        pending = 0  # bit n-1-i set: clause i is scheduled (see MemoTable._run)
         for s, ps in seeds:
             if self._values(s)(pos) is not None:
                 pending |= ps
@@ -655,9 +662,8 @@ class _Decoder:
         memo[0] = self
         try:
             while pending:
-                low = pending & -pending
-                pending ^= low
-                idx = low.bit_length() - 1
+                idx = n - pending.bit_length()
+                pending ^= bits[idx]
                 del log[:]
                 v = matchers[idx](pos)
                 if v is None:
@@ -840,7 +846,9 @@ class MemoTable(_Decoder):
         grammar = self.grammar
         plan = self._read_plan()
         parents = plan.fill_parents
+        bits = plan.bits
         levels = plan.levels
+        again = plan.rescheduled
         bounds = plan.bounds
         entries = plan.entries
         clauses = grammar.all_clauses
@@ -849,6 +857,7 @@ class MemoTable(_Decoder):
         shift = self._shift
         mask = ~(-1 << shift)
         one = 1 << shift
+        n = len(clauses)
 
         def late():
             self.watermark_violations += 1
@@ -856,54 +865,66 @@ class MemoTable(_Decoder):
         def fill_matcher(i):
             clause = clauses[i]
             if i not in levels:
-                return _FACTORIES[type(clause)](clause, text, self._reader, shift, late)
-            # A recognized level H <- S / Y: store S's final match here,
-            # Y op H with H read right of pos, then run H's own matcher.
-            s, chain = levels[i]
-            store = tables[s].__setitem__
-            grown = _seq_matcher(chain, text, self._reader, shift, late)
-            choose = _first_matcher(clause, text, self._reader, shift, late)
+                f = _FACTORIES[type(clause)](clause, text, self._reader, shift, late)
+            else:
+                # A recognized level H <- S / Y: store S's final match here,
+                # Y op H with H read right of pos, then run H's own matcher.
+                s, chain = levels[i]
+                store = tables[s].__setitem__
+                grown = _seq_matcher(chain, text, self._reader, shift, late)
+                choose = _first_matcher(clause, text, self._reader, shift, late)
 
-            def level(pos):
-                v = grown(pos)
+                def f(pos):
+                    v = grown(pos)
+                    if v is not None:
+                        store(pos, v)
+                    return choose(pos)
+
+            if i not in again:
+                return f
+            # Clause i can pop again in a column after it stores there: a
+            # value that is no improvement (no longer match, and no earlier
+            # alternative of an ordered choice: only its values carry an
+            # alternative other than 0) reads as no match, so that the
+            # entry, and so what its parents read, is unchanged.
+            get = tables[i].get
+
+            def improved(pos):
+                v = f(pos)
                 if v is not None:
-                    store(pos, v)
-                return choose(pos)
+                    old = get(pos)
+                    if old is not None and v >> shift <= old >> shift and v & mask >= old & mask:
+                        return None
+                return v
 
-            return level
+            return improved
 
         # Each clause's matcher is built on its first evaluation.  The
         # dispatch entries decide single-character terminals, which are
         # never evaluated.
-        matchers = [None] * len(clauses)
-        # pending is the column's queue: bit i is set while clause i is
-        # scheduled, and a pop takes the lowest.  An evaluation stores its
-        # value if it is the clause's first or an improvement (a longer
-        # match, or an earlier alternative of an ordered choice: only its
-        # values carry an alternative other than 0), and then schedules
-        # every seed parent.  Otherwise the clause's entry, and so what its
-        # parents read, is unchanged.
+        matchers = [None] * n
+        # pending is the column's queue: clause i is scheduled while bit
+        # n-1-i is set, so the lowest pending clause is the highest set bit,
+        # and a pop takes it.  A clause outside plan.rescheduled pops at
+        # most once in a column, so nothing is stored for it there yet, and
+        # a rescheduled clause's matcher gives no match for a value that is
+        # no improvement: an evaluation that matches stores its value and
+        # schedules every seed parent, with no check here.
         for pos in range(len(text) - 1, -1, -1):
             k = bisect_right(bounds, ord(text[pos]))
             chars, pending = entries[k] or plan.entry(k)
             for idx in chars:
                 tables[idx][pos] = one
             while pending:
-                low = pending & -pending
-                pending ^= low
-                idx = low.bit_length() - 1
+                idx = n - pending.bit_length()
+                pending ^= bits[idx]
                 f = matchers[idx]
                 if f is None:
                     f = matchers[idx] = fill_matcher(idx)
                 v = f(pos)
-                if v is None:
-                    continue
-                tbl = tables[idx]
-                old = tbl.get(pos)
-                if old is not None and v >> shift <= old >> shift and v & mask >= old & mask:
-                    continue
-                tbl[pos] = v
-                pending |= parents[idx]
+                if v is not None:
+                    tables[idx][pos] = v
+                    pending |= parents[idx]
 
 
 def _or_empty(clause, get):
@@ -955,21 +976,34 @@ class FillPlan:
     levels maps each recognized left-associative level's clause h to
     (s, chain): its growing sequence's index and the clause Y op H that
     the fill matches in its place (see _levels).  The fill evaluates h once
-    per column and stores s itself, so fill_parents, the seed parents the
-    fill reschedules, is parents less s among h's, each clause's as a mask
-    with bit p set for each parent p.  A match of h that took its
-    alternative 1 read no stored s and a final Y, so its child is selected:
-    selects[h] lists alternative 1's reads alone, and h's other matches,
-    and s's, are walked.
+    per column and stores s itself, scheduling nothing for it, so
+    fill_parents, the seed parents the fill schedules, is parents less s
+    among h's and less all of s's.  A match of h that took its alternative
+    1 read no stored s and a final Y, so its child is selected: selects[h]
+    lists alternative 1's reads alone, and h's other matches, and s's, are
+    walked.
+
+    Every queue mask, fill_parents' and the entries' as well as a replay
+    plan's, has bit n-1-i set for clause i of n, so that a pop finds the
+    lowest pending clause with one bit_length (see MemoTable._run);
+    bits[i] is clause i's bit.  rescheduled holds the clauses the fill can
+    schedule again in a column after they pop there: those that a clause
+    at or above them pushes, transitively over fill_parents (see
+    _pushed_through).  When a clause pops, every pending clause sorts above
+    it, so only such a clause can pop twice in a column, and only its
+    values are checked against the one stored.  It is empty for a grammar
+    whose only same-position cycles are recognized levels.
     """
 
     __slots__ = (
-        "parents", "fill_parents", "levels", "bounds", "entries", "selects", "walks", "replays",
-        "_distinct", "_terminals",
+        "parents", "fill_parents", "bits", "rescheduled", "levels", "bounds", "entries",
+        "selects", "walks", "replays", "_distinct", "_terminals",
     )
 
     def __init__(self, grammar: Grammar):
         clauses = grammar.all_clauses
+        n = len(clauses)
+        self.bits = [1 << n - 1 - i for i in range(n)]
         self._terminals = [
             c for c in clauses if c.is_terminal and type(c) is not Nothing
         ]
@@ -1008,11 +1042,18 @@ class FillPlan:
             # recursive: no clause replays, and none is a level.
             self.replays = [None] * len(clauses)
             self.levels = {}
-        self.fill_parents = fill_parents = list(map(_mask, self.parents))
         self.selects = _selects(clauses, self.replays, walks)
+        fill = list(self.parents)
         for h, (s, chain) in self.levels.items():
-            fill_parents[h] &= ~(1 << s)
+            # h's evaluation stores s, and no store of s schedules anything.
+            fill[h] = tuple(p for p in fill[h] if p != s)
+            fill[s] = ()
             self.selects[h] = (None, (_member(chain.sub_clauses[0]),))
+        self.fill_parents = [_mask(ps, n) for ps in fill]
+        self.rescheduled = frozenset()
+        if cyclic:
+            _, top = _pushed_through(clauses, fill)
+            self.rescheduled = frozenset(c for c in range(n) if top[c] >= c)
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, the mask
@@ -1035,7 +1076,7 @@ class FillPlan:
             if make_matcher(t, probe, None, 0)(0) is None:
                 continue
             if kind is Str:
-                scheduled |= 1 << t.clause_idx
+                scheduled |= self.bits[t.clause_idx]
             else:
                 chars.append(t.clause_idx)
                 scheduled |= self.fill_parents[t.clause_idx]
@@ -1086,11 +1127,12 @@ def _selects(clauses, replays, walks):
     return selects
 
 
-def _mask(indices):
-    """The int whose bit i is set for each clause index i in indices."""
+def _mask(indices, n):
+    """The queue mask of the clause indices in indices, for a grammar of n
+    clauses: bit n-1-i set for each i (see MemoTable._run)."""
     m = 0
     for i in indices:
-        m |= 1 << i
+        m |= 1 << n - 1 - i
     return m
 
 
@@ -1160,6 +1202,7 @@ def _replay_plans(clauses, parents, pushers, top, walks):
     clause to the mask of its parents among them.
     """
     reads = [tuple(_reads(c)) for c in clauses]
+    n = len(clauses)
 
     def plan(target):
         need, todo = {target}, [target]
@@ -1177,8 +1220,8 @@ def _replay_plans(clauses, parents, pushers, top, walks):
                     seeds.setdefault(s, []).append(c)
         return (
             evaluated,
-            tuple((s, _mask(ps)) for s, ps in seeds.items()),
-            {c: _mask(p for p in parents[c] if p in need) for c in evaluated},
+            tuple((s, _mask(ps, n)) for s, ps in seeds.items()),
+            {c: _mask((p for p in parents[c] if p in need), n) for c in evaluated},
         )
 
     return [
