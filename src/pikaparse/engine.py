@@ -45,8 +45,8 @@ matchers only at the column it fills, so a read left of the column is
 counted in watermark_violations.
 
 The queries build a Match when they read a value, and a Match builds its
-children each time they are read, in the one of four ways the fill plan
-chose for its clause when it was built: select, walk, rerun or replay.  One
+children each time they are read, in the one of three ways the fill plan
+chose for its clause when it was built: select, walk or replay.  One
 decoder does so for this table and for the reference parser's memo of the
 same ints, each giving it a value lookup per clause.  Take a clause whose
 reads at its own position are all final by the time the fill evaluates it
@@ -54,19 +54,17 @@ there.  If it is an ordered choice, its value names the alternative that
 matched, at the same position and with the same length, so its one child is
 selected: read from the memo, with no matcher run.  A sequence's children
 are selected too, each read where the one before it ends, and so are a
-chained repetition's: its first repeat, then its own match where that ends,
-if one is stored.  Any other such clause, a greedy repetition or one whose
-operand can match zero characters, has its matcher run again at the match's
-position, with readers that record the matches they read as finished
-children: that reads what the fill read.  Clauses sort above what they read
-at their own position, so only a clause on a left-recursive cycle may have
-read a clause that changed after it: a left-recursive seed grows at every
-column it can start at, each growth step the left operand of the next, and
-only the last step stays in the table.  Its children come from replaying
-that one column, which records the children of every value it stores, so
-one replay yields a whole left-nested run.  The replay is exact because the fill is
-deterministic and everything right of the column is final.  So the table
-stays linear in memory for any run length.
+repetition's: a chained one's first repeat, then its own match where that
+ends, if one is stored, and a greedy one's repeats, each where the one
+before it ends, up to the match's length.  Clauses sort above what they
+read at their own position, so only a clause on a left-recursive cycle may
+have read a clause that changed after it: a left-recursive seed grows at
+every column it can start at, each growth step the left operand of the
+next, and only the last step stays in the table.  Its children come from
+replaying that one column, which records the children of every value it
+stores, so one replay yields a whole left-nested run.  The replay is exact
+because the fill is deterministic and everything right of the column is
+final.  So the table stays linear in memory for any run length.
 
 Growing a seed one operand at a time costs Theta(k^2) evaluations for a run
 of k operands.  The fill skips that growth for each left-associative level
@@ -411,18 +409,17 @@ class _Decoder:
     MemoTable and of the reference parser's result, and the source of the
     matches they build (see Match): the one code that builds children.
 
-    A built match's children come from one of four places, as FillPlan
+    A built match's children come from one of three places, as FillPlan
     chose for its clause and alternative (see _entries):
 
-    - select: a First, a Seq or a chained OneOrMore whose reads were final
-      when the fill evaluated it has its children read from the memo, as
+    - select: a First, a Seq or a OneOrMore whose reads were final when
+      the fill evaluated it has its children read from the memo, as
       FillPlan.selects lists them (see _select);
     - walk: a recognized level's rule or growing sequence has its column's
       growth steps rebuilt from the memo by their shape (see _walk);
-    - rerun: the reads its clause's matcher makes, when run again at the
-      match's position, that find a match;
-    - replay: for a clause FillPlan.replays marks, what replaying the fill
-      of its column read.
+    - replay: any other clause with children, one on a left-recursive
+      cycle, has them from what replaying the fill of its column read, as
+      FillPlan.replays says.
 
     A subclass gives only _lookup(i): clause i's value lookup, a function
     of pos that returns its memo value there, or None.  _values(i) builds
@@ -441,11 +438,11 @@ class _Decoder:
         self._getters = [None] * n
         self._log = []
         self._recorders = [None] * n
-        self._reruns = [None] * n
+        self._matchers = [None] * n
         self._lock = threading.Lock()
         # The source the log's entries of memo matches carry: this decoder
-        # while a rerun or replay runs, else None, so that no reader refers
-        # to it in between.
+        # while a replay runs, else None, so that no reader refers to it in
+        # between.
         self._memo = [None]
         # A replay's state: the column it fills, and the value so far of
         # each clause it evaluates there with that value's children.
@@ -475,9 +472,8 @@ class _Decoder:
     def _entries(self, clause, pos, length, alt_idx):
         """The children of clause's match at pos, from where FillPlan says:
         selected from the memo when selects lists the alternative's reads,
-        else walked where walks names clause's level, else from a rerun over
-        the memo, or from replaying the column where replays says clause
-        needs it."""
+        else walked where walks names clause's level, else from replaying
+        the column as replays says."""
         plan = self._fill_plan or self._read_plan()
         i = clause.clause_idx
         reads = plan.selects[i]
@@ -486,38 +482,48 @@ class _Decoder:
         level = plan.walks[i]
         if level is not None:
             return self._walk(level, clause, pos, length, alt_idx)
-        how = plan.replays[i]
         with self._lock:
-            if how is None:
-                return self._rerun(clause, pos, length << self._shift | alt_idx)
-            record = self._replay(how, pos)
+            record = self._replay(plan.replays[i], pos)
         return record._entries(clause, pos, length, alt_idx)
 
     def _select(self, clause, pos, length, alt_idx):
         """The children of clause's match at pos through alternative
         alt_idx, read from the memo as FillPlan.selects lists them, which
-        is how the rerun's readers would read them: each member where the
-        one before it ends, a member with nothing stored there as its
-        childless zero-length match if it has one (which is how a lookahead
-        reads in this table), as no child if it is a chained repetition's
-        rest, and otherwise as a contradiction.  The children's lengths must
-        add up to the match's.  It runs no matcher and needs no lock."""
+        is how its matcher read them: each member where the one before it
+        ends, a member with nothing stored there as its childless
+        zero-length match if it has one (which is how a lookahead reads in
+        this table), as no child if it is a chained repetition's rest, and
+        otherwise as a contradiction.  A greedy repetition reads its operand
+        where each repeat ends, up to the match's length, and a repeat that
+        is missing or empty contradicts it.  The children's lengths must add
+        up to the match's.  It runs no matcher and needs no lock."""
         shift = self._shift
         mask = ~(-1 << shift)
         plan = self._fill_plan or self._read_plan()
+        reads = plan.selects[clause.clause_idx][alt_idx]
         entries = []
         at = pos
-        for sub, kids, zero in plan.selects[clause.clause_idx][alt_idx]:
-            v = self._values(sub.clause_idx)(at)
-            source = self if kids else ()
-            if v is None:
-                if zero is None:
+        if type(clause) is OneOrMore and not clause.chained:
+            ((sub, kids, _),) = reads
+            get, source = self._values(sub.clause_idx), self if kids else ()
+            while at - pos < length:
+                v = get(at)
+                if v is None or not v >> shift:
                     raise _contradicted(clause, pos)
-                if zero == _ABSENT:
-                    continue
-                v, source = zero, ()
-            entries.append((sub, at, v >> shift, v & mask, source))
-            at += v >> shift
+                entries.append((sub, at, v >> shift, v & mask, source))
+                at += v >> shift
+        else:
+            for sub, kids, zero in reads:
+                v = self._values(sub.clause_idx)(at)
+                source = self if kids else ()
+                if v is None:
+                    if zero is None:
+                        raise _contradicted(clause, pos)
+                    if zero == _ABSENT:
+                        continue
+                    v, source = zero, ()
+                entries.append((sub, at, v >> shift, v & mask, source))
+                at += v >> shift
         if at - pos != length:
             raise _contradicted(clause, pos)
         return entries
@@ -564,33 +570,20 @@ class _Decoder:
                 steps = _Steps(((s, pos, n, 0, grown),))
         raise _contradicted(clause, pos)
 
-    def _rerun(self, clause, pos, v):
-        """The children of clause's match v at pos, from running its matcher
-        again there.  The caller holds the lock."""
-        log, memo = self._log, self._memo
-        i = clause.clause_idx
-        memo[0] = self
-        try:
-            if (self._reruns[i] or self._rerun_matcher(i))(pos) != v:
-                raise _contradicted(clause, pos)
-            return log[:]
-        finally:
-            memo[0] = None
-            del log[:]
-
-    def _rerun_matcher(self, i):
+    def _matcher(self, i):
+        """Clause i's matcher for replays, reading through _recorder."""
         clause = self.grammar.all_clauses[i]
-        f = self._reruns[i] = make_matcher(clause, self.text, self._recorder, self._shift)
+        f = self._matchers[i] = make_matcher(clause, self.text, self._recorder, self._shift)
         return f
 
     def _recorder(self, sub):
-        """sub's reader for building children, appending every match it
-        reads to the log as a finished (sub, pos, length, alt_idx, source)
-        entry, source being where its children come from: () for none, or
-        the memo.  It reads the memo, except at the column a replay fills,
-        where a clause the replay evaluates reads its scratch value, whose
-        children are known: they are its source.  A lookahead's own reads
-        are taken back out of the log: its match has no children."""
+        """sub's reader for a replay, appending every match it reads to the
+        log as a finished (sub, pos, length, alt_idx, source) entry, source
+        being where its children come from: () for none, or the memo.  It
+        reads the memo, except at the column the replay fills, where a
+        clause the replay evaluates reads its scratch value, whose children
+        are known: they are its source.  A lookahead's own reads are taken
+        back out of the log: its match has no children."""
         i = sub.clause_idx
         r = self._recorders[i]
         if r is not None:
@@ -645,7 +638,7 @@ class _Decoder:
         the lock.
         """
         evaluated, seeds, parents = how
-        matchers = {i: self._reruns[i] or self._rerun_matcher(i) for i in evaluated}
+        matchers = {i: self._matchers[i] or self._matcher(i) for i in evaluated}
         bits = (self._fill_plan or self._read_plan()).bits
         n = len(bits)
         scratch, log, memo = self._scratch, self._log, self._memo
@@ -962,16 +955,14 @@ class FillPlan:
     where the children of clause c's matches come from (see _Decoder), in
     that order.  selects[c][k] lists what a select reads for c's match
     through alternative k, when its children are selected from the memo:
-    c is a First, a Seq or a chained OneOrMore whose operand cannot match
-    zero characters, its reads are final for it, and it is no level's (see
-    _selects).  Otherwise walks[c] is
-    (h, s, Y, op), the clauses of the recognized level c belongs to, when
-    c is its rule h or its growing sequence s: the growth steps are walked.
-    Otherwise replays[c] is None when a rerun of c's matcher over the
-    filled table gives them, else what replaying a column needs for them
-    (see _replay_plans).  Only a clause on a same-position cycle, that is,
-    a left-recursive one, has a walks or replays entry other than None, so
-    a grammar with no such cycle skips the analysis behind them and levels.
+    c is a First, a Seq or a OneOrMore, its reads are final for it, and it
+    is no level's (see _selects).  Otherwise walks[c] is (h, s, Y, op), the
+    clauses of the recognized level c belongs to, when c is its rule h or
+    its growing sequence s: the growth steps are walked.  Otherwise
+    replays[c] is what replaying a column needs for them (see
+    _replay_plans), or None when c's matches have no children.  Only a
+    clause on a same-position cycle, that is, a left-recursive one, has a
+    walks or replays entry other than None.
 
     levels maps each recognized left-associative level's clause h to
     (s, chain): its growing sequence's index and the clause Y op H that
@@ -1008,14 +999,9 @@ class FillPlan:
             c for c in clauses if c.is_terminal and type(c) is not Nothing
         ]
         parents = [[] for _ in clauses]
-        cyclic = False
         for p in clauses:
-            subs = same_position_subs(p)
-            # Assembly sorts a clause above what it reads at its own
-            # position, except where the read closes a same-position cycle.
-            cyclic = cyclic or any(s.clause_idx >= p.clause_idx for s in subs)
             if type(p) is not NotFollowedBy:
-                for sub in dict.fromkeys(subs):
+                for sub in dict.fromkeys(same_position_subs(p)):
                     parents[sub.clause_idx].append(p.clause_idx)
         self.parents = list(map(tuple, parents))
         bounds = set()
@@ -1030,18 +1016,12 @@ class FillPlan:
         self.entries = [None] * (len(self.bounds) + 1)
         self._distinct = {}
         self.walks = walks = [None] * len(clauses)
-        if cyclic:
-            pushers, top = _pushed_through(clauses, self.parents)
-            self.levels = _levels(clauses, self.parents, top)
-            for h, (s, chain) in self.levels.items():
-                y, op, _ = chain.sub_clauses
-                walks[h] = walks[s] = (clauses[h], clauses[s], y, op)
-            self.replays = _replay_plans(clauses, self.parents, pushers, top, walks)
-        else:
-            # Every read is final for its reader and no level is left
-            # recursive: no clause replays, and none is a level.
-            self.replays = [None] * len(clauses)
-            self.levels = {}
+        pushers, top = _pushed_through(clauses, self.parents)
+        self.levels = _levels(clauses, self.parents, top)
+        for h, (s, chain) in self.levels.items():
+            y, op, _ = chain.sub_clauses
+            walks[h] = walks[s] = (clauses[h], clauses[s], y, op)
+        self.replays = _replay_plans(clauses, self.parents, pushers, top, walks)
         self.selects = _selects(clauses, self.replays, walks)
         fill = list(self.parents)
         for h, (s, chain) in self.levels.items():
@@ -1050,10 +1030,8 @@ class FillPlan:
             fill[s] = ()
             self.selects[h] = (None, (_member(chain.sub_clauses[0]),))
         self.fill_parents = [_mask(ps, n) for ps in fill]
-        self.rescheduled = frozenset()
-        if cyclic:
-            _, top = _pushed_through(clauses, fill)
-            self.rescheduled = frozenset(c for c in range(n) if top[c] >= c)
+        _, top = _pushed_through(clauses, fill)
+        self.rescheduled = frozenset(c for c in range(n) if top[c] >= c)
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, the mask
@@ -1102,14 +1080,14 @@ def _member(sub, zero=None):
 
 
 def _selects(clauses, replays, walks):
-    """FillPlan.selects, but for the levels: per clause c whose reads are
-    final for it (replays[c] and walks[c] are None), a tuple with one item
-    per alternative, each what a select reads for c's match through it:
-    the alternative's clause for a First, every member for a Seq, and for
-    a chained OneOrMore whose operand cannot match zero characters the
-    first repeat and then c's own match where that ends, if one is stored.
-    None for every other clause: its children are walked, rerun or
-    replayed, or it has none."""
+    """FillPlan.selects, but for the levels: per clause c with children
+    whose reads are final for it (replays[c] and walks[c] are None), a
+    tuple with one item per alternative, each what a select reads for c's
+    match through it: the alternative's clause for a First, every member
+    for a Seq, the first repeat and then c's own match where that ends, if
+    one is stored, for a chained OneOrMore, and the operand, read where
+    each repeat ends, for a greedy one.  None for every other clause: its
+    children are walked or replayed, or it has none."""
     selects = []
     for c, how, walk in zip(clauses, replays, walks):
         kind, subs = type(c), c.sub_clauses
@@ -1119,8 +1097,10 @@ def _selects(clauses, replays, walks):
             reads = tuple((_member(s),) for s in subs)
         elif kind is Seq:
             reads = (tuple(map(_member, subs)),)
-        elif kind is OneOrMore and c.chained and not subs[0].can_match_zero_chars:
+        elif kind is OneOrMore and c.chained:
             reads = ((_member(subs[0]), _member(c, _ABSENT)),)
+        elif kind is OneOrMore:
+            reads = ((_member(subs[0]),),)
         else:
             reads = None
         selects.append(reads)
@@ -1189,7 +1169,7 @@ def _replay_plans(clauses, parents, pushers, top, walks):
     clause on no such cycle is final for it.  A clause whose reads are all
     final for it is evaluated at most once in a column, after they are
     final, so its stored match is what its matcher gives on the final
-    table, and a rerun reads what the fill read.
+    table, and its children are selected from it (see _selects).
 
     A clause c on a same-position cycle may have read a clause that changed
     after it.  Replaying a column for c evaluates c and, transitively, every

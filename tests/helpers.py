@@ -19,8 +19,9 @@ under ARITH_LEFTREC.
 
 import json
 
-from pikaparse import compile_grammar, engine, extract_parse_tree, parse
+from pikaparse import First, compile_grammar, engine, extract_parse_tree, parse
 from pikaparse.grammar import same_position_subs
+from pikaparse.oracle import OracleResult
 from pikaparse.tree import _kids, _match_entry
 
 ARITH_CLIMB = """
@@ -145,6 +146,36 @@ def repeats(m):
     """The repeat matches of a OneOrMore match, in input order."""
     kids = _kids(_match_entry(m))
     return [engine.Match(c, p, n, s, a) for (c, p, n, a, s), _ in kids]
+
+
+def matched_children(memo, m):
+    """The children of m, a match read from memo (a MemoTable or the
+    reference parser's OracleResult), as (clause, pos, length, alt_idx,
+    source) entries: the matches its matcher reads when match_clause runs
+    it again over the filled memo, which builds no child through the
+    decoder.  The matcher must give m's own value there."""
+    lookup = memo.match_at if isinstance(memo, OracleResult) else memo.lookup
+    again = engine.match_clause(m.clause, m.pos, memo.text, lookup)
+    assert again is not None and (again.len, again.alt_idx) == (m.len, m.alt_idx), m
+    return [(c.clause, c.pos, c.len, c.alt_idx, c._subs) for c in again.sub_matches]
+
+
+def assert_every_child_has_a_source(grammar, plan):
+    """Assert that plan, grammar's FillPlan, says where the children of
+    every match with children come from: each alternative of a clause with
+    children is selected, or the clause is walked or has a replay plan."""
+    for c in grammar.all_clauses:
+        if engine._childless(c):
+            continue
+        i = c.clause_idx
+        reads = plan.selects[i]
+        alternatives = len(c.sub_clauses) if isinstance(c, First) else 1
+        for k in range(alternatives):
+            assert (
+                reads is not None and reads[k] is not None
+                or plan.walks[i] is not None
+                or plan.replays[i] is not None
+            ), (grammar.display_clause(c), k)
 
 
 def same_position_reach(clause):

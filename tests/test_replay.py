@@ -1,11 +1,12 @@
 """Matches built on read: the memo table holds packed (length, alternative)
 ints, and a match's children are rebuilt when read: selected from the memo,
-walked through a recognized level's growth steps, rebuilt by running the
-clause's matcher again at its position or, for another clause on a
-same-position cycle, by replaying that one column.  Every tree read this
-way must be the one a fill that builds a Match for every evaluation keeps.
+walked through a recognized level's growth steps or, for another clause on
+a same-position cycle, rebuilt by replaying that one column.  Every tree
+read this way must be the one a fill that builds a Match for every
+evaluation keeps.
 """
 
+import copy
 import gc
 import heapq
 import random
@@ -18,21 +19,31 @@ import pytest
 from pikaparse import compile_grammar, extract_parse_tree, find_error_spans, parse, tree
 from pikaparse import covering_matches, next_match_after
 from pikaparse.bench import expression_grammar
-from pikaparse import engine
 from pikaparse.clauses import First, GrammarWarning, Nothing, NotFollowedBy, OneOrMore, Seq
+from pikaparse.grammar import GrammarError, assemble_grammar
 from pikaparse.engine import FillPlan, Match, MemoTable, match_clause
 from pikaparse.oracle import OracleResult, packrat_parse
 
 from enum_oracle import all_trees, norm_match
-from gram_gen import random_grammar, random_leftrec_grammar, sample_short_input
+from gram_gen import (
+    random_grammar,
+    random_leftrec_grammar,
+    random_leftrec_rules,
+    random_rules,
+    sample_short_input,
+)
 from helpers import (
     ARITH_LABELED,
     ARITH_LEFTREC,
+    ARITH_POSTFIX,
     ASSIGN,
     JSON_GRAMMAR,
+    assert_every_child_has_a_source,
     compile_leftrec,
     compile_postfix,
+    expression_doc,
     json_doc,
+    matched_children,
     repeats,
     same_position_reach,
     shape,
@@ -262,15 +273,8 @@ SELECTING = [
 ]
 
 
-def test_selected_children_read_as_a_match_building_fill(monkeypatch, replays, selects):
-    rerun = []
-    original = MemoTable._rerun
-
-    def recording(self, clause, pos, v):
-        rerun.append(clause)
-        return original(self, clause, pos, v)
-
-    monkeypatch.setattr(MemoTable, "_rerun", recording)
+def test_selected_children_read_as_a_match_building_fill(replays, selects):
+    selected = 0
     for source, texts, kind in SELECTING:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GrammarWarning)  # an unreachable alternative
@@ -286,10 +290,17 @@ def test_selected_children_read_as_a_match_building_fill(monkeypatch, replays, s
                 twin = ref_tables[m.clause.clause_idx][m.pos]
                 assert choice_children(m) == choice_children(twin), (text, m)
             assert full_form(table) == reference_form(ref_tables), text
+            # Each selected match's children, a chained repetition's too,
+            # are what its matcher reads over the filled table.
+            for m in table.all_stored():
+                reads = g.fill_plan.selects[m.clause.clause_idx]
+                if reads and reads[m.alt_idx]:
+                    got = table._select(m.clause, m.pos, m.len, m.alt_idx)
+                    assert got == matched_children(table, m), (text, m)
+                    selected += 1
         assert kind in selects, source
-    # Every child here is selected, a chained repetition's too, so nothing
-    # reruns a matcher, and a selected terminal is childless.
-    assert rerun == []
+    assert selected >= 50
+    assert replays == []
 
 
 def test_selected_children_of_the_reference_parser(selects):
@@ -334,11 +345,11 @@ def test_a_selected_child_the_memo_contradicts_raises(monkeypatch, corrupt):
         table._tables[a.clause_idx][0] = 1 << g.alt_shift
     else:
         del table._tables[a.clause_idx][0]
-    rerun = []
-    monkeypatch.setattr(MemoTable, "_rerun", lambda self, *args: rerun.append(args))
+    replayed = []
+    monkeypatch.setattr(MemoTable, "_replay", lambda self, *args: replayed.append(args))
     with pytest.raises(RuntimeError, match="does not match at 0 as its memo entry says"):
         m.sub_matches
-    assert rerun == []  # the select path raised, not a rerun
+    assert replayed == []  # the select path raised
 
 
 # A sequence holding a lookahead and a nullable member that stores nothing
@@ -349,8 +360,9 @@ LOOKAHEAD_AND_NULLABLE = "S <- (A / B)+; A <- !'ab' 'a' N 'c'; B <- 'a' 'b' N; N
 def test_selected_sequences_are_their_reruns():
     # A sequence whose reads were final has its children selected from the
     # memo, each member where the one before it ends.  On every stored
-    # sequence they must be what rerunning its matcher records, for the
-    # engine's table and for the reference parser's memo.
+    # sequence they must be what rerunning its matcher over the filled memo
+    # with match_clause reads, for the engine's table and for the reference
+    # parser's memo.
     rng = random.Random(41)
     cases = [
         (compile_grammar(LOOKAHEAD_AND_NULLABLE), ("aca", "abnnacabacab", "anncab")),
@@ -382,8 +394,7 @@ def test_selected_sequences_are_their_reruns():
                     assert bool(plan.selects[i]) == selected
                     if not selected:
                         continue
-                    with memo._lock:
-                        rerun = memo._rerun(clause, m.pos, m.len << g.alt_shift)
+                    rerun = matched_children(memo, m)
                     assert memo._select(clause, m.pos, m.len, 0) == rerun, (text, m)
                     compared += 1
                     lookaheads += any(type(e[0]) is NotFollowedBy for e in rerun)
@@ -427,7 +438,6 @@ def test_a_walked_or_selected_sequence_the_memo_contradicts_raises(monkeypatch, 
     else:
         values[at] += (1 if how == "longer" else -1) << g.alt_shift
     calls = []
-    monkeypatch.setattr(MemoTable, "_rerun", lambda self, *args: calls.append(args))
     monkeypatch.setattr(MemoTable, "_replay", lambda self, *args: calls.append(args))
     with pytest.raises(RuntimeError, match="does not match at %d as its memo entry says" % m.pos):
         m.sub_matches
@@ -435,40 +445,46 @@ def test_a_walked_or_selected_sequence_the_memo_contradicts_raises(monkeypatch, 
 
 
 def test_selected_repetitions_are_their_reruns():
-    # A chained repetition whose operand cannot match zero characters has
-    # its children selected: its first repeat, then its own match where
-    # that ends if one is stored.  At every chained entry of JSON documents,
-    # in the table and in the reference parser's memo, they must be what
-    # rerunning its matcher reads.
-    g = compile_grammar(JSON_GRAMMAR)
+    # A repetition off a cycle has its children selected: a chained one's
+    # first repeat, then its own match where that ends if one is stored,
+    # and a greedy one's operand where each repeat ends, up to its length.
+    # At every repetition's entry of JSON and expression documents, in the
+    # table and, for JSON, in the reference parser's memo, under chained
+    # and greedy repetitions, they must be what rerunning its matcher over
+    # the filled memo with match_clause reads.
     rng = random.Random(61)
-    compared = rests = 0
-    for text in [json_doc(rng) for _ in range(30)]:
-        table, oracle = parse(g, text), packrat_parse(g, text)
-        assert table.matched_whole(), text
-        plan = g.fill_plan
-        oracle_matches = (
-            oracle.match_at(g.all_clauses[i], pos)
-            for (i, pos), v in oracle.memo.items()
-            if v is not None
-        )
-        for memo, matches in ((table, table.all_stored()), (oracle, oracle_matches)):
-            for m in matches:
-                clause = m.clause
-                if type(clause) is not OneOrMore:
-                    continue
-                assert clause.chained
-                selected = not clause.sub_clauses[0].can_match_zero_chars
-                assert bool(plan.selects[clause.clause_idx]) == selected
-                if not selected:
-                    continue
-                with memo._lock:
-                    rerun = memo._rerun(clause, m.pos, m.len << g.alt_shift)
-                assert memo._select(clause, m.pos, m.len, 0) == rerun, (text, m)
-                compared += 1
-                rests += len(rerun) == 2
-    print("%d chained repetitions compared, %d with a rest" % (compared, rests))
-    assert compared >= 1000 and rests >= 300
+    json_texts = [json_doc(rng) for _ in range(30)]
+    expression_texts = [expression_doc(rng) for _ in range(30)]
+    compared = {True: 0, False: 0}
+    rests = 0
+    for chained in (True, False):
+        for source, texts in ((JSON_GRAMMAR, json_texts), (ARITH_LABELED, expression_texts)):
+            g = compile_grammar(source, rewrite_repetitions=chained)
+            for text in texts:
+                table = parse(g, text)
+                assert table.matched_whole(), text
+                sources = [(table, table.all_stored())]
+                if source is JSON_GRAMMAR:
+                    oracle = packrat_parse(g, text)
+                    sources.append((oracle, (
+                        oracle.match_at(g.all_clauses[i], pos)
+                        for (i, pos), v in oracle.memo.items()
+                        if v is not None
+                    )))
+                for memo, matches in sources:
+                    for m in matches:
+                        clause = m.clause
+                        if type(clause) is not OneOrMore:
+                            continue
+                        assert clause.chained == chained
+                        assert g.fill_plan.selects[clause.clause_idx]
+                        rerun = matched_children(memo, m)
+                        assert memo._select(clause, m.pos, m.len, 0) == rerun, (text, m)
+                        compared[chained] += 1
+                        rests += chained and len(rerun) == 2
+    print("%d chained repetitions compared, %d with a rest; %d greedy ones"
+          % (compared[True], rests, compared[False]))
+    assert compared[True] >= 1000 and rests >= 300 and compared[False] >= 4000
 
 
 @pytest.mark.parametrize("how", ["shorter", "longer", "missing", "added", "first"])
@@ -476,7 +492,7 @@ def test_a_selected_repetition_the_memo_contradicts_raises(monkeypatch, how):
     # A chained repetition reads its first repeat and its own match where
     # that ends: a rest the fill read that is now shorter, longer or gone,
     # one stored where the fill read none, or a first repeat gone,
-    # contradicts the match's own entry, with no rerun.
+    # contradicts the match's own entry, with no replay.
     g = compile_grammar("S <- A / 'x'; A <- 'a'+;")
     a = g.rule_clause("A")
     table = parse(g, "aaa")
@@ -493,29 +509,41 @@ def test_a_selected_repetition_the_memo_contradicts_raises(monkeypatch, how):
     else:
         values[1] += (1 if how == "longer" else -1) << g.alt_shift
     calls = []
-    monkeypatch.setattr(MemoTable, "_rerun", lambda self, *args: calls.append(args))
+    monkeypatch.setattr(MemoTable, "_replay", lambda self, *args: calls.append(args))
     with pytest.raises(RuntimeError, match="does not match at %d as its memo entry says" % pos):
         m.sub_matches
     assert calls == []
 
 
-def test_a_rerun_the_memo_contradicts_raises():
-    # A greedy repetition's children come from rerunning its matcher, which
-    # must give the value stored for it: it cannot once a value it reads is
-    # gone.
-    g = compile_grammar("S <- A / 'x'; A <- 'a'+;", rewrite_repetitions=False)
+@pytest.mark.parametrize("how", ["shorter", "longer", "missing", "empty", "last"])
+def test_a_selected_greedy_repetition_the_memo_contradicts_raises(monkeypatch, how):
+    # A greedy repetition reads its operand where each repeat ends, up to
+    # its own length: a repeat the fill read that is now shorter, longer,
+    # empty or gone, or a last repeat that now ends past the match,
+    # contradicts the match's own entry, with no replay and no lock held.
+    g = compile_grammar("S <- A / 'x'; A <- ('a' 'b')+;", rewrite_repetitions=False)
     a = g.rule_clause("A")
-    table = parse(g, "aa")
+    table = parse(g, "ababab")
+    assert g.fill_plan.selects[a.clause_idx]
     m = table.stored(a, 0)
-    assert not g.fill_plan.selects[a.clause_idx]
-    # What the matcher reads at 1: the second repeat.
-    read = table._tables[a.sub_clauses[0].clause_idx]
-    del read[1]
+    values = table._tables[a.sub_clauses[0].clause_idx]
+    stored = dict(values)
+    assert [c.len for c in m.sub_matches] == [2, 2, 2]
+    if how == "missing":
+        del values[2]
+    elif how == "empty":
+        values[2] = 0
+    elif how == "last":
+        values[4] += 1 << g.alt_shift
+    else:
+        values[2] += (1 if how == "longer" else -1) << g.alt_shift
+    calls = []
+    monkeypatch.setattr(MemoTable, "_replay", lambda self, *args: calls.append(args))
     with pytest.raises(RuntimeError, match="does not match at 0 as its memo entry says"):
         m.sub_matches
-    assert not table._lock.locked()
-    read[1] = 1 << g.alt_shift
-    assert [c.len for c in m.sub_matches] == [1, 1]
+    assert calls == [] and not table._lock.locked()
+    values.update(stored)
+    assert [c.len for c in m.sub_matches] == [2, 2, 2]
 
 
 def test_replay_rebuilds_every_superseded_step():
@@ -548,8 +576,8 @@ def test_replay_rebuilds_every_superseded_step():
 def test_a_clause_reads_its_nullable_operand_after_it_stores(replays):
     # C reads the nullable O at its own position, and both start at a
     # column of 'a'.  O sorts below C, so C is evaluated only once O's
-    # match there is final, and a rerun over the final table reads what
-    # the fill read: C's children need no replay.
+    # match there is final, and C's children are selected from the final
+    # table, as the fill read them: they need no replay.
     g = compile_grammar("S <- O 'q' / C; C <- O 'a'; O <- R?; R <- 'a' C;")
     c, o = g.rule_clause("C"), g.rule_clause("O")
     assert o.clause_idx < c.clause_idx
@@ -573,43 +601,50 @@ def test_only_clauses_on_same_position_cycles_replay():
     assert replaying >= 200
 
 
-def test_a_grammar_without_cycles_skips_the_replay_analysis(monkeypatch):
-    # FillPlan runs the analysis behind replays, walks and levels only for a
-    # grammar with a same-position cycle; either way the plan must hold
-    # what the analysis gives.
-    rng = random.Random(35)
-    grammars = [compile_grammar(text) for text in (ARITH_LABELED, JSON_GRAMMAR, ASSIGN)]
-    grammars += [random_grammar(rng)[0] for _ in range(100)]
-    grammars += [random_leftrec_grammar(rng)[0] for _ in range(100)]
-    analyzed = []
-    pushed_through = engine._pushed_through
-
-    def counted(clauses, parents):
-        analyzed.append(clauses)
-        return pushed_through(clauses, parents)
-
-    monkeypatch.setattr(engine, "_pushed_through", counted)
-    skipped = []
+def test_every_clause_with_children_has_a_source():
+    # The decoder has no fallback: every alternative of every clause with
+    # children must be selected, or the clause walked or replayed, under
+    # chained and greedy repetitions alike.  (Every plan tier-1 builds is
+    # checked the same way as it is built; see conftest.)
+    rng = random.Random(26)
+    # The hand-written grammars include a repetition on a cycle.
+    sources = [
+        ARITH_LABELED, ARITH_LEFTREC, ARITH_POSTFIX, JSON_GRAMMAR, ASSIGN, "L <- L+ 'x' / 'y';"
+    ]
+    grammars = [
+        compile_grammar(text, start, rewrite_repetitions=chained)
+        for text, start in zip(sources, ("E", "E0", "E0", None, None, None))
+        for chained in (True, False)
+    ]
+    pairs = 0
+    while pairs < 300:
+        if pairs % 2:
+            got = random_leftrec_rules(rng, side_entry=rng.random() < 0.5)
+            if got is None:
+                continue
+            rules, start = got[0], "L"
+        else:
+            rules, start = random_rules(rng)[0], None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", GrammarWarning)  # unreachable alternatives
+                pair = [
+                    assemble_grammar(copy.deepcopy(rules), start, rewrite_repetitions=chained)
+                    for chained in (True, False)
+                ]
+        except GrammarError:
+            continue
+        grammars += pair
+        pairs += 1
+    replayed = walked = 0
     for g in grammars:
-        del analyzed[:]
         plan = FillPlan(g)
-        clauses = g.all_clauses
-        skipped.append(not analyzed)
-        pushers, top = pushed_through(clauses, plan.parents)
-        assert plan.replays == engine._replay_plans(clauses, plan.parents, pushers, top, plan.walks)
-        levels = engine._levels(clauses, plan.parents, top)
-        assert {h: (s, g.display_clause(chain)) for h, (s, chain) in plan.levels.items()} == {
-            h: (s, g.display_clause(chain)) for h, (s, chain) in levels.items()
-        }
-        # Each level's rule and growing sequence are walked, and nothing else.
-        assert [i for i, level in enumerate(plan.walks) if level] == sorted(
-            i for h, (s, _) in levels.items() for i in (h, s)
-        )
-    # The expression grammar is analyzed and has its levels; the JSON and
-    # assignment grammars, like gram_gen's grammars without recursion, skip.
-    assert skipped[:3] == [False, True, True]
-    assert FillPlan(grammars[0]).levels
-    assert all(skipped[3:103]) and not any(skipped[103:])
+        assert_every_child_has_a_source(g, plan)
+        replayed += sum(how is not None for how in plan.replays)
+        walked += sum(level is not None for level in plan.walks)
+    repetitions = [c.chained for g in grammars for c in g.all_clauses if type(c) is OneOrMore]
+    assert repetitions.count(True) >= 50 and repetitions.count(False) >= 50
+    assert replayed >= 300 and walked > 0
 
 
 def test_building_matches_leaves_the_table_as_it_was(replays, walks):
@@ -770,10 +805,10 @@ def test_plan_walks_each_recognized_level():
 
 
 def test_recovery_queries_build_no_children(monkeypatch):
-    # Recovery reads lengths and positions only: it neither selects, walks
-    # nor reruns children, nor replays a column.
+    # Recovery reads lengths and positions only: it neither selects nor
+    # walks children, nor replays a column.
     calls = []
-    for name in ("_select", "_walk", "_rerun", "_replay"):
+    for name in ("_select", "_walk", "_replay"):
         method = getattr(MemoTable, name)
 
         def counted(self, *args, name=name, method=method):
@@ -788,21 +823,22 @@ def test_recovery_queries_build_no_children(monkeypatch):
     assert next_match_after(table, "Assign", spans[0].end) is not None
     assert calls == []
     # Trees of left-recursive runs do each, so the counter counts: a
-    # greedy repetition reruns.
+    # greedy repetition's children are selected.
     shape(extract_parse_tree(parse(compile_leftrec(), "a+b+c")))
     assert set(calls) == {"_select", "_walk"}
+    del calls[:]
     greedy = compile_grammar(ARITH_LEFTREC, "E0", rewrite_repetitions=False)
     shape(extract_parse_tree(parse(greedy, "a+b+c")))
-    assert set(calls) == {"_select", "_walk", "_rerun"}
+    assert set(calls) == {"_select", "_walk"}
     shape(extract_parse_tree(parse(compile_postfix(), "a+b+c")))
-    assert set(calls) == {"_select", "_walk", "_rerun", "_replay"}
+    assert set(calls) == {"_select", "_walk", "_replay"}
 
 
 def test_threads_building_matches_from_one_table_agree():
-    # Building children reruns matchers into one log per memo and replays
-    # into its one dict of scratch values, under the memo's lock, for the
-    # engine's table and the reference parser's result alike, and selects
-    # and walks take no lock; threads that read a table whose levels are
+    # Building children replays into one log and one dict of scratch
+    # values per memo, under the memo's lock, for the engine's table and
+    # the reference parser's result alike, and selects and walks take no
+    # lock; threads that read a table whose levels are
     # walked, one whose columns replay and the same result at once must
     # each see the single-threaded trees.
     import threading

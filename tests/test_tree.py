@@ -25,7 +25,7 @@ from pikaparse import (
     to_ast,
 )
 from pikaparse import tree
-from pikaparse.engine import MemoTable
+from pikaparse.engine import Match, MemoTable
 from pikaparse.tree import ASTNode, ParseTreeNode, node_from_match
 
 import gram_gen
@@ -36,6 +36,7 @@ from helpers import (
     compile_leftrec,
     expression_doc,
     json_doc,
+    matched_children,
     parse_tree,
 )
 
@@ -311,49 +312,57 @@ def labeled_leftrec_grammar(rng):
 
 
 def json_ast_reruns(monkeypatch, g):
-    """The clauses whose matchers projecting JSON_DOCS under g reruns."""
-    rerun = []
-    original = MemoTable._rerun
+    """The clauses whose children projecting JSON_DOCS under g builds
+    through the decoder, each checked against what rerunning its matcher
+    over the filled table with match_clause reads."""
+    built = []
+    entries = MemoTable._entries
 
-    def recording(self, clause, pos, v):
-        rerun.append(clause)
-        return original(self, clause, pos, v)
+    def checked(self, clause, pos, length, alt_idx):
+        got = entries(self, clause, pos, length, alt_idx)
+        assert got == matched_children(self, Match(clause, pos, length, self, alt_idx))
+        built.append(clause)
+        return got
 
-    monkeypatch.setattr(MemoTable, "_rerun", recording)
+    monkeypatch.setattr(MemoTable, "_entries", checked)
     for text in JSON_DOCS:
         ast = to_ast(extract_parse_tree(parse(g, text)))
         assert ast.label == "v" and ast.len == len(text.strip())
-    return rerun
+    return built
 
 
 def test_to_ast_reruns_no_clause_that_reaches_no_label(monkeypatch):
     # The JSON grammar's lexical rules hold no label, so the AST needs none
-    # of their nodes' children: String, Number, WS and Hex are never rerun.
-    # Greedy repetitions rerun; chained ones are selected (below).
+    # of their nodes' children: String, Number, WS and Hex never have
+    # theirs built.  Greedy repetitions' children are built like chained
+    # ones' (below).
     g = compile_grammar(JSON_GRAMMAR, rewrite_repetitions=False)
     lexical = [g.rule_clause(name) for name in ("String", "Number", "WS", "Hex")]
-    rerun = json_ast_reruns(monkeypatch, g)
-    assert rerun
-    assert not {id(c) for c in lexical} & {id(c) for c in rerun}
-    assert all(c.reaches_label for c in rerun)
+    built = json_ast_reruns(monkeypatch, g)
+    assert any(type(c) is OneOrMore for c in built)
+    assert not {id(c) for c in lexical} & {id(c) for c in built}
+    assert all(c.reaches_label for c in built)
     assert not any(c.reaches_label for c in lexical)
 
 
 def test_the_json_ast_reruns_nothing(monkeypatch):
-    # With chained repetitions every child the JSON AST reads is selected
-    # from the memo, a repetition's too.
-    assert json_ast_reruns(monkeypatch, compile_grammar(JSON_GRAMMAR)) == []
+    # With chained repetitions the JSON AST reads every choice's and
+    # sequence's children from the memo itself, and only a repetition's
+    # through the decoder, which selects them from the memo too: each is
+    # what its matcher reads over the filled table.
+    built = json_ast_reruns(monkeypatch, compile_grammar(JSON_GRAMMAR))
+    assert built and {type(c) for c in built} == {OneOrMore}
 
 
 def test_the_labeled_expression_ast_reruns_no_choice(monkeypatch):
     # Each choice and sequence of the labeled expression grammar read
     # final values when the fill evaluated it, a level's operand
     # alternative included, so its children are selected from the memo,
-    # and each level's growth steps are walked: building the AST reruns
-    # nothing and replays nothing.
+    # and each level's growth steps are walked: building the AST replays
+    # nothing.
     g = compile_grammar(ARITH_LABELED)
     calls = []
-    for name in ("_rerun", "_replay", "_walk"):
+    for name in ("_replay", "_walk"):
         method = getattr(MemoTable, name)
 
         def counted(self, *args, name=name, method=method):
