@@ -76,7 +76,8 @@ only final values, so its child is selected like any other choice's.  The
 growth steps of H's other matches, and of its sequence's, are walked: each
 is the last step, then op and Y read from the memo where it ends, so they
 are rebuilt from the memo with no matcher run and no replay.  Every other
-left-recursive cycle grows its seed, and its children come from replays.
+left-recursive cycle grows its seed, and its children come from replays,
+one plan per cycle.  FillPlan derives all of this from one reach pass.
 """
 from __future__ import annotations
 
@@ -840,7 +841,7 @@ class MemoTable(_Decoder):
         plan = self._read_plan()
         parents = plan.fill_parents
         bits = plan.bits
-        levels = plan.levels
+        walks = plan.walks
         again = plan.rescheduled
         bounds = plan.bounds
         entries = plan.entries
@@ -857,14 +858,14 @@ class MemoTable(_Decoder):
 
         def fill_matcher(i):
             clause = clauses[i]
-            if i not in levels:
+            level = walks[i]
+            if level is None or level[0] is not clause:
                 f = _FACTORIES[type(clause)](clause, text, self._reader, shift, late)
             else:
                 # A recognized level H <- S / Y: store S's final match here,
                 # Y op H with H read right of pos, then run H's own matcher.
-                s, chain = levels[i]
-                store = tables[s].__setitem__
-                grown = _seq_matcher(chain, text, self._reader, shift, late)
+                store = tables[level[1].clause_idx].__setitem__
+                grown = _seq_matcher(level.chain, text, self._reader, shift, late)
                 choose = _first_matcher(clause, text, self._reader, shift, late)
 
                 def f(pos):
@@ -957,38 +958,34 @@ class FillPlan:
     through alternative k, when its children are selected from the memo:
     c is a First, a Seq or a OneOrMore, its reads are final for it, and it
     is no level's (see _selects).  Otherwise walks[c] is (h, s, Y, op), the
-    clauses of the recognized level c belongs to, when c is its rule h or
-    its growing sequence s: the growth steps are walked.  Otherwise
-    replays[c] is what replaying a column needs for them (see
-    _replay_plans), or None when c's matches have no children.  Only a
-    clause on a same-position cycle, that is, a left-recursive one, has a
-    walks or replays entry other than None.
+    one record of the recognized level c belongs to, when c is its rule h
+    or its growing sequence s: the growth steps are walked (see _levels).
+    Otherwise replays[c] is what replaying a column needs for them (see
+    _replay_plans), one plan shared by a cycle's clauses, or None when c's
+    matches have no children.  Only a clause on a same-position cycle, that
+    is, a left-recursive one, has a walks or replays entry other than None.
 
-    levels maps each recognized left-associative level's clause h to
-    (s, chain): its growing sequence's index and the clause Y op H that
-    the fill matches in its place (see _levels).  The fill evaluates h once
-    per column and stores s itself, scheduling nothing for it, so
-    fill_parents, the seed parents the fill schedules, is parents less s
-    among h's and less all of s's.  A match of h that took its alternative
-    1 read no stored s and a final Y, so its child is selected: selects[h]
-    lists alternative 1's reads alone, and h's other matches, and s's, are
-    walked.
+    fill_parents, the seed parents the fill schedules, are parents less
+    the edges between each level's h and s: the fill evaluates h once per
+    column and stores s itself, scheduling nothing for it.
 
     Every queue mask, fill_parents' and the entries' as well as a replay
     plan's, has bit n-1-i set for clause i of n, so that a pop finds the
     lowest pending clause with one bit_length (see MemoTable._run);
     bits[i] is clause i's bit.  rescheduled holds the clauses the fill can
     schedule again in a column after they pop there: those that a clause
-    at or above them pushes, transitively over fill_parents (see
-    _pushed_through).  When a clause pops, every pending clause sorts above
-    it, so only such a clause can pop twice in a column, and only its
-    values are checked against the one stored.  It is empty for a grammar
-    whose only same-position cycles are recognized levels.
+    at or above them pushes, transitively (see _pushed_through), but the
+    levels' h and s.  Dropping their edges spares no other clause: one that
+    reaches s reaches h, which sorts above s or right below it.  When a
+    clause pops, every pending clause sorts above it, so only such a clause
+    can pop twice in a column, and only its values are checked against the
+    one stored.  It is empty for a grammar whose only same-position cycles
+    are recognized levels.
     """
 
     __slots__ = (
-        "parents", "fill_parents", "bits", "rescheduled", "levels", "bounds", "entries",
-        "selects", "walks", "replays", "_distinct", "_terminals",
+        "parents", "fill_parents", "bits", "rescheduled", "bounds", "entries", "selects",
+        "walks", "replays", "_distinct", "_terminals",
     )
 
     def __init__(self, grammar: Grammar):
@@ -999,9 +996,12 @@ class FillPlan:
             c for c in clauses if c.is_terminal and type(c) is not Nothing
         ]
         parents = [[] for _ in clauses]
+        reads = []
         for p in clauses:
+            subs = same_position_subs(p)
+            reads.append(tuple(map(_read, subs)))
             if type(p) is not NotFollowedBy:
-                for sub in dict.fromkeys(same_position_subs(p)):
+                for sub in dict.fromkeys(subs):
                     parents[sub.clause_idx].append(p.clause_idx)
         self.parents = list(map(tuple, parents))
         bounds = set()
@@ -1015,23 +1015,16 @@ class FillPlan:
         self.bounds = sorted(bounds)
         self.entries = [None] * (len(self.bounds) + 1)
         self._distinct = {}
-        self.walks = walks = [None] * len(clauses)
         pushers, top = _pushed_through(clauses, self.parents)
-        self.levels = _levels(clauses, self.parents, top)
-        for h, (s, chain) in self.levels.items():
-            y, op, _ = chain.sub_clauses
-            walks[h] = walks[s] = (clauses[h], clauses[s], y, op)
-        self.replays = _replay_plans(clauses, self.parents, pushers, top, walks)
+        self.walks = walks = _levels(clauses, self.parents, top)
+        self.replays = _replay_plans(clauses, reads, self.parents, pushers, top, walks)
         self.selects = _selects(clauses, self.replays, walks)
-        fill = list(self.parents)
-        for h, (s, chain) in self.levels.items():
-            # h's evaluation stores s, and no store of s schedules anything.
-            fill[h] = tuple(p for p in fill[h] if p != s)
-            fill[s] = ()
-            self.selects[h] = (None, (_member(chain.sub_clauses[0]),))
-        self.fill_parents = [_mask(ps, n) for ps in fill]
-        _, top = _pushed_through(clauses, fill)
-        self.rescheduled = frozenset(c for c in range(n) if top[c] >= c)
+        # h's evaluation stores s, and no store of s schedules anything.
+        self.fill_parents = [
+            _mask((p for p in ps if w is None or clauses[p] not in w[:2]), n)
+            for ps, w in zip(self.parents, walks)
+        ]
+        self.rescheduled = frozenset(c for c in range(n) if top[c] >= c and walks[c] is None)
 
     def entry(self, k):
         """Interval k's entry: (single-char terminals that match, the mask
@@ -1080,19 +1073,19 @@ def _member(sub, zero=None):
 
 
 def _selects(clauses, replays, walks):
-    """FillPlan.selects, but for the levels: per clause c with children
-    whose reads are final for it (replays[c] and walks[c] are None), a
-    tuple with one item per alternative, each what a select reads for c's
-    match through it: the alternative's clause for a First, every member
-    for a Seq, the first repeat and then c's own match where that ends, if
-    one is stored, for a chained OneOrMore, and the operand, read where
-    each repeat ends, for a greedy one.  None for every other clause: its
-    children are walked or replayed, or it has none."""
+    """FillPlan.selects: per clause c with children whose reads are final
+    for it (replays[c] and walks[c] are None), a tuple with one item per
+    alternative, each what a select reads for c's match through it: the
+    alternative's clause for a First, every member for a Seq, the first
+    repeat and then c's own match where that ends, if one is stored, for a
+    chained OneOrMore, and the operand, read where each repeat ends, for a
+    greedy one; for a level's rule h, Y alone, as alternative 1.  None for
+    every other clause: its children are walked or replayed, or it has none."""
     selects = []
     for c, how, walk in zip(clauses, replays, walks):
         kind, subs = type(c), c.sub_clauses
         if how is not None or walk is not None:
-            reads = None
+            reads = None if walk is None or walk[0] is not c else (None, (_member(subs[1]),))
         elif kind is First:
             reads = tuple((_member(s),) for s in subs)
         elif kind is Seq:
@@ -1127,7 +1120,7 @@ def _plan(grammar):
 def _pushed_through(clauses, parents):
     """Each clause's pushers, and top[c]: the highest index among the
     clauses c is pushed through, transitively (c itself if it is on a
-    cycle), or -1.
+    cycle), or -1: the plan's one reach pass, read by every cycle fact.
 
     A clause's pushers are its seed children except a NotFollowedBy or the
     empty clause, which the fill never stores; only a pusher's store
@@ -1158,7 +1151,7 @@ def _pushed_through(clauses, parents):
     return pushers, top
 
 
-def _replay_plans(clauses, parents, pushers, top, walks):
+def _replay_plans(clauses, reads, parents, pushers, top, walks):
     """FillPlan.replays: per clause c, None when c's matches have no
     children, when walks[c] says they are walked, or when every clause c
     reads at its own position is final for c (see _pushed_through), else
@@ -1174,15 +1167,17 @@ def _replay_plans(clauses, parents, pushers, top, walks):
     A clause c on a same-position cycle may have read a clause that changed
     after it.  Replaying a column for c evaluates c and, transitively, every
     clause one of them reads at its own position that does not sort, with
-    every clause it is pushed through, below that reader.  A clause that is
-    read but not evaluated is final where it is read, and it stores before
-    a parent it pushes can pop, so the replay reads its stored match and
-    schedules those parents up front: seeds pairs each such pusher with the
-    mask of the evaluated clauses it pushes.  parents maps each evaluated
-    clause to the mask of its parents among them.
+    every clause it is pushed through, below that reader.  That test is the
+    reader's, so c shares the plan of any clause r its search reaches whose
+    plan evaluates c: the two reach each other.  A clause that is read but
+    not evaluated is final where it is read, and it stores before a parent
+    it pushes can pop, so the replay reads its stored match and schedules
+    those parents up front: seeds pairs each such pusher with the mask of
+    the evaluated clauses it pushes.  parents maps each evaluated clause to
+    the mask of its parents among them.
     """
-    reads = [tuple(_reads(c)) for c in clauses]
     n = len(clauses)
+    replays = [None] * n
 
     def plan(target):
         need, todo = {target}, [target]
@@ -1190,6 +1185,8 @@ def _replay_plans(clauses, parents, pushers, top, walks):
             c = todo.pop()
             for r in reads[c]:
                 if r not in need and max(r, top[r]) >= c:
+                    if replays[r] and target in replays[r][2]:
+                        return replays[r]
                     need.add(r)
                     todo.append(r)
         evaluated = tuple(sorted(need))
@@ -1204,17 +1201,15 @@ def _replay_plans(clauses, parents, pushers, top, walks):
             {c: _mask((p for p in parents[c] if p in need), n) for c in evaluated},
         )
 
-    return [
-        None
-        if _childless(clause) or walk is not None or all(max(r, top[r]) < c for r in reads[c])
-        else plan(c)
-        for c, (clause, walk) in enumerate(zip(clauses, walks))
-    ]
+    for c, clause in enumerate(clauses):
+        if not (walks[c] or _childless(clause)) and any(max(r, top[r]) >= c for r in reads[c]):
+            replays[c] = plan(c)
+    return replays
 
 
 def _levels(clauses, parents, top):
-    """FillPlan.levels: {h: (s, Seq((Y, op, H)))} for each left-associative
-    level H <- S / Y with S = H op Y whose fill needs no growing seed.
+    """FillPlan.walks: at h and s, one _Level (h, s, Y, op) for each level
+    H <- S / Y, S = H op Y, whose fill needs no growing seed; else None.
 
     Where S's match at column j grows from H's, each growth step reads one
     more operand, and the fixpoint is: if Y op H matches at j, reading H
@@ -1247,7 +1242,7 @@ def _levels(clauses, parents, top):
     several growing alternatives, and cycles on which another clause reads
     H at its own position, such as a lookahead's operand.
     """
-    levels = {}
+    walks = [None] * len(clauses)
     for h in clauses:
         if type(h) is not First or len(h.sub_clauses) != 2:
             continue
@@ -1263,17 +1258,21 @@ def _levels(clauses, parents, top):
             and parents[j] == (i,)
             and all(p > i for p in parents[i] if p != j)
         ):
-            levels[i] = (j, Seq((y, op, h)))
-    return levels
+            walks[i] = walks[j] = level = _Level((h, s, y, op))
+            level.chain = Seq((y, op, h))
+    return walks
 
 
-def _reads(clause):
-    """The index of each clause that clause's matcher reads at its own
-    position, a lookahead chain's innermost operand in the chain's place."""
-    for s in same_position_subs(clause):
-        while type(s) is NotFollowedBy:
-            s = s.sub_clauses[0]
-        yield s.clause_idx
+class _Level(tuple):
+    """A walks entry (h, s, Y, op); chain, Y op H, is what the fill matches for s."""
+
+
+def _read(sub):
+    """The index of the clause a matcher reads for sub, a same-position
+    subclause: a lookahead chain's innermost operand in the chain's place."""
+    while type(sub) is NotFollowedBy:
+        sub = sub.sub_clauses[0]
+    return sub.clause_idx
 
 
 def parse(grammar: Grammar, text: str) -> MemoTable:

@@ -125,6 +125,17 @@ def json_doc(rng):
     return json.dumps(value(0), indent=rng.choice([None, 1]))
 
 
+def ring_grammar(n, growing="x"):
+    """A left-recursive ring of n + 1 rules, one same-position cycle:
+    R_i <- R_{i+1} 'x' / 'y', with one growing alternative per character
+    of growing, closed by R_n reading R0, with 'z' for 'y'."""
+    rules = []
+    for i in range(n + 1):
+        reads = " / ".join("R%d '%s'" % ((i + 1) % (n + 1), op) for op in growing)
+        rules.append("R%d <- %s / '%s';" % (i, reads, "z" if i == n else "y"))
+    return "\n".join(rules)
+
+
 def compile_leftrec():
     return compile_grammar(ARITH_LEFTREC, start_rule="E0")
 

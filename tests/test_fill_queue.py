@@ -14,10 +14,12 @@ import random
 from collections import Counter
 
 from pikaparse import compile_grammar, engine, parse
-from pikaparse.clauses import NotFollowedBy
+from pikaparse.clauses import Nothing, NotFollowedBy
 from pikaparse.engine import FillPlan
+from pikaparse.grammar import same_position_subs
 
 from gram_gen import (
+    random_grammar,
     random_leftrec_grammar,
     random_precedence_grammar,
     sample_expression,
@@ -31,6 +33,7 @@ from helpers import (
     compile_leftrec,
     expression_doc,
     json_doc,
+    ring_grammar,
 )
 
 # Two growing alternatives, and the same sums grown through a second rule.
@@ -104,6 +107,72 @@ def test_rescheduled_clauses_close_a_cycle_through_a_clause_at_or_above_them():
     ):
         assert FillPlan(g).rescheduled == frozenset()
     assert len(rescheduled(compile_grammar(ARITH_POSTFIX, start_rule="E0"))) > 0
+
+
+def pushed_reach(clause):
+    """The indices of the clauses clause is pushed through, by a plain
+    search over seed children that push: the clauses clause reads at its
+    own position, unless it is a lookahead, which is no one's seed parent,
+    less lookaheads and the empty clause, whose stores the fill never
+    makes.  It holds clause's own index only if clause is on a cycle."""
+    seen, todo = set(), [clause]
+    while todo:
+        c = todo.pop()
+        if type(c) is NotFollowedBy:
+            continue
+        for s in same_position_subs(c):
+            if type(s) not in (NotFollowedBy, Nothing) and s.clause_idx not in seen:
+                seen.add(s.clause_idx)
+                todo.append(s)
+    return seen
+
+
+def test_one_reach_pass_gives_each_clause_its_highest_pusher():
+    # One pass over the seed parents gives every cycle fact of the plan.
+    # Check what it found against a search per clause from the grammar's
+    # clauses alone: the highest index a clause is pushed through, and the
+    # rescheduled clauses, which are those that reach an index at or above
+    # their own, less the recognized levels' rules and sequences: the fill
+    # stores a level's sequence itself and schedules nothing for it.
+    rng = random.Random(20261027)
+    grammars = [
+        compile_grammar(ARITH_LABELED),
+        compile_grammar(JSON_GRAMMAR),
+        compile_grammar(ASSIGN),
+        compile_grammar(DIRECT),
+        compile_grammar(INDIRECT),
+        compile_grammar(ARITH_POSTFIX, start_rule="E0"),
+        # Interlocked cycles: a clause's reach grows after the pass first
+        # visits it, through a cycle that a later clause closes.
+        compile_grammar("R0 <- R0 'd' / R1 'a' / 'x'; R1 <- R1 'b' / R0 'c' / 'x';"),
+        compile_grammar("R0 <- R2 'd' / 'x'; R1 <- R2 'b' / R1 'c' / 'x'; R2 <- R1 'a' / 'x';"),
+        compile_grammar(ring_grammar(20, "xw")),
+    ]
+    for _ in range(600):
+        grammars.append(random_grammar(rng)[0])
+    for side_entry in (False, True):
+        for _ in range(400):
+            grammars.append(random_leftrec_grammar(rng, side_entry=side_entry)[0])
+    for _ in range(600):
+        grammars.append(compile_grammar(random_precedence_grammar(rng)[0]))
+    cyclic = levels = 0
+    for g in grammars:
+        plan = FillPlan(g)
+        clauses = g.all_clauses
+        _, top = engine._pushed_through(clauses, plan.parents)
+        again, on_cycle = set(), False
+        for i, c in enumerate(clauses):
+            reach = pushed_reach(c)
+            assert max(i, top[i]) == max(reach | {i}), g.display_clause(c)
+            if plan.walks[i] is None and max(reach, default=-1) >= i:
+                again.add(i)
+            on_cycle |= i in reach
+        assert plan.rescheduled == again, g.rules
+        cyclic += on_cycle
+        levels += any(plan.walks)
+    print("%d grammars, %d with a same-position cycle, %d with a recognized level"
+          % (len(grammars), cyclic, levels))
+    assert len(grammars) >= 2000 and cyclic >= 800 and levels >= 300
 
 
 def test_only_rescheduled_clauses_pop_twice_in_a_column(monkeypatch):

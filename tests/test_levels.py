@@ -23,13 +23,23 @@ from test_replay import full_form
 LOOKAHEAD_ON_THE_CYCLE = "E <- E '+' T / T; T <- !(E '+' 'x') [a-z];"
 
 
-def growing(monkeypatch, text):
-    """text's grammar with the recognizer off: every level grows its seed."""
-    g = compile_grammar(text)
+def without_levels(monkeypatch, g):
+    """g's FillPlan with the recognizer off: every level grows its seed."""
     with monkeypatch.context() as m:
-        m.setattr(engine, "_levels", lambda *args: {})
-        g.fill_plan = FillPlan(g)
+        m.setattr(engine, "_levels", lambda clauses, *args: [None] * len(clauses))
+        return FillPlan(g)
+
+
+def growing(monkeypatch, text):
+    """text's grammar, filled with the recognizer off."""
+    g = compile_grammar(text)
+    g.fill_plan = without_levels(monkeypatch, g)
     return g
+
+
+def levels(plan):
+    """{h: s} for each recognized level of plan, from its walks."""
+    return {level[0].clause_idx: level[1].clause_idx for level in plan.walks if level}
 
 
 def stored(table):
@@ -47,8 +57,8 @@ def test_levels_fill_the_tables_the_growing_seed_fills(monkeypatch):
             g.display_clause(c) for c in g.all_clauses
         ]
         plan = FillPlan(g)
-        recognized += bool(plan.levels)
-        rejected += not plan.levels and any(plan.replays)
+        recognized += bool(levels(plan))
+        rejected += not levels(plan) and any(plan.replays)
         for k in range(6):
             expression = sample_expression(rng, operands, operators)
             table, reference = parse(g, expression), parse(slow, expression)
@@ -65,7 +75,7 @@ def test_levels_fill_the_tables_the_growing_seed_fills(monkeypatch):
 
 def test_only_the_plain_level_shape_is_recognized(monkeypatch):
     g = expression_grammar()
-    names = {g.clause_name(g.all_clauses[h]) for h in FillPlan(g).levels}
+    names = {g.clause_name(g.all_clauses[h]) for h in levels(FillPlan(g))}
     assert names == {"E0", "E1"}
     rejected = [
         (LOOKAHEAD_ON_THE_CYCLE, ("a+b+x+c", "a+x", "a+b+c")),
@@ -81,12 +91,12 @@ def test_only_the_plain_level_shape_is_recognized(monkeypatch):
     ]
     for text, inputs in rejected:
         g, slow = compile_grammar(text), growing(monkeypatch, text)
-        assert FillPlan(g).levels == {}, text
+        assert levels(FillPlan(g)) == {}, text
         for expression in inputs:
             assert stored(parse(g, expression)) == stored(parse(slow, expression)), expression
 
 
-def test_walked_steps_are_the_replayed_steps():
+def test_walked_steps_are_the_replayed_steps(monkeypatch):
     # At every column where a level's rule is stored, a replay of the
     # column, as the fill plan would make it without the level, records
     # every growth step of the rule and its sequence; walking to each of
@@ -104,15 +114,14 @@ def test_walked_steps_are_the_replayed_steps():
     grammars = steps = 0
     for g, expressions in cases:
         plan = FillPlan(g)
-        if not plan.levels:
+        if not levels(plan):
             continue
         grammars += 1
         clauses, shift = g.all_clauses, g.alt_shift
-        pushers, top = engine._pushed_through(clauses, plan.parents)
-        replays = engine._replay_plans(clauses, plan.parents, pushers, top, [None] * len(clauses))
+        replays = without_levels(monkeypatch, g).replays
         for expression in expressions:
             table = parse(g, expression)
-            for h, (s, _) in plan.levels.items():
+            for h, s in levels(plan).items():
                 assert replays[h] is not None and plan.replays[h] is None
                 for pos in table.match_positions(clauses[h]):
                     with table._lock:

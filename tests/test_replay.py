@@ -45,6 +45,7 @@ from helpers import (
     json_doc,
     matched_children,
     repeats,
+    ring_grammar,
     same_position_reach,
     shape,
 )
@@ -238,7 +239,7 @@ def selects(monkeypatch):
             sub = clause.sub_clauses[alt_idx]
             if type(clause) is not First:  # a sequence's children
                 pass
-            elif clause.clause_idx in self.grammar.fill_plan.levels:
+            elif self.grammar.fill_plan.walks[clause.clause_idx]:
                 seen.append("level")
             elif self._values(sub.clause_idx)(pos) is None:
                 seen.append("unstored")
@@ -378,7 +379,7 @@ def test_selected_sequences_are_their_reruns():
         for text in texts:
             table = parse(g, text)
             sources = [(table, table.all_stored())]
-            if not any(plan.replays) and not plan.levels:  # no left recursion
+            if not any(plan.replays) and not any(plan.walks):  # no left recursion
                 oracle = packrat_parse(g, text)
                 sources.append((oracle, (
                     oracle.match_at(g.all_clauses[i], pos)
@@ -771,6 +772,27 @@ def test_a_tree_walks_each_column_level_at_most_once(replays, walks, text, walke
     assert replays == []
 
 
+def test_a_cycle_shares_one_replay_plan():
+    # A replay evaluates what its target reaches through reads that may
+    # change after the reader pops, and whether a read may is up to the
+    # reader alone.  So clauses that reach each other, every clause of one
+    # same-position cycle, evaluate the same clauses: one plan object
+    # serves them all, not one per clause of the cycle.
+    for text, replayed in (
+        (ring_grammar(200), 402),
+        (ring_grammar(200, "xw"), 603),
+        ("E <- E '+' T / E '-' T / T; T <- [0-9]+;", 3),
+    ):
+        g = compile_grammar(text)
+        plan = FillPlan(g)
+        hows = [how for how in plan.replays if how is not None]
+        assert len(hows) == replayed
+        assert all(how is hows[0] for how in hows), text
+        evaluated, _, parents = hows[0]
+        assert {i for i, how in enumerate(plan.replays) if how} <= set(evaluated)
+        assert set(parents) == set(evaluated)
+
+
 def test_plan_replays_one_left_recursive_level_at_a_time():
     g = compile_postfix()
     plan = FillPlan(g)
@@ -778,7 +800,7 @@ def test_plan_replays_one_left_recursive_level_at_a_time():
     cyclic = [i for i, how in enumerate(plan.replays) if how]
     levels = {name(g.all_clauses[i]) for i in cyclic if name(g.all_clauses[i])}
     assert levels == {"E0", "E1"}
-    assert plan.levels == {} and not any(plan.walks)
+    assert not any(plan.walks)
     for target in cyclic:
         evaluated, seeds, parents = plan.replays[target]
         # A level's replay evaluates that level's rule and its two growing
@@ -795,13 +817,20 @@ def test_plan_walks_each_recognized_level():
     assert not any(plan.replays)
     walked = [i for i, level in enumerate(plan.walks) if level]
     assert {g.clause_name(g.all_clauses[i]) for i in walked} == {"E0", "E1", None}
-    assert len(walked) == 2 * len(plan.levels) == 4
-    for h, (s, chain) in plan.levels.items():
-        y, op, _ = chain.sub_clauses
-        assert plan.walks[h] == plan.walks[s] == (g.all_clauses[h], g.all_clauses[s], y, op)
+    rules = {plan.walks[i][0] for i in walked}
+    assert len(walked) == 2 * len(rules) == 4
+    for h in rules:
+        level = plan.walks[h.clause_idx]
+        _, s, y, op = level
+        # One record for the level's rule H <- S / Y and its sequence
+        # S = H op Y, and the clause Y op H the fill matches in S's place.
+        assert plan.walks[s.clause_idx] is level
+        assert h.sub_clauses == (s, y) and s.sub_clauses == (h, op, y)
+        assert level.chain.sub_clauses == (y, op, h)
         # Only H's alternative 1, Y at the column, is selected; Y here is a
         # rule with children and cannot match zero characters.
-        assert plan.selects[h] == (None, ((y, True, None),)) and plan.selects[s] is None
+        assert plan.selects[h.clause_idx] == (None, ((y, True, None),))
+        assert plan.selects[s.clause_idx] is None
 
 
 def test_recovery_queries_build_no_children(monkeypatch):
