@@ -11,11 +11,14 @@ Only a clause that can be scheduled again in a column after it pops there
 (FillPlan.rescheduled) has a new value compared with its stored one; every
 other clause pops at most once per column, so what it matches is stored as
 is.  Without left recursion, or with none but the recognized levels below,
-no clause is checked.  Terminals are dispatched on the position's
-character: only the terminals that can start with it are tried, and the
-character alone decides a single-character terminal.  A clause that can match zero characters and
-that nothing evaluated at a position reads as a zero-length match there, so
-the fill never needs to evaluate a clause only to find its empty match.
+no clause is checked.  Each column starts from its character's dispatch
+entry: only the terminals that can start with it are tried, and every
+clause whose value the character alone decides, a single-character
+terminal and each clause above it that reads only such values at the
+column, is stored with no evaluation (see FillPlan.entry).  A clause that
+can match zero characters and that nothing evaluated at a position reads as
+a zero-length match there, so the fill never needs to evaluate a clause
+only to find its empty match.
 Because everything to the right of the current position is already final, a
 clause's match can reference cyclic (left-recursive) structure through the
 memo table without infinite regress: improvements propagate around the
@@ -850,7 +853,6 @@ class MemoTable(_Decoder):
         text = self.text
         shift = self._shift
         mask = ~(-1 << shift)
-        one = 1 << shift
         n = len(clauses)
 
         def late():
@@ -894,8 +896,8 @@ class MemoTable(_Decoder):
             return improved
 
         # Each clause's matcher is built on its first evaluation.  The
-        # dispatch entries decide single-character terminals, which are
-        # never evaluated.
+        # dispatch entries store every clause the column's character alone
+        # decides, and those are never evaluated.
         matchers = [None] * n
         # pending is the column's queue: clause i is scheduled while bit
         # n-1-i is set, so the lowest pending clause is the highest set bit,
@@ -906,9 +908,9 @@ class MemoTable(_Decoder):
         # schedules every seed parent, with no check here.
         for pos in range(len(text) - 1, -1, -1):
             k = bisect_right(bounds, ord(text[pos]))
-            chars, pending = entries[k] or plan.entry(k)
-            for idx in chars:
-                tables[idx][pos] = one
+            stores, pending = entries[k] or plan.entry(k)
+            for idx, v in stores:
+                tables[idx][pos] = v
             while pending:
                 idx = n - pending.bit_length()
                 pending ^= bits[idx]
@@ -944,13 +946,17 @@ class FillPlan:
     NotFollowedBy is evaluated on demand and is no one's seed parent,
     although its operand is tried at its own position.
 
-    Terminals are dispatched on the column's character.  bounds splits the
-    code points wherever a Char, a CharSet range or a Str's first character
+    Columns are dispatched on their character.  bounds splits the code
+    points wherever a Char, a CharSet range or a Str's first character
     starts or stops, so every character of one interval starts the same
-    terminals, and entries[k] describes interval k, which holds the code
-    points cp with bisect_right(bounds, cp) == k.  An entry is built the
-    first time a column's character falls in its interval, so the plan
-    grows with the grammar, never with the texts parsed.
+    terminals, and entries[k], interval k's entry (see entry), holds the
+    code points cp with bisect_right(bounds, cp) == k.  It is (stores,
+    rest): the (clause, value) pairs the fill stores at a column of the
+    interval before it pops anything, every clause there whose value the
+    character alone decides, and the mask of the clauses it schedules
+    first.  An entry is built the first time a column's character falls in
+    its interval, so the plan grows with the grammar, never with the texts
+    parsed.
 
     selects, walks and replays are built whole with the plan, and say
     where the children of clause c's matches come from (see _Decoder), in
@@ -985,16 +991,15 @@ class FillPlan:
 
     __slots__ = (
         "parents", "fill_parents", "bits", "rescheduled", "bounds", "entries", "selects",
-        "walks", "replays", "_distinct", "_terminals",
+        "walks", "replays", "_distinct", "_dispatch", "_strs", "_probe", "_lock",
     )
 
     def __init__(self, grammar: Grammar):
         clauses = grammar.all_clauses
+        shift = grammar.alt_shift
         n = len(clauses)
         self.bits = [1 << n - 1 - i for i in range(n)]
-        self._terminals = [
-            c for c in clauses if c.is_terminal and type(c) is not Nothing
-        ]
+        terminals = [c for c in clauses if c.is_terminal and type(c) is not Nothing]
         parents = [[] for _ in clauses]
         reads = []
         for p in clauses:
@@ -1005,7 +1010,7 @@ class FillPlan:
                     parents[sub.clause_idx].append(p.clause_idx)
         self.parents = list(map(tuple, parents))
         bounds = set()
-        for c in self._terminals:
+        for c in terminals:
             if type(c) is CharSet:
                 for lo, hi in c.ranges:
                     bounds.update((lo, hi + 1))
@@ -1015,6 +1020,21 @@ class FillPlan:
         self.bounds = sorted(bounds)
         self.entries = [None] * (len(self.bounds) + 1)
         self._distinct = {}
+        # Each single-char terminal's matcher, over a text whose k-th
+        # character is interval k's lowest code point, and the Strs whose
+        # first character is in each interval.
+        lows = [0] + self.bounds
+        if lows[-1] > 0x10FFFF:  # the interval above every code point
+            lows.pop()
+        lows = "".join(map(chr, lows))
+        self._dispatch = []
+        self._strs = {}
+        for c in terminals:
+            if type(c) is Str:
+                k = bisect_right(self.bounds, ord(c.string[0]))
+                self._strs.setdefault(k, []).append(c.clause_idx)
+            else:
+                self._dispatch.append((c.clause_idx, make_matcher(c, lows, None, shift)))
         pushers, top = _pushed_through(clauses, self.parents)
         self.walks = walks = _levels(clauses, self.parents, top)
         self.replays = _replay_plans(clauses, reads, self.parents, pushers, top, walks)
@@ -1024,37 +1044,148 @@ class FillPlan:
             _mask((p for p in ps if w is None or clauses[p] not in w[:2]), n)
             for ps, w in zip(self.parents, walks)
         ]
-        self.rescheduled = frozenset(c for c in range(n) if top[c] >= c and walks[c] is None)
+        # A level's h and s are on a cycle too.
+        cyclic = [c for c in range(n) if top[c] >= c]
+        self.rescheduled = frozenset(c for c in cyclic if walks[c] is None)
+        # The clauses no entry decides (see entry).
+        held = set(cyclic)
+        held.update(r for c, rs in enumerate(reads) for r in rs if r >= c)
+        self._probe = _Probe(clauses, shift, frozenset(held), self.parents)
+        self._lock = threading.Lock()
 
     def entry(self, k):
-        """Interval k's entry: (single-char terminals that match, the mask
-        of the clauses a column of it schedules first).
+        """Interval k's entry: (stores, rest).  stores pairs each clause
+        whose value at a column the column's character alone decides, and
+        that matches there, with its packed value, in the order the fill
+        would store them; rest is the mask of the clauses the column
+        schedules first that are left to the fill.
 
-        A terminal is decided by its own matcher on the interval's lowest
-        code point (followed by the rest of a Str), so make_matcher stays
-        the one definition of what each terminal matches.  The single-char
-        terminals that match are stored without another call, and their
-        seed parents are scheduled.  A Str that can start here is
-        scheduled itself; terminals come first in clause order, so the
-        fill tries it before any clause that reads it.  A terminal the
-        character rules out schedules nothing.
+        The entry runs the column's queue over the character.  A single-char
+        terminal is decided by its own matcher, and a decided match
+        schedules its seed parents as a store does.  Each other clause that
+        pops is evaluated by a probe matcher, built by make_matcher, so the
+        factories stay the one definition of every operator, and reading
+        through a _Probe at the column.  A probe read gives the value
+        decided there, or, for a clause nothing decided, the zero-length
+        match or absence the fill reads for an unscheduled clause.  The
+        read is undecided if it is at another position, or of an undecided,
+        tainted or held clause.  A held clause is on or pushed through a
+        same-position cycle, is a level's h or s, or is read at its own
+        position by a clause sorting at or below it; so the improvement
+        check and a level's matcher are never skipped, every other read is
+        of a clause below the reader, final when it pops, and no clause the
+        fill evaluates reads a stored value sooner than it would have.
+        A clause whose probe makes an undecided read, a held or tainted
+        clause, and a Str starting in the interval (it reads past the
+        column) are left in rest, and each taints itself and every seed
+        ancestor, through parents: the fill may store it, and that store
+        may schedule them.  So a clause the entry stores is scheduled by
+        decided stores alone and reads only final values there: the fill
+        would store the same value, and it pops nowhere else in the column.
+        Entries are built under a lock, as threads may share a grammar.
         """
-        ch = chr(self.bounds[k - 1]) if k else "\0"
-        chars, scheduled = [], 0
-        for t in self._terminals:
-            kind = type(t)
-            probe = ch + t.string[1:] if kind is Str else ch
-            if make_matcher(t, probe, None, 0)(0) is None:
-                continue
-            if kind is Str:
-                scheduled |= self.bits[t.clause_idx]
-            else:
-                chars.append(t.clause_idx)
-                scheduled |= self.fill_parents[t.clause_idx]
-        e = (tuple(chars), scheduled)
-        # Intervals that start the same terminals share one entry.
-        e = self.entries[k] = self._distinct.setdefault(e, e)
+        with self._lock:
+            e = self.entries[k]
+            if e is None:
+                e = self._decide(k)
+                # Intervals whose characters decide the same entry share it.
+                e = self.entries[k] = self._distinct.setdefault(e, e)
         return e
+
+    def _decide(self, k):
+        """Interval k's entry, built under the lock (see entry)."""
+        bits, parents = self.bits, self.fill_parents
+        n = len(bits)
+        probe = self._probe
+        probe.clear()
+        values = probe.values
+        stores, rest, pending = [], 0, 0
+        for t, match in self._dispatch:
+            v = match(k)
+            if v is not None:
+                values[t] = v
+                stores.append((t, v))
+                pending |= parents[t]
+        for t in self._strs.get(k, ()):
+            rest |= bits[t]
+            probe.taint(t)
+        while pending:
+            i = n - pending.bit_length()
+            pending ^= bits[i]
+            try:
+                v = probe.decide(i)
+            except _Undecided:
+                rest |= bits[i]
+                probe.taint(i)
+                continue
+            if v is not None:
+                values[i] = v
+                stores.append((i, v))
+                pending |= parents[i]
+        return tuple(stores), rest
+
+
+class _Undecided(Exception):
+    """A probe read whose value the column's character does not decide."""
+
+
+class _Probe:
+    """What FillPlan.entry decides a column's clauses with, one per plan,
+    used under the plan's lock: the held clauses, the values decided so far
+    in the column, the tainted clauses, and each clause's probe matcher,
+    built by make_matcher on its first probe and reading through read, and
+    reader.  Position 0 is the column."""
+
+    __slots__ = ("held", "parents", "clauses", "shift", "values", "tainted", "matchers", "readers")
+
+    def __init__(self, clauses, shift, held, parents):
+        self.clauses, self.shift, self.held, self.parents = clauses, shift, held, parents
+        self.values = {}
+        self.tainted = set()
+        self.matchers = {}
+        self.readers = {}
+
+    def clear(self):
+        self.values.clear()
+        self.tainted.clear()
+
+    def decide(self, i):
+        """Clause i's value at the column, or _Undecided."""
+        if i in self.held or i in self.tainted:
+            raise _Undecided
+        f = self.matchers.get(i)
+        if f is None:
+            f = self.matchers[i] = make_matcher(self.clauses[i], "", self.read, self.shift)
+        return f(0)
+
+    def read(self, sub):
+        i = sub.clause_idx
+        r = self.readers.get(i)
+        if r is not None:
+            return r
+        if type(sub) is NotFollowedBy:
+            r = make_matcher(sub, "", self.read, self.shift)
+        else:
+            zero = sub.zero_idx if sub.can_match_zero_chars else None
+            held, tainted, values = self.held, self.tainted, self.values
+
+            def r(pos):
+                if pos or i in held or i in tainted:
+                    raise _Undecided
+                v = values.get(i)
+                return zero if v is None else v
+
+        self.readers[i] = r
+        return r
+
+    def taint(self, i):
+        """Taint clause i and every seed ancestor of it."""
+        parents, tainted, todo = self.parents, self.tainted, [i]
+        while todo:
+            c = todo.pop()
+            if c not in tainted:
+                tainted.add(c)
+                todo.extend(parents[c])
 
 
 # A select's member that reads as no child where nothing is stored: a

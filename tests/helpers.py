@@ -19,7 +19,7 @@ under ARITH_LEFTREC.
 
 import json
 
-from pikaparse import First, compile_grammar, engine, extract_parse_tree, parse
+from pikaparse import First, Nothing, Str, compile_grammar, engine, extract_parse_tree, parse
 from pikaparse.grammar import same_position_subs
 from pikaparse.oracle import OracleResult
 from pikaparse.tree import _kids, _match_entry
@@ -187,6 +187,41 @@ def assert_every_child_has_a_source(grammar, plan):
                 or plan.walks[i] is not None
                 or plan.replays[i] is not None
             ), (grammar.display_clause(c), k)
+
+
+def reference_entry(grammar, plan, k):
+    """Interval k's dispatch entry, (stores, rest), as FillPlan.entry built
+    it when entries decided only single-character terminals: each that
+    matches the interval's lowest code point is stored and schedules its
+    seed parents, and each Str starting with that code point is scheduled
+    itself.  Every other clause is left to the fill."""
+    ch = chr(plan.bounds[k - 1]) if k else "\0"
+    one = 1 << grammar.alt_shift
+    stores, rest = [], 0
+    for t in grammar.all_clauses:
+        if not t.is_terminal or isinstance(t, Nothing):
+            continue
+        i = t.clause_idx
+        probe = ch + t.string[1:] if isinstance(t, Str) else ch
+        if engine.make_matcher(t, probe, None, 0)(0) is None:
+            continue
+        if isinstance(t, Str):
+            rest |= plan.bits[i]
+        else:
+            stores.append((i, one))
+            rest |= plan.fill_parents[i]
+    return tuple(stores), rest
+
+
+def reference_plan(grammar):
+    """A FillPlan for grammar whose entries are all reference_entry's,
+    built up front, so that a fill with it stores the terminals alone and
+    evaluates every other clause it schedules."""
+    plan = engine.FillPlan(grammar)
+    for k in range(len(plan.entries)):
+        if k == 0 or plan.bounds[k - 1] <= 0x10FFFF:
+            plan.entries[k] = reference_entry(grammar, plan, k)
+    return plan
 
 
 def same_position_reach(clause):

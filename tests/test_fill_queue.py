@@ -68,9 +68,14 @@ def evaluations(monkeypatch, grammar, text):
     def counted(factory):
         def build(clause, text, read, shift, late):
             matcher = factory(clause, text, read, shift, late)
-            # A dispatch entry tries a terminal with no reader, and a
-            # lookahead is read on demand: neither is an evaluation.
-            if read is None or type(clause) is NotFollowedBy:
+            # A dispatch entry tries a terminal with no reader and decides
+            # a clause with a probe matcher at probe position 0, and a
+            # lookahead is read on demand: none of them is an evaluation.
+            if (
+                read is None
+                or isinstance(getattr(read, "__self__", None), engine._Probe)
+                or type(clause) is NotFollowedBy
+            ):
                 return matcher
             i = clause.clause_idx
 
