@@ -15,7 +15,12 @@ no clause is checked.  Each column starts from its character's dispatch
 entry: only the terminals that can start with it are tried, and every
 clause whose value the character alone decides, a single-character
 terminal and each clause above it that reads only such values at the
-column, is stored with no evaluation (see FillPlan.entry).  A clause that
+column, is stored with no evaluation.  The entry also gives a clause left
+to the fill a chain: the seed ancestors that its value alone decides
+there, each an ordered choice whose earlier alternatives are absent or a
+sequence padded with empty clauses.  When the clause stores, the fill
+stores its chain too and schedules the chain's seed parents, so no clause
+on it pops (see FillPlan.entry).  A clause that
 can match zero characters and that nothing evaluated at a position reads as
 a zero-length match there, so the fill never needs to evaluate a clause
 only to find its empty match.
@@ -740,6 +745,8 @@ class MemoTable(_Decoder):
         # One reader per clause, built on first use: the same functions that
         # matchers read their subclauses through.
         self._readers = [None] * len(self._tables)
+        # The entry of the column the fill is filling (see _chain_start).
+        self._entry = None
 
     def _reader(self, clause):
         """clause's reader.  A clause that can match zero characters reads
@@ -842,7 +849,6 @@ class MemoTable(_Decoder):
     def _run(self):
         grammar = self.grammar
         plan = self._read_plan()
-        parents = plan.fill_parents
         bits = plan.bits
         walks = plan.walks
         again = plan.rescheduled
@@ -876,6 +882,8 @@ class MemoTable(_Decoder):
                         store(pos, v)
                     return choose(pos)
 
+            if i in self._fill_plan.chain_starts:
+                f = _chain_start(f, i, self)
             if i not in again:
                 return f
             # Clause i can pop again in a column after it stores there: a
@@ -905,10 +913,12 @@ class MemoTable(_Decoder):
         # most once in a column, so nothing is stored for it there yet, and
         # a rescheduled clause's matcher gives no match for a value that is
         # no improvement: an evaluation that matches stores its value and
-        # schedules every seed parent, with no check here.
+        # schedules every seed parent, with no check here.  parents is the
+        # entry's: a chain start's mask there schedules its chain's seed
+        # parents in place of the chain.
         for pos in range(len(text) - 1, -1, -1):
             k = bisect_right(bounds, ord(text[pos]))
-            stores, pending = entries[k] or plan.entry(k)
+            stores, pending, parents = self._entry = entries[k] or plan.entry(k)
             for idx, v in stores:
                 tables[idx][pos] = v
             while pending:
@@ -921,6 +931,26 @@ class MemoTable(_Decoder):
                 if v is not None:
                     tables[idx][pos] = v
                     pending |= parents[idx]
+
+
+def _chain_start(match, i, table):
+    """The fill matcher of clause i, which can start a chain (see
+    FillPlan.entry), from its matcher match: where the entry of the column
+    being filled gives i a chain, i's value decides each clause on it,
+    which is stored with it and never pops."""
+    tables, high = table._tables, -1 << table._shift
+
+    def chain_start(pos):
+        v = match(pos)
+        if v is not None:
+            links = table._entry[2][i]
+            if type(links) is _Chain:
+                v_high = v & high
+                for q, a in links.links:
+                    tables[q][pos] = v_high | a
+        return v
+
+    return chain_start
 
 
 def _or_empty(clause, get):
@@ -951,12 +981,16 @@ class FillPlan:
     starts or stops, so every character of one interval starts the same
     terminals, and entries[k], interval k's entry (see entry), holds the
     code points cp with bisect_right(bounds, cp) == k.  It is (stores,
-    rest): the (clause, value) pairs the fill stores at a column of the
-    interval before it pops anything, every clause there whose value the
-    character alone decides, and the mask of the clauses it schedules
-    first.  An entry is built the first time a column's character falls in
-    its interval, so the plan grows with the grammar, never with the texts
-    parsed.
+    rest, parents): the (clause, value) pairs the fill stores at a column
+    of the interval before it pops anything, every clause there whose value
+    the character alone decides, the mask of the clauses it schedules
+    first, and the seed parent masks a store schedules there, which are
+    fill_parents but at each clause that starts a chain in the interval.
+    An entry is built the first time a column's character falls in its
+    interval, so the plan grows with the grammar, never with the texts
+    parsed.  chain_starts holds the clauses not held whose value some
+    clause may take as its own, so that they may start a chain in an entry;
+    the fill builds their matchers to store the chain (see entry).
 
     selects, walks and replays are built whole with the plan, and say
     where the children of clause c's matches come from (see _Decoder), in
@@ -991,7 +1025,8 @@ class FillPlan:
 
     __slots__ = (
         "parents", "fill_parents", "bits", "rescheduled", "bounds", "entries", "selects",
-        "walks", "replays", "_distinct", "_dispatch", "_strs", "_probe", "_lock",
+        "walks", "replays", "chain_starts", "_distinct", "_dispatch", "_strs", "_probe",
+        "_links", "_lock",
     )
 
     def __init__(self, grammar: Grammar):
@@ -1036,29 +1071,38 @@ class FillPlan:
             else:
                 self._dispatch.append((c.clause_idx, make_matcher(c, lows, None, shift)))
         pushers, top = _pushed_through(clauses, self.parents)
-        self.walks = walks = _levels(clauses, self.parents, top)
-        self.replays = _replay_plans(clauses, reads, self.parents, pushers, top, walks)
-        self.selects = _selects(clauses, self.replays, walks)
-        # h's evaluation stores s, and no store of s schedules anything.
-        self.fill_parents = [
-            _mask((p for p in ps if w is None or clauses[p] not in w[:2]), n)
-            for ps, w in zip(self.parents, walks)
-        ]
         # A level's h and s are on a cycle too.
         cyclic = [c for c in range(n) if top[c] >= c]
+        if cyclic:
+            self.walks = walks = _levels(clauses, self.parents, top)
+            self.replays = _replay_plans(clauses, reads, self.parents, pushers, top, walks)
+        else:  # no level, and every read is final for its reader
+            self.walks = walks = [None] * n
+            self.replays = [None] * n
+        self.selects = _selects(clauses, self.replays, walks)
+        # h's evaluation stores s, and no store of s schedules anything.
+        self.fill_parents = []
+        for ps, w in zip(self.parents, walks):
+            mask = 0
+            for p in ps:
+                if w is None or clauses[p] not in w[:2]:
+                    mask |= self.bits[p]
+            self.fill_parents.append(mask)
         self.rescheduled = frozenset(c for c in cyclic if walks[c] is None)
         # The clauses no entry decides (see entry).
         held = set(cyclic)
         held.update(r for c, rs in enumerate(reads) for r in rs if r >= c)
         self._probe = _Probe(clauses, shift, frozenset(held), self.parents)
+        self._links, self.chain_starts = _links(clauses, held)
         self._lock = threading.Lock()
 
     def entry(self, k):
-        """Interval k's entry: (stores, rest).  stores pairs each clause
-        whose value at a column the column's character alone decides, and
-        that matches there, with its packed value, in the order the fill
-        would store them; rest is the mask of the clauses the column
-        schedules first that are left to the fill.
+        """Interval k's entry: (stores, rest, parents).  stores pairs each
+        clause whose value at a column the column's character alone
+        decides, and that matches there, with its packed value, in the
+        order the fill would store them; rest is the mask of the clauses
+        the column schedules first that are left to the fill; parents[c] is
+        the mask of the clauses the fill schedules when c stores there.
 
         The entry runs the column's queue over the character.  A single-char
         terminal is decided by its own matcher, and a decided match
@@ -1082,14 +1126,31 @@ class FillPlan:
         may schedule them.  So a clause the entry stores is scheduled by
         decided stores alone and reads only final values there: the fill
         would store the same value, and it pops nowhere else in the column.
-        Entries are built under a lock, as threads may share a grammar.
+
+        A tainted clause c that is not held may start a chain (see _masks):
+        the seed ancestors q whose value is c's with some alternative a
+        once c stores.  q is a First whose alternatives before a read as
+        no match (the entry decided them absent) and whose alternative a is
+        c or on the chain, or a Seq whose first member is c or on the chain
+        and whose other members are all the empty clause.  q is not held
+        and not in rest, and every other tainted child of q is on the
+        chain, so only c's store can schedule q.  So no clause on the chain
+        pops in the column: if c stores, the fill stores the chain with it
+        (c's matcher, as c is in chain_starts, does), and if it does not,
+        nothing schedules them.  parents[c] is then a _Chain: the seed
+        parents of c and of the chain, less the chain's clauses, and the
+        chain's (q, a) pairs.  This is sound: a chain's values are what
+        their matchers give once c has stored, and in a fill without chains
+        nothing reads q at the column between c's store and q's pop.  q's
+        seed parents sort above q, so scheduling them early does not change
+        when they pop, and a clause that reads q at q's own position sorts
+        above q, since q is not held.  Entries are built under a lock, as
+        threads may share a grammar.
         """
         with self._lock:
             e = self.entries[k]
             if e is None:
-                e = self._decide(k)
-                # Intervals whose characters decide the same entry share it.
-                e = self.entries[k] = self._distinct.setdefault(e, e)
+                e = self.entries[k] = self._decide(k)
         return e
 
     def _decide(self, k):
@@ -1122,7 +1183,64 @@ class FillPlan:
                 values[i] = v
                 stores.append((i, v))
                 pending |= parents[i]
-        return tuple(stores), rest
+        # Intervals whose characters decide the same stores and rest share
+        # one entry: its chains follow from those two, as the tainted
+        # clauses are rest's seed ancestors.
+        key = tuple(stores), rest
+        e = self._distinct.get(key)
+        if e is None:
+            e = self._distinct[key] = (*key, self._masks(rest))
+        return e
+
+    def _masks(self, rest):
+        """The entry's parent masks once its queue has run: fill_parents,
+        with a _Chain for each clause c that starts a chain (see entry),
+        which is built upwards from c in clause order.  An alternative
+        before a reads as no match if it is neither stored by the entry nor
+        tainted, and _links lists it.  A clause on a chain starts none."""
+        bits, parents, links_of = self.bits, self.fill_parents, self._links
+        n = len(bits)
+        values, tainted = self._probe.values, self._probe.tainted
+        masks, on = parents, {}  # on[q]: the start of the chain q is on
+        for c in sorted(tainted & self.chain_starts):
+            if c in on:
+                continue
+            on[c] = c
+            links = []
+            mask = pending = parents[c]
+            own = 0
+            while pending:
+                q = n - pending.bit_length()
+                pending ^= bits[q]
+                reads = links_of[q]
+                if reads is None or rest & bits[q]:
+                    continue
+                firsts, alternatives = reads
+                for a, sub in enumerate(firsts):
+                    if on.get(sub) == c:
+                        break
+                    if sub in values or sub in tainted:
+                        a = None
+                        break
+                else:
+                    a = None
+                if a is None:
+                    continue
+                for sub in alternatives[a + 1:]:
+                    if sub in tainted and on.get(sub) != c:
+                        break
+                else:
+                    on[q] = c
+                    links.append((q, a))
+                    own |= bits[q]
+                    mask |= parents[q]
+                    pending |= parents[q]
+            if links:
+                if masks is parents:
+                    masks = list(parents)
+                masks[c] = _Chain(mask & ~own)
+                masks[c].links = tuple(links)
+        return masks
 
 
 class _Undecided(Exception):
@@ -1186,6 +1304,43 @@ class _Probe:
             if c not in tainted:
                 tainted.add(c)
                 todo.extend(parents[c])
+
+
+class _Chain(int):
+    """An entry's parents mask for a clause c that starts a chain there
+    (see FillPlan.entry): the seed parents of c and of the chain, less the
+    chain's clauses, and, as links, each (clause, alternative) pair on the
+    chain, whose value is c's with that alternative."""
+
+
+def _links(clauses, held):
+    """What FillPlan._masks reads to put a clause q on a chain, per q, and
+    chain_starts: the clauses not held that some such q may take the value
+    of.  links[q] is None, or for a First not held (firsts, alternatives),
+    lists of clause indices: its alternatives up to the first that may read
+    as present with no value stored for it at its column (it is held, a
+    lookahead, or can match zero characters), and all its alternatives.
+    For a Seq not held whose other members are all the empty clause, so
+    that its value is its first member's, it is ([first], [first])."""
+    links, starts = [None] * len(clauses), set()
+    for q in clauses:
+        i, kind = q.clause_idx, type(q)
+        if i in held or kind is not First and kind is not Seq:
+            continue
+        subs = q.sub_clauses
+        ids = [sub.clause_idx for sub in subs]
+        if kind is First:
+            a = 0
+            for sub in subs[:-1]:
+                if sub.can_match_zero_chars or type(sub) is NotFollowedBy or ids[a] in held:
+                    break
+                a += 1
+            links[i] = ids[: a + 1], ids
+            starts.update(links[i][0])
+        elif all(type(sub) is Nothing for sub in subs[1:]):
+            links[i] = ids[:1], ids[:1]
+            starts.add(ids[0])
+    return links, frozenset(starts.difference(held))
 
 
 # A select's member that reads as no child where nothing is stored: a

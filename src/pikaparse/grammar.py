@@ -16,7 +16,7 @@ and returns a Grammar ready for the matching engine:
    and assign clause_idx
 4. validate (empty-match placement, nullable repetition bodies, lookahead
    cycles, empty matches that depend on a lookahead) and warn on dead First
-   alternatives
+   alternatives and on same-position cycles through a lookahead
 """
 from __future__ import annotations
 
@@ -278,6 +278,45 @@ def same_position_subs(clause):
     return ()
 
 
+def same_position_cycles(clauses):
+    """The strongly connected components of the same-position graph, each
+    clause's edges going to its same_position_subs, that hold a cycle, as
+    lists of clauses.  Every clause reachable from clauses is walked.
+    Tarjan's algorithm, iterative."""
+    index, low, stack, on_stack, cycles = {}, {}, [], set(), []
+
+    def visit(c):
+        index[c] = low[c] = len(index)
+        stack.append(c)
+        on_stack.add(c)
+        return c, iter(same_position_subs(c))
+
+    for root in clauses:
+        if root in index:
+            continue
+        work = [visit(root)]
+        while work:
+            c, subs = work[-1]
+            for sub in subs:
+                if sub not in index:
+                    work.append(visit(sub))
+                    break
+                if sub in on_stack and index[sub] < low[c]:
+                    low[c] = index[sub]
+            else:
+                work.pop()
+                if work and low[c] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[c]
+                if low[c] == index[c]:
+                    component = []
+                    while not component or component[-1] is not c:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    if len(component) > 1 or c in same_position_subs(c):
+                        cycles.append(component)
+    return cycles
+
+
 # ---------------------------------------------------------------------------
 # topological ordering (bottom-up clause index assignment)
 
@@ -414,6 +453,22 @@ def _validate(rules, all_clauses):
         lambda c: c.sub_clauses if isinstance(c.sub_clauses[0], NotFollowedBy) else (),
         lookahead_cycle,
     )
+
+    # A same-position cycle through a lookahead is filled in clause order:
+    # a clause below the lookahead's operand on the cycle reads it before
+    # it is stored at that position, so the answer can change with the
+    # order the rules are declared in.
+    for cycle in same_position_cycles([c for c in all_clauses if isinstance(c, NotFollowedBy)]):
+        if any(isinstance(c, NotFollowedBy) for c in cycle):
+            on_cycle = set(cycle)
+            names = dict.fromkeys(r.name for r in rules if r.clause in on_cycle)
+            warnings.warn(
+                "a same-position cycle through a lookahead joins %s %s, so what "
+                "it matches can depend on the order the rules are declared in"
+                % ("rules" if len(names) > 1 else "rule", ", ".join(map(repr, names))),
+                GrammarWarning,
+                stacklevel=4,
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -190,11 +190,13 @@ def assert_every_child_has_a_source(grammar, plan):
 
 
 def reference_entry(grammar, plan, k):
-    """Interval k's dispatch entry, (stores, rest), as FillPlan.entry built
-    it when entries decided only single-character terminals: each that
-    matches the interval's lowest code point is stored and schedules its
-    seed parents, and each Str starting with that code point is scheduled
-    itself.  Every other clause is left to the fill."""
+    """Interval k's dispatch entry, (stores, rest, parents), as
+    FillPlan.entry built it when entries decided only single-character
+    terminals and no chains: each terminal that matches the interval's
+    lowest code point is stored and schedules its seed parents, each Str
+    starting with that code point is scheduled itself, and parents is the
+    plan's fill_parents.  Every other clause is left to the fill, and each
+    store schedules its seed parents."""
     ch = chr(plan.bounds[k - 1]) if k else "\0"
     one = 1 << grammar.alt_shift
     stores, rest = [], 0
@@ -210,7 +212,7 @@ def reference_entry(grammar, plan, k):
         else:
             stores.append((i, one))
             rest |= plan.fill_parents[i]
-    return tuple(stores), rest
+    return tuple(stores), rest, plan.fill_parents
 
 
 def reference_plan(grammar):

@@ -179,6 +179,28 @@ def test_two_growing_alternatives_diverge_from_bounded_left_recursion(text):
     assert parse(one, text).matched_whole()
 
 
+# Two rules that read each other at one position through lookaheads.  In
+# PEG, B matches 'x' at the start of 'xx', so !B fails there and A has no
+# match.  The fill follows clause order instead, which follows the rules'.
+LOOKAHEAD_CYCLE = ("B <- 'x' / !A 'q';", "A <- !B 'x' 'x' / 'y';")
+
+
+@pytest.mark.parametrize("b_first, a_len", [(True, 2), (False, None)])
+def test_a_cycle_through_lookaheads_depends_on_rule_order(b_first, a_len):
+    b, a = LOOKAHEAD_CYCLE
+    text = b + a if b_first else a + b
+    names = "'B', 'A'" if b_first else "'A', 'B'"  # in the order they are declared
+    with pytest.warns(GrammarWarning, match="cycle through a lookahead joins rules %s," % names):
+        g = compile_grammar(text)
+    t = parse(g, "xx")
+    # Clause order follows the start rule, the first one declared.  With B
+    # first, B sorts above A's !B 'x' 'x', which reads B before B stores at
+    # column 0: !B succeeds and A matches both characters.
+    assert t.stored_len(g.rule_clause("A"), 0) == a_len
+    assert t.stored_len(g.rule_clause("B"), 0) == 1
+    assert not t.matched_whole()
+
+
 # === zero-length economy ===
 
 def test_nothing_is_never_stored():

@@ -26,7 +26,13 @@ from pikaparse.clauses import (
 )
 from pikaparse.engine import FillPlan, parse
 from pikaparse.tree import extract_parse_tree
-from pikaparse.grammar import MAX_CLAUSE_DEPTH, assemble_grammar, depth_first, same_position_subs
+from pikaparse.grammar import (
+    MAX_CLAUSE_DEPTH,
+    assemble_grammar,
+    depth_first,
+    same_position_cycles,
+    same_position_subs,
+)
 from pikaparse.metagrammar import compile_grammar, render_grammar
 
 import gram_gen
@@ -491,6 +497,31 @@ def test_repetition_tails_do_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile_grammar("A <- 'a'* 'b';")
+
+
+def test_same_position_cycles_are_whole_components():
+    g = compile_grammar("S <- A / 'c'; A <- B 'x' / 'a'; B <- A 'y' / B 'z' / 'b';")
+    (cycle,) = same_position_cycles(g.all_clauses)
+    # A and B and their three growing sequences, each once: the two cycles
+    # share A and B, so they are one component.
+    on_cycles = {c for c in g.all_clauses if c in same_position_reach(c)}
+    assert len(cycle) == len(on_cycles) == 5 and set(cycle) == on_cycles
+    assert same_position_cycles(compile_grammar(JSON_GRAMMAR).all_clauses) == []
+
+
+def test_a_cycle_through_a_lookahead_warns_with_its_rules():
+    # The lookahead's operand reads the rule that holds it at its own
+    # position; S reads into the cycle, but is not on it.
+    with pytest.warns(GrammarWarning, match="joins rules 'A', 'B',") as caught:
+        compile_grammar("S <- A 'q'; A <- B 'x' / 'y'; B <- !A 'z' / 'w';")
+    assert len(caught) == 1
+    with pytest.warns(GrammarWarning, match="joins rule 'A',"):
+        compile_grammar("A <- !A 'x' / 'y';")
+    # A lookahead beside a cycle, or over one, closes none.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile_grammar("E <- E '+' T / T; T <- !'-' [a-z];")
+        compile_grammar("S <- !E [a-z]; E <- E '+' 'a' / 'a';")
 
 
 # === depth-first walk ===
