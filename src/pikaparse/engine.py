@@ -17,13 +17,12 @@ clause whose value the character alone decides, a single-character
 terminal and each clause above it that reads only such values at the
 column, is stored with no evaluation.  The entry also gives a clause left
 to the fill a chain: the seed ancestors that its value alone decides
-there, each an ordered choice whose earlier alternatives are absent or a
-sequence padded with empty clauses.  When the clause stores, the fill
-stores its chain too and schedules the chain's seed parents, so no clause
-on it pops (see FillPlan.entry).  A clause that
-can match zero characters and that nothing evaluated at a position reads as
-a zero-length match there, so the fill never needs to evaluate a clause
-only to find its empty match.
+there, found by the same probe matchers reading the clause as a match of
+a length no text reaches.  When the clause stores, the fill stores its
+chain too and schedules the chain's seed parents, so no clause on it pops
+(see FillPlan.entry).  A clause that can match zero characters and that
+nothing evaluated at a position reads as a zero-length match there, so the
+fill never needs to evaluate a clause only to find its empty match.
 Because everything to the right of the current position is already final, a
 clause's match can reference cyclic (left-recursive) structure through the
 memo table without infinite regress: improvements propagate around the
@@ -89,6 +88,7 @@ one plan per cycle.  FillPlan derives all of this from one reach pass.
 """
 from __future__ import annotations
 
+import sys
 import threading
 from bisect import bisect_right
 
@@ -745,8 +745,6 @@ class MemoTable(_Decoder):
         # One reader per clause, built on first use: the same functions that
         # matchers read their subclauses through.
         self._readers = [None] * len(self._tables)
-        # The entry of the column the fill is filling (see _chain_start).
-        self._entry = None
 
     def _reader(self, clause):
         """clause's reader.  A clause that can match zero characters reads
@@ -859,6 +857,7 @@ class MemoTable(_Decoder):
         text = self.text
         shift = self._shift
         mask = ~(-1 << shift)
+        high = -1 << shift
         n = len(clauses)
 
         def late():
@@ -882,8 +881,6 @@ class MemoTable(_Decoder):
                         store(pos, v)
                     return choose(pos)
 
-            if i in self._fill_plan.chain_starts:
-                f = _chain_start(f, i, self)
             if i not in again:
                 return f
             # Clause i can pop again in a column after it stores there: a
@@ -914,11 +911,12 @@ class MemoTable(_Decoder):
         # a rescheduled clause's matcher gives no match for a value that is
         # no improvement: an evaluation that matches stores its value and
         # schedules every seed parent, with no check here.  parents is the
-        # entry's: a chain start's mask there schedules its chain's seed
-        # parents in place of the chain.
+        # entry's: where a clause starts a chain, its mask schedules the
+        # chain's seed parents in place of the chain, which is stored with
+        # it, each clause with its own alternative.
         for pos in range(len(text) - 1, -1, -1):
             k = bisect_right(bounds, ord(text[pos]))
-            stores, pending, parents = self._entry = entries[k] or plan.entry(k)
+            stores, pending, parents = entries[k] or plan.entry(k)
             for idx, v in stores:
                 tables[idx][pos] = v
             while pending:
@@ -930,27 +928,12 @@ class MemoTable(_Decoder):
                 v = f(pos)
                 if v is not None:
                     tables[idx][pos] = v
-                    pending |= parents[idx]
-
-
-def _chain_start(match, i, table):
-    """The fill matcher of clause i, which can start a chain (see
-    FillPlan.entry), from its matcher match: where the entry of the column
-    being filled gives i a chain, i's value decides each clause on it,
-    which is stored with it and never pops."""
-    tables, high = table._tables, -1 << table._shift
-
-    def chain_start(pos):
-        v = match(pos)
-        if v is not None:
-            links = table._entry[2][i]
-            if type(links) is _Chain:
-                v_high = v & high
-                for q, a in links.links:
-                    tables[q][pos] = v_high | a
-        return v
-
-    return chain_start
+                    ps = parents[idx]
+                    pending |= ps
+                    if type(ps) is _Chain:
+                        v &= high
+                        for q, a in ps.links:
+                            tables[q][pos] = v | a
 
 
 def _or_empty(clause, get):
@@ -988,9 +971,7 @@ class FillPlan:
     fill_parents but at each clause that starts a chain in the interval.
     An entry is built the first time a column's character falls in its
     interval, so the plan grows with the grammar, never with the texts
-    parsed.  chain_starts holds the clauses not held whose value some
-    clause may take as its own, so that they may start a chain in an entry;
-    the fill builds their matchers to store the chain (see entry).
+    parsed.
 
     selects, walks and replays are built whole with the plan, and say
     where the children of clause c's matches come from (see _Decoder), in
@@ -1025,8 +1006,7 @@ class FillPlan:
 
     __slots__ = (
         "parents", "fill_parents", "bits", "rescheduled", "bounds", "entries", "selects",
-        "walks", "replays", "chain_starts", "_distinct", "_dispatch", "_strs", "_probe",
-        "_links", "_lock",
+        "walks", "replays", "_reads", "_distinct", "_dispatch", "_strs", "_probe", "_lock",
     )
 
     def __init__(self, grammar: Grammar):
@@ -1093,7 +1073,7 @@ class FillPlan:
         held = set(cyclic)
         held.update(r for c, rs in enumerate(reads) for r in rs if r >= c)
         self._probe = _Probe(clauses, shift, frozenset(held), self.parents)
-        self._links, self.chain_starts = _links(clauses, held)
+        self._reads = reads
         self._lock = threading.Lock()
 
     def entry(self, k):
@@ -1112,13 +1092,16 @@ class FillPlan:
         through a _Probe at the column.  A probe read gives the value
         decided there, or, for a clause nothing decided, the zero-length
         match or absence the fill reads for an unscheduled clause.  The
-        read is undecided if it is at another position, or of an undecided,
-        tainted or held clause.  A held clause is on or pushed through a
-        same-position cycle, is a level's h or s, or is read at its own
-        position by a clause sorting at or below it; so the improvement
-        check and a level's matcher are never skipped, every other read is
-        of a clause below the reader, final when it pops, and no clause the
-        fill evaluates reads a stored value sooner than it would have.
+        read is undecided if it is at another position, but for (), which
+        reads as the zero-length match anywhere, as in the fill, or of a
+        held or tainted clause that the probe holds no value for (only
+        _masks gives tainted clauses values).  A held clause is on or
+        pushed through a same-position cycle, is a level's h or s, or is
+        read at its own position by a clause sorting at or below it; so
+        the improvement check and a level's matcher are never skipped,
+        every other read is of a clause below the reader, final when it
+        pops, and no clause the fill evaluates reads a stored value sooner
+        than it would have.
         A clause whose probe makes an undecided read, a held or tainted
         clause, and a Str starting in the interval (it reads past the
         column) are left in rest, and each taints itself and every seed
@@ -1127,25 +1110,31 @@ class FillPlan:
         decided stores alone and reads only final values there: the fill
         would store the same value, and it pops nowhere else in the column.
 
-        A tainted clause c that is not held may start a chain (see _masks):
-        the seed ancestors q whose value is c's with some alternative a
-        once c stores.  q is a First whose alternatives before a read as
-        no match (the entry decided them absent) and whose alternative a is
-        c or on the chain, or a Seq whose first member is c or on the chain
-        and whose other members are all the empty clause.  q is not held
-        and not in rest, and every other tainted child of q is on the
-        chain, so only c's store can schedule q.  So no clause on the chain
-        pops in the column: if c stores, the fill stores the chain with it
-        (c's matcher, as c is in chain_starts, does), and if it does not,
-        nothing schedules them.  parents[c] is then a _Chain: the seed
-        parents of c and of the chain, less the chain's clauses, and the
-        chain's (q, a) pairs.  This is sound: a chain's values are what
-        their matchers give once c has stored, and in a fill without chains
-        nothing reads q at the column between c's store and q's pop.  q's
-        seed parents sort above q, so scheduling them early does not change
-        when they pop, and a clause that reads q at q's own position sorts
-        above q, since q is not held.  Entries are built under a lock, as
-        threads may share a grammar.
+        Each tainted clause q that is not held gets a start (see _masks):
+        s, so that q is on s's chain with alternative a, if q is not in
+        rest, every tainted clause q reads at its own position (a
+        lookahead's operand included) has start s, and q's probe matcher,
+        reading each of those as a value of length _MARK, returns one of
+        that length and alternative a; otherwise q itself, which then reads
+        as _MARK long.  A held clause has no start.  This is sound.  q is
+        not in rest and the entry's stores schedule nothing, so in the fill
+        q is scheduled only by the store of a clause it reads that the fill
+        stores, which is tainted: s, or a clause on s's chain, which is
+        stored with s and schedules no clause on it.  A factory returns
+        _MARK's length only by passing one chain value's length through: a
+        First keeps it, a Seq adds only zero-length members, and a read
+        past it raises _Undecided; every other read the probe makes gives
+        what the fill reads at the column.  So once s stores, q's value is
+        s's length with alternative a, and q never pops in the column: if s
+        stores, the fill stores the chain with it, and if it does not,
+        nothing schedules q.  parents[s] is then a _Chain: the seed parents
+        of s and of the chain, less the chain's clauses, and the chain's
+        (q, a) pairs.  In a fill without chains nothing reads q at the
+        column between s's store and q's pop: q's seed parents sort above
+        q, so scheduling them early does not change when they pop, and a
+        clause that reads q at q's own position sorts above q, since q is
+        not held.  Entries are built under a lock, as threads may share a
+        grammar.
         """
         with self._lock:
             e = self.entries[k]
@@ -1194,52 +1183,40 @@ class FillPlan:
 
     def _masks(self, rest):
         """The entry's parent masks once its queue has run: fill_parents,
-        with a _Chain for each clause c that starts a chain (see entry),
-        which is built upwards from c in clause order.  An alternative
-        before a reads as no match if it is neither stored by the entry nor
-        tainted, and _links lists it.  A clause on a chain starts none."""
-        bits, parents, links_of = self.bits, self.fill_parents, self._links
-        n = len(bits)
-        values, tainted = self._probe.values, self._probe.tainted
-        masks, on = parents, {}  # on[q]: the start of the chain q is on
-        for c in sorted(tainted & self.chain_starts):
-            if c in on:
+        with a _Chain for each clause that starts a chain (see entry).
+        Each tainted clause q not held, in clause order, gets a start and a
+        value in the probe: the start s that every tainted clause q reads
+        at its own position has, and the value q's probe matcher returns,
+        if it is _MARK long; otherwise q itself and a _MARK-long value."""
+        bits, parents, reads = self.bits, self.fill_parents, self._reads
+        probe = self._probe
+        values, tainted, shift = probe.values, probe.tainted, probe.shift
+        low, mark = ~(-1 << shift), _MARK << shift
+        start, links = {}, {}
+        for q in sorted(tainted - probe.held):
+            start[q] = q
+            values[q] = mark
+            if rest & bits[q]:
                 continue
-            on[c] = c
-            links = []
-            mask = pending = parents[c]
-            own = 0
-            while pending:
-                q = n - pending.bit_length()
-                pending ^= bits[q]
-                reads = links_of[q]
-                if reads is None or rest & bits[q]:
-                    continue
-                firsts, alternatives = reads
-                for a, sub in enumerate(firsts):
-                    if on.get(sub) == c:
-                        break
-                    if sub in values or sub in tainted:
-                        a = None
-                        break
-                else:
-                    a = None
-                if a is None:
-                    continue
-                for sub in alternatives[a + 1:]:
-                    if sub in tainted and on.get(sub) != c:
-                        break
-                else:
-                    on[q] = c
-                    links.append((q, a))
-                    own |= bits[q]
-                    mask |= parents[q]
-                    pending |= parents[q]
-            if links:
-                if masks is parents:
-                    masks = list(parents)
-                masks[c] = _Chain(mask & ~own)
-                masks[c].links = tuple(links)
+            s = {start.get(r) for r in reads[q] if r in tainted}
+            if len(s) != 1 or None in s:
+                continue
+            try:
+                v = probe.match(q)
+            except _Undecided:
+                continue
+            if v is not None and v >> shift == _MARK:
+                start[q] = s = s.pop()
+                values[q] = v
+                links.setdefault(s, []).append((q, v & low))
+        masks = list(parents) if links else parents
+        for s, chain in links.items():
+            mask, own = parents[s], 0
+            for q, _ in chain:
+                mask |= parents[q]
+                own |= bits[q]
+            masks[s] = _Chain(mask & ~own)
+            masks[s].links = tuple(chain)
         return masks
 
 
@@ -1250,7 +1227,8 @@ class _Undecided(Exception):
 class _Probe:
     """What FillPlan.entry decides a column's clauses with, one per plan,
     used under the plan's lock: the held clauses, the values decided so far
-    in the column, the tainted clauses, and each clause's probe matcher,
+    in the column (and, once FillPlan._masks has run, the tainted clauses'
+    chain values), the tainted clauses, and each clause's probe matcher,
     built by make_matcher on its first probe and reading through read, and
     reader.  Position 0 is the column."""
 
@@ -1271,6 +1249,10 @@ class _Probe:
         """Clause i's value at the column, or _Undecided."""
         if i in self.held or i in self.tainted:
             raise _Undecided
+        return self.match(i)
+
+    def match(self, i):
+        """What clause i's probe matcher returns at the column."""
         f = self.matchers.get(i)
         if f is None:
             f = self.matchers[i] = make_matcher(self.clauses[i], "", self.read, self.shift)
@@ -1281,17 +1263,21 @@ class _Probe:
         r = self.readers.get(i)
         if r is not None:
             return r
-        if type(sub) is NotFollowedBy:
+        if type(sub) is NotFollowedBy or type(sub) is Nothing:
             r = make_matcher(sub, "", self.read, self.shift)
         else:
             zero = sub.zero_idx if sub.can_match_zero_chars else None
             held, tainted, values = self.held, self.tainted, self.values
 
             def r(pos):
-                if pos or i in held or i in tainted:
+                if pos:
                     raise _Undecided
                 v = values.get(i)
-                return zero if v is None else v
+                if v is not None:
+                    return v
+                if i in held or i in tainted:
+                    raise _Undecided
+                return zero
 
         self.readers[i] = r
         return r
@@ -1306,41 +1292,15 @@ class _Probe:
                 todo.extend(parents[c])
 
 
+# The length a chain start reads as in FillPlan._masks: no text is as long.
+_MARK = sys.maxsize + 1
+
+
 class _Chain(int):
     """An entry's parents mask for a clause c that starts a chain there
     (see FillPlan.entry): the seed parents of c and of the chain, less the
     chain's clauses, and, as links, each (clause, alternative) pair on the
     chain, whose value is c's with that alternative."""
-
-
-def _links(clauses, held):
-    """What FillPlan._masks reads to put a clause q on a chain, per q, and
-    chain_starts: the clauses not held that some such q may take the value
-    of.  links[q] is None, or for a First not held (firsts, alternatives),
-    lists of clause indices: its alternatives up to the first that may read
-    as present with no value stored for it at its column (it is held, a
-    lookahead, or can match zero characters), and all its alternatives.
-    For a Seq not held whose other members are all the empty clause, so
-    that its value is its first member's, it is ([first], [first])."""
-    links, starts = [None] * len(clauses), set()
-    for q in clauses:
-        i, kind = q.clause_idx, type(q)
-        if i in held or kind is not First and kind is not Seq:
-            continue
-        subs = q.sub_clauses
-        ids = [sub.clause_idx for sub in subs]
-        if kind is First:
-            a = 0
-            for sub in subs[:-1]:
-                if sub.can_match_zero_chars or type(sub) is NotFollowedBy or ids[a] in held:
-                    break
-                a += 1
-            links[i] = ids[: a + 1], ids
-            starts.update(links[i][0])
-        elif all(type(sub) is Nothing for sub in subs[1:]):
-            links[i] = ids[:1], ids[:1]
-            starts.add(ids[0])
-    return links, frozenset(starts.difference(held))
 
 
 # A select's member that reads as no child where nothing is stored: a

@@ -203,6 +203,10 @@ HAND_WRITTEN = [
     ("S <- (A / B)+; A <- [a-c]+; B <- [b-d] '!' / [a-c];", "ab!"),
     ("S <- ('x'? [a-c]+ / !'b' [a-c] / [0-9])+;", "xb1"),
     ("S <- (T / [0-9])+; T <- &[a-c] [a-c]+ / [0-9]+;", "ac1"),
+    # A choice whose earlier alternative reads as its zero-length match
+    # where nothing is stored: it never takes the repetition's value, so it
+    # is on no chain.
+    ("S <- (' '? / [a-z]+) [a-z];", " ab"),
 ]
 
 
@@ -278,6 +282,27 @@ def test_expression_entry_at_a_digit_chains_the_choices_above_the_number():
     one = 1 << g.alt_shift
     for q, a in chain.links:
         assert table._tables[q][0] == one | a
+
+
+def test_a_sequence_after_a_decided_lookahead_joins_its_members_chain(monkeypatch):
+    g = compile_grammar("S <- !'c' N / 'x'; N <- [0-9]+;")
+    plan = engine._plan(g)
+    number = next(c for c in g.all_clauses if g.display_clause(c) == "[0-9]+")
+    _, rest, masks = plan.entry(bisect_right(plan.bounds, ord("5")))
+    assert rest == plan.bits[number.clause_idx]
+    # The lookahead reads as its zero-length match at a digit, so the
+    # sequence's value is the repetition's, and so is the choice's.
+    chain = masks[number.clause_idx]
+    assert type(chain) is engine._Chain
+    assert [(g.display_clause(g.all_clauses[q]), a) for q, a in chain.links] == [
+        ("!'c' N", 0),
+        ("!'c' N / 'x'", 0),
+    ]
+    assert chain == 0  # nothing reads the choice
+    texts = ["5", "123", "x", "c1", "12x"]
+    fills_agree(g, texts)
+    for text in texts:
+        assert chained_pops(monkeypatch, g, text) == [], text
 
 
 def test_threads_sharing_a_fresh_grammar_fill_the_tables_one_thread_fills():
